@@ -2,9 +2,9 @@
 
 Exit status: 0 for PASS or EXPERIMENTAL, 1 for FAIL, 2 for usage errors
 (including malformed multi-index strings, which are reported with the
-offending token).  Alpha lists are given either inline as comma-separated
-complex literals ("0.3", "0.3+0.4i", "-1/4i") or as a path to a JSON file
-holding an array of [re, im] pairs.
+offending token, and files that cannot be read or written).  Alpha lists are
+given either inline as comma-separated complex literals ("0.3", "0.3+0.4i",
+"-1/4i") or as a path to a JSON file holding an array of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -492,7 +492,7 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         report = args.func(args)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json())

@@ -85,7 +85,6 @@ def enumerate_m_graphs(m: MultiplicityVector) -> list[MCondGraph]:
             fill_row(r, c + 1, left, row)
             return
         hi = min(left, col_left[c])
-        # feasibility: remaining columns must be able to absorb what's left
         for take in range(hi, -1, -1):
             row[c] = take
             fill_row(r, c + 1, left - take, row)

@@ -12,6 +12,12 @@ Kernels:
   polynomial for a batch of coefficient sequences.  For sequences longer than
   K it tracks only the K+1 lowest and K+1 highest coefficients (the recursion
   couples low[j] to top[j-1]), giving O(N K) per sample instead of O(N^2).
+  The numpy version keeps its state samples-last: ``low`` and ``conj(top)``
+  are ``(K+1, S)`` arrays, one row per coefficient, so every step works on
+  contiguous rows.  ``low`` is updated in place, the conjugated top is kept
+  directly instead of being conjugated each step, and the result is
+  transposed back to ``(S, K+1)`` once at the end.  Its output is bitwise
+  equal to the same recursion run with samples on the first axis.
 * ``exp_neg_series`` — x = exp(-f) series coefficients for a batch of f rows.
 * ``levinson_batch`` — Verblunsky coefficients from trigonometric moments for
   a batch of moment rows, with per-sample positive-definiteness flags.
@@ -94,25 +100,29 @@ def _szego_low_nb(alphas: np.ndarray, K: int) -> np.ndarray:  # pragma: no cover
 def _szego_low_np(alphas: np.ndarray, K: int) -> np.ndarray:
     S, N = alphas.shape
     n0 = min(N, K)
-    r = np.zeros((S, K + 1), np.complex128)
-    r[:, 0] = 1.0
+    # Samples-last state: row k holds coefficient k of every sample, so each
+    # recursion step is a handful of contiguous length-S vector operations.
+    a_t = np.ascontiguousarray(alphas.T)
+    low = np.zeros((K + 1, S), np.complex128)
+    low[0] = 1.0
     for n in range(1, n0 + 1):
-        a = alphas[:, n - 1][:, None]
-        sub = r[:, : n + 1]
-        r[:, : n + 1] = sub + a * np.conj(sub[:, ::-1])
+        sub = low[: n + 1]
+        low[: n + 1] = sub + a_t[n - 1] * np.conj(sub[::-1])
     if N > K:
-        top = r[:, ::-1].copy()
-        low = r
+        # ctop[i] = conj(top[i]) for top[i] = r_n[n - i]; with conj(a) * low
+        # = conj(a * conj(low)) this keeps every value bitwise equal to the
+        # recursion on top itself.
+        ctop = np.conj(low[::-1])
+        nxt = np.empty_like(ctop)
+        tmp = np.empty((K, S), np.complex128)
         for n in range(K + 1, N + 1):
-            a = alphas[:, n - 1][:, None]
-            new_low = low.copy()
-            new_low[:, 1:] += a[:, 0][:, None] * np.conj(top[:, :-1])
-            new_top = np.empty_like(top)
-            new_top[:, :1] = a * np.conj(low[:, :1])
-            new_top[:, 1:] = top[:, :-1] + a * np.conj(low[:, 1:])
-            low, top = new_low, new_top
-        return low
-    return r
+            a = a_t[n - 1]
+            np.multiply(np.conj(a), low, out=nxt)
+            nxt[1:] += ctop[:-1]
+            np.multiply(a, ctop[:-1], out=tmp)
+            low[1:] += tmp
+            ctop, nxt = nxt, ctop
+    return np.ascontiguousarray(low.T)
 
 
 def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:

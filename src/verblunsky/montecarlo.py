@@ -14,10 +14,17 @@ stream but not the distribution.
 Per-block draw layout (documented so streams are reproducible from the
 description alone):
 
-* alpha sampler: one ``(block, N)`` uniform array for the moduli, then one
-  ``(block, N)`` uniform array for the phases;
-* f sampler: one ``(block, N, 2)`` standard-normal array, last axis holding
-  the real and imaginary parts.
+* alpha sampler: one ``(block, N)`` uniform array ``u`` for the moduli, then
+  one ``(block, N)`` uniform array for the phases; ``alpha_n = sqrt(1 -
+  u**(1/(n beta))) * exp(2 pi i phase)``;
+* f sampler: one ``(block, N, 2)`` standard-normal array ``z``, last axis
+  holding the real and imaginary parts; ``f_n = (z[..., 0] + i z[..., 1]) *
+  sqrt(1 / (2 n beta))``.
+
+``sample_alpha_batch`` and ``sample_f_batch`` use the requested N and
+``pushforward_experiment`` uses N = ``modes``.  ``mc_x_moment`` uses
+N = ``n_trunc`` on the alpha side, but N = K, the largest index occurring in
+(p, q), on the Gaussian side: it draws only the modes the monomial reads.
 """
 
 from __future__ import annotations
@@ -62,11 +69,17 @@ def _worker_rngs(seed: int, workers: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 
-def _blocks(chunk: int):
-    while chunk > 0:
-        b = min(chunk, BLOCK_SIZE)
-        yield b
-        chunk -= b
+def _draw_blocks(samples: int, seed: int, workers: int):
+    """Yield ``(rng, block)`` for every draw block, in worker order.
+
+    Worker ``w`` gets its own substream and a contiguous chunk of samples,
+    which it draws in blocks of at most :data:`BLOCK_SIZE`.
+    """
+    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(samples, workers)):
+        while chunk > 0:
+            b = min(chunk, BLOCK_SIZE)
+            yield rng, b
+            chunk -= b
 
 
 def _alpha_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
@@ -100,10 +113,9 @@ def sample_alpha_batch(
         raise ValueError("beta must be positive")
     out = np.empty((count, N), np.complex128)
     pos = 0
-    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(count, workers)):
-        for b in _blocks(chunk):
-            out[pos : pos + b] = _alpha_block(rng, beta, N, b)
-            pos += b
+    for rng, b in _draw_blocks(count, seed, workers):
+        out[pos : pos + b] = _alpha_block(rng, beta, N, b)
+        pos += b
     return out
 
 
@@ -119,10 +131,9 @@ def sample_f_batch(
         raise ValueError("beta must be positive")
     out = np.empty((count, N + 1), np.complex128)
     pos = 0
-    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(count, workers)):
-        for b in _blocks(chunk):
-            out[pos : pos + b] = _f_block(rng, beta, N, b)
-            pos += b
+    for rng, b in _draw_blocks(count, seed, workers):
+        out[pos : pos + b] = _f_block(rng, beta, N, b)
+        pos += b
     return out
 
 
@@ -159,11 +170,13 @@ def mc_x_moment(
 ) -> SampleStats:
     """Empirical E[x^p (x^q)^*] under either the Gaussian or the alpha law.
 
-    ``side="gaussian"`` draws the f modes and maps them through the exp(-f)
-    series; ``side="alpha"`` draws coefficient sequences of length ``n_trunc``
-    and uses the truncated x series.  In both cases only series coefficients
-    up to the largest index occurring in (p, q) can enter the monomial, so
-    the series is evaluated to that order.
+    Only series coefficients up to the largest index K occurring in (p, q)
+    can enter the monomial, so the series is evaluated to that order.
+    ``side="gaussian"`` draws the modes f_1..f_K and maps them through the
+    exp(-f) series; x_n involves f_1..f_n alone, so drawing more modes would
+    not change the estimator and ``n_trunc`` only enters the argument checks.
+    ``side="alpha"`` draws coefficient sequences of length ``n_trunc`` and
+    uses the truncated x series.
     """
     if side not in ("gaussian", "alpha"):
         raise ValueError("side must be 'gaussian' or 'alpha'")
@@ -180,16 +193,14 @@ def mc_x_moment(
     K = max([0, *p.support(), *q.support()])
     vals = np.empty(samples, np.complex128)
     pos = 0
-    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(samples, workers)):
-        for b in _blocks(chunk):
-            if side == "gaussian":
-                f = _f_block(rng, beta, n_trunc, b)
-                x = exp_neg_series(f[:, : K + 1])
-            else:
-                alphas = _alpha_block(rng, beta, n_trunc, b)
-                x = szego_low_coefficients(alphas, K)
-            vals[pos : pos + b] = _monomial(x, p, q)
-            pos += b
+    for rng, b in _draw_blocks(samples, seed, workers):
+        if side == "gaussian":
+            x = exp_neg_series(_f_block(rng, beta, K, b))
+        else:
+            alphas = _alpha_block(rng, beta, n_trunc, b)
+            x = szego_low_coefficients(alphas, K)
+        vals[pos : pos + b] = _monomial(x, p, q)
+        pos += b
     if dump_csv is not None:
         with open(dump_csv, "w", newline="") as fh:
             fh.write("# raw x-monomial samples, one row per sample\n")
@@ -261,22 +272,21 @@ def pushforward_experiment(
     decay = radius ** np.arange(1, modes + 1)
     absq = np.empty((samples, max_alpha))
     pos = 0
-    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(samples, workers)):
-        for b in _blocks(chunk):
-            f = _f_block(rng, beta, modes, b) if modes > 0 else np.zeros((b, 1), complex)
-            field = np.zeros((b, grid), np.complex128)
-            if modes > 0:
-                field[:, 1 : modes + 1] = f[:, 1:] * decay
-            vals = np.fft.ifft(field, axis=1) * grid
-            dens = np.exp(2.0 * vals.real)
-            dens /= dens.mean(axis=1, keepdims=True)
-            c = np.fft.fft(dens, axis=1)[:, : max_alpha + 1] / grid
-            al, ok = levinson_batch(c, max_alpha)
-            if not ok.all():
-                bad = int((~ok).sum())
-                raise ValueError(
-                    f"{bad} sample(s) gave non-positive-definite moments; refine the grid"
-                )
-            absq[pos : pos + b] = np.abs(al) ** 2
-            pos += b
+    for rng, b in _draw_blocks(samples, seed, workers):
+        f = _f_block(rng, beta, modes, b) if modes > 0 else np.zeros((b, 1), complex)
+        field = np.zeros((b, grid), np.complex128)
+        if modes > 0:
+            field[:, 1 : modes + 1] = f[:, 1:] * decay
+        vals = np.fft.ifft(field, axis=1) * grid
+        dens = np.exp(2.0 * vals.real)
+        dens /= dens.mean(axis=1, keepdims=True)
+        c = np.fft.fft(dens, axis=1)[:, : max_alpha + 1] / grid
+        al, ok = levinson_batch(c, max_alpha)
+        if not ok.all():
+            bad = int((~ok).sum())
+            raise ValueError(
+                f"{bad} sample(s) gave non-positive-definite moments; refine the grid"
+            )
+        absq[pos : pos + b] = np.abs(al) ** 2
+        pos += b
     return [_stats(absq[:, n]) for n in range(max_alpha)]

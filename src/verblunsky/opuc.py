@@ -228,6 +228,10 @@ def szego_identity_gap(alpha, M: int) -> float:
     in M since r_N is zero-free on a disk of radius > 1.
     """
     a = _check_alpha(alpha)
+    if M < a.size:
+        raise ValueError(
+            f"order must be at least the number of coefficients ({a.size}), got {M}"
+        )
     r = reversed_polynomial(a)
     padded = np.zeros(M + 1, dtype=np.complex128)
     padded[: r.size] = r
@@ -355,6 +359,8 @@ def jacobian_determinant_exact(
     N = len(a)
     if N > 4:
         raise ValueError("exact Jacobian supported for N <= 4")
+    if any(re * re + im * im >= 1 for re, im in a):
+        raise ValueError("need |alpha_n| < 1 for every coefficient")
     if N == 0:
         return Fraction(1), Fraction(1)
     abar = [_cconj(z) for z in a]

@@ -144,6 +144,37 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_unwritable_dump_csv_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = _run(
+            capsys,
+            ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
+             "--samples", "10", "--seed", "0", "--n-trunc", "8", "--dump-csv", str(path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+
+    def test_alpha_path_is_directory_exits_two(self, capsys, tmp_path):
+        code, out, err = _run(capsys, ["jacobian", "--alpha", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("alpha", ["2,1/2", "1", "1/4,3/5+4/5i"])
+    def test_exact_jacobian_rejects_alpha_outside_disk(self, capsys, alpha):
+        code, out, err = _run(capsys, ["jacobian", "--exact", "--alpha", alpha])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "|alpha_n| < 1" in err
+
+    @pytest.mark.parametrize("order", ["-1", "0", "1"])
+    def test_szego_check_order_below_length(self, capsys, order):
+        code, out, err = _run(capsys, ["szego-check", "--alpha", "0.3,0.2", "--order", order])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: order must be at least the number of coefficients (2), got {order}\n"
+
     def test_bad_rational(self, capsys):
         code, _, err = _run(
             capsys, ["alpha-moment", "--p", "1:1", "--q", "1:1", "--beta", "x", "--max-index", "5"]

@@ -23,6 +23,32 @@ def _rand_alphas(rng, S, N, top=0.7):
     )
 
 
+def _szego_low_samples_first(alphas, K):
+    """The low-coefficient recursion with samples on the first axis, as the
+    numpy kernel computed it before its state went samples-last."""
+    S, N = alphas.shape
+    n0 = min(N, K)
+    r = np.zeros((S, K + 1), np.complex128)
+    r[:, 0] = 1.0
+    for n in range(1, n0 + 1):
+        a = alphas[:, n - 1][:, None]
+        sub = r[:, : n + 1]
+        r[:, : n + 1] = sub + a * np.conj(sub[:, ::-1])
+    if N > K:
+        top = r[:, ::-1].copy()
+        low = r
+        for n in range(K + 1, N + 1):
+            a = alphas[:, n - 1][:, None]
+            new_low = low.copy()
+            new_low[:, 1:] += a[:, 0][:, None] * np.conj(top[:, :-1])
+            new_top = np.empty_like(top)
+            new_top[:, :1] = a * np.conj(low[:, :1])
+            new_top[:, 1:] = top[:, :-1] + a * np.conj(low[:, 1:])
+            low, top = new_low, new_top
+        return low
+    return r
+
+
 class TestSzegoLow:
     @pytest.mark.parametrize("name,szego,_e,_l", IMPLS)
     @pytest.mark.parametrize("N,K", [(12, 5), (5, 5), (3, 6), (25, 4)])
@@ -37,6 +63,17 @@ class TestSzegoLow:
             take = min(K + 1, r.size)
             expect[:take] = r[:take]
             np.testing.assert_allclose(out[s], expect, atol=1e-13)
+
+    @pytest.mark.parametrize("N,K", [(3, 6), (5, 5), (40, 3), (25, 0), (0, 2)])
+    def test_numpy_bitwise_equals_samples_first_recursion(self, N, K):
+        # The samples-last kernel must reproduce the samples-first recursion
+        # bit for bit, so Monte Carlo streams and reports stay unchanged.
+        rng = np.random.default_rng(55)
+        alphas = _rand_alphas(rng, 37, N, top=0.95)
+        out = kernels._szego_low_np(alphas, K)
+        expect = _szego_low_samples_first(alphas, K)
+        assert out.shape == expect.shape and out.flags.c_contiguous
+        assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
     def test_backends_agree(self):
         rng = np.random.default_rng(51)

@@ -14,6 +14,7 @@ from verblunsky import (
     sample_f,
 )
 from verblunsky.montecarlo import (
+    BLOCK_SIZE,
     _worker_chunks,
     mc_reference,
     sample_alpha_batch,
@@ -124,6 +125,54 @@ class TestMcXMoment:
     def test_reproducible(self):
         kw = dict(beta=1.0, n_trunc=8, samples=500, seed=21)
         assert mc_x_moment("gaussian", P1, P1, **kw) == mc_x_moment("gaussian", P1, P1, **kw)
+
+    @pytest.mark.parametrize(
+        "p,q,beta,n_trunc,samples,seed,workers,mean,stderr",
+        [
+            ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 1,
+             0.9687401832797616 - 0.007011516255775057j, 0.01649204541894402),
+            ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 3,
+             0.9558786582055858 - 0.003761973086421408j, 0.017238005776801454),
+            ({2: 1}, {2: 1}, 0.5, 12, 9000, 5, 2,
+             2.2028646357454518 + 1.6742745800569068e-18j, 0.03900772189942266),
+        ],
+    )
+    def test_alpha_side_pinned(self, p, q, beta, n_trunc, samples, seed, workers, mean, stderr):
+        # Recorded from the samples-first Szego kernel: the alpha-side stream
+        # and statistics must not move when the kernel's internals change.
+        stats = mc_x_moment(
+            "alpha", MultiIndex(p), MultiIndex(q), beta, n_trunc, samples, seed,
+            workers=workers,
+        )
+        assert stats.mean == mean
+        assert stats.stderr == stderr
+        assert stats.count == samples
+
+    def test_gaussian_side_follows_documented_layout(self, tmp_path):
+        # Per block: standard_normal((block, K, 2)) scaled by sqrt(1/(2 n beta)),
+        # here with K = 2, two workers and two blocks in each worker's chunk.
+        p, q = MultiIndex({2: 1}), MultiIndex({1: 2})
+        beta, samples, seed, workers = 0.75, 2 * BLOCK_SIZE + 600, 31, 2
+        out = tmp_path / "x.csv"
+        stats = mc_x_moment(
+            "gaussian", p, q, beta, 8, samples, seed, workers=workers, dump_csv=str(out)
+        )
+        scale = np.sqrt(1.0 / (2.0 * np.arange(1, 3) * beta))
+        expect = []
+        children = np.random.SeedSequence(seed).spawn(workers)
+        for child, chunk in zip(children, (samples // 2, samples // 2)):
+            rng = np.random.Generator(np.random.PCG64(child))
+            for b in (BLOCK_SIZE, chunk - BLOCK_SIZE):
+                z = rng.standard_normal((b, 2, 2))
+                f = (z[:, :, 0] + 1j * z[:, :, 1]) * scale
+                x1 = -f[:, 0]
+                x2 = -f[:, 1] + f[:, 0] ** 2 / 2
+                expect.append(x2 * np.conj(x1**2))
+        expect = np.concatenate(expect)
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        got = np.array([complex(float(r), float(i)) for _, r, i in rows])
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+        assert stats.count == samples
 
     def test_csv_dump(self, tmp_path):
         out = tmp_path / "samples.csv"
