@@ -37,20 +37,16 @@ from .opuc import (
     verblunsky_from_moments,
     x_series_truncated,
 )
-from .ratfunc import BetaPoly, PoleError, RatFuncBeta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaPoly",
     "GapSequence",
     "MCondGraph",
     "MomentPolynomial",
     "MultiIndex",
     "MultiplicityVector",
     "NotPositiveDefiniteError",
-    "PoleError",
-    "RatFuncBeta",
     "SampleStats",
     "alpha_joint_moment",
     "alpha_x_moment",

@@ -35,7 +35,6 @@ from .combinatorics import (
     gap_sequences_over,
 )
 from .gaussian import gaussian_x_moment, variance_pmf
-from .ratfunc import BetaPoly, Rat, RatFuncBeta, ratfunc_normalize
 
 try:
     from gmpy2 import mpq as _mpq
@@ -47,24 +46,7 @@ def _to_fraction(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def alpha_joint_moment(p: MultiIndex, q: MultiIndex) -> RatFuncBeta:
-    """E of alpha**p (alpha**q)* under the rotation-invariant alpha law.
-
-    Zero off the diagonal; for p = q it is
-    prod_n p(n)! / ((n beta + 1) ... (n beta + p(n))).
-    """
-    if p != q:
-        return ratfunc_normalize(BetaPoly(), BetaPoly.constant(1))
-    numer = 1
-    den = BetaPoly.constant(1)
-    for n, c in p.items():
-        numer *= factorial(c)
-        for s in range(1, c + 1):
-            den = den * BetaPoly([s, n])
-    return ratfunc_normalize(BetaPoly.constant(numer), den)
-
-
-def term_value(m: MultiplicityVector, beta: Rat) -> Fraction:
+def term_value(m: MultiplicityVector, beta: Fraction) -> Fraction:
     """The level-factor product prod_{N>=1} m(N)! / ((N beta+1)...(N beta+m(N))).
 
     The N = 0 factor is 1: read literally it would be m(0)! / (1 * 2 * ... *
@@ -79,6 +61,16 @@ def term_value(m: MultiplicityVector, beta: Rat) -> Fraction:
         for s in range(1, c + 1):
             val /= N * beta + s
     return val
+
+
+def alpha_joint_moment(p: MultiIndex, q: MultiIndex, beta: Fraction) -> Fraction:
+    """E of alpha**p (alpha**q)* under the rotation-invariant alpha law.
+
+    Zero off the diagonal; for p = q it is
+    prod_n p(n)! / ((n beta + 1) ... (n beta + p(n))), the level factor
+    :func:`term_value` of p.
+    """
+    return term_value(p, beta) if p == q else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -294,7 +286,7 @@ def _level_sweep(
 
 
 def alpha_x_moment(
-    p: MultiIndex, q: MultiIndex, beta: Rat, max_index: int
+    p: MultiIndex, q: MultiIndex, beta: Fraction, max_index: int
 ) -> TruncatedSumResult:
     """Exact partial sum of E(x**p (x**q)*) under the alpha law at rational beta.
 
@@ -318,7 +310,7 @@ def alpha_x_moment(
 
 
 def nice_identity_check(
-    n: int, beta: Rat, max_index: int
+    n: int, beta: Fraction, max_index: int
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Partial sum of the diagonal gap-sequence series against its closed form.
 
@@ -391,7 +383,7 @@ class CnIdentityReport:
 
 
 def verify_cn_identity(
-    p: MultiIndex, q: MultiIndex, betas: list[Rat], max_index: int
+    p: MultiIndex, q: MultiIndex, betas: list[Fraction], max_index: int
 ) -> CnIdentityReport:
     """Compare the Gaussian-side polynomial against truncated alpha-side sums.
 

@@ -19,8 +19,6 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Mapping
 
-from .ratfunc import Rat
-
 
 class MultiIndex:
     """Finite map from positive index to positive count, immutable and hashable.
@@ -205,7 +203,7 @@ def partitions(d: int) -> tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-def haar_weight(L: MultiIndex) -> Rat:
+def haar_weight(L: MultiIndex) -> Fraction:
     """Reciprocal stabilizer size 1 / prod_u (L(u)! * u**L(u)) of a cycle type."""
     denom = 1
     for u, c in L.items():

@@ -17,11 +17,6 @@ from math import factorial
 from typing import Mapping
 
 from .combinatorics import MultiIndex, f_weight, haar_weight, partitions
-from .ratfunc import BetaPoly, Rat, RatFuncBeta, ratfunc_normalize
-
-#: When true, the partition-support cut in gaussian_x_moment double-checks that
-#: every skipped partition really carries zero weight (slow; used in tests).
-CHECK_SUPPORT_CUT = False
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,7 @@ class MomentPolynomial:
     terms: tuple[tuple[int, Fraction], ...] = field(default=())
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, Rat | int]) -> MomentPolynomial:
+    def from_terms(cls, terms: Mapping[int, Fraction | int]) -> MomentPolynomial:
         cleaned = {k: Fraction(c) for k, c in terms.items() if c}
         return cls(tuple(sorted(cleaned.items())))
 
@@ -73,21 +68,13 @@ class MomentPolynomial:
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return MomentPolynomial.from_terms(out)
 
-    def scale(self, c: Rat | int) -> MomentPolynomial:
+    def scale(self, c: Fraction | int) -> MomentPolynomial:
         c = Fraction(c)
         return MomentPolynomial.from_terms({k: c * v for k, v in self.terms})
 
-    def evaluate(self, beta: Rat | int) -> Fraction:
+    def evaluate(self, beta: Fraction | int) -> Fraction:
         beta = Fraction(beta)
         return sum((c / beta**k for k, c in self.terms), Fraction(0))
-
-    def as_ratfunc(self) -> RatFuncBeta:
-        """The same value as a canonical rational function in beta."""
-        if not self.terms:
-            return ratfunc_normalize(BetaPoly(), BetaPoly.constant(1))
-        d = self.max_exponent
-        num = BetaPoly.from_map({d - k: c for k, c in self.terms})
-        return ratfunc_normalize(num, BetaPoly.beta_power(d))
 
     def to_map(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -127,8 +114,6 @@ def gaussian_x_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
     out: dict[int, Fraction] = {}
     for L in partitions(d):
         if L.max_support > cut and d > 0:
-            if CHECK_SUPPORT_CUT:
-                assert f_weight(p, L) * f_weight(q, L) == 0, (p, q, L)
             continue
         w = f_weight(p, L) * f_weight(q, L)
         if w:

@@ -1,10 +1,8 @@
-"""Batched hot kernels for the Monte Carlo lane: numba with a numpy fallback.
+"""Batched numpy kernels: the one implementation of each OPUC recursion.
 
-Each kernel exists twice: a scalar-loop version compiled with ``numba.njit``
-and a vectorized pure-numpy version.  The active backend is chosen once at
-import: setting ``VERBLUNSKY_PURE_NUMPY=1`` (or numba being unavailable)
-selects the numpy path.  Both implementations stay importable so tests and
-the benchmark script can compare them directly.
+Every float-lane Szego recursion, exp(-f) series and Levinson recovery in the
+package runs here; the scalar entry points in :mod:`verblunsky.opuc` are
+one-row calls into these kernels.
 
 Kernels:
 
@@ -12,7 +10,7 @@ Kernels:
   polynomial for a batch of coefficient sequences.  For sequences longer than
   K it tracks only the K+1 lowest and K+1 highest coefficients (the recursion
   couples low[j] to top[j-1]), giving O(N K) per sample instead of O(N^2).
-  The numpy version keeps its state samples-last: ``low`` and ``conj(top)``
+  The kernel keeps its state samples-last: ``low`` and ``conj(top)``
   are ``(K+1, S)`` arrays, one row per coefficient, so every step works on
   contiguous rows.  ``low`` is updated in place, the conjugated top is kept
   directly instead of being conjugated each step, and the result is
@@ -25,76 +23,15 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("VERBLUNSKY_PURE_NUMPY", "").strip()
-FORCE_NUMPY = _env not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay importable
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and not FORCE_NUMPY
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation, for run reports."""
+    return "numpy"
 
 
 # -- reversed-polynomial low coefficients ----------------------------------
-
-
-@njit(cache=True)
-def _szego_low_nb(alphas: np.ndarray, K: int) -> np.ndarray:  # pragma: no cover
-    S, N = alphas.shape
-    out = np.zeros((S, K + 1), np.complex128)
-    n0 = min(N, K)
-    r = np.zeros(K + 1, np.complex128)
-    tmp = np.zeros(K + 1, np.complex128)
-    top = np.zeros(K + 1, np.complex128)
-    ttmp = np.zeros(K + 1, np.complex128)
-    for s in range(S):
-        for k in range(K + 1):
-            r[k] = 0.0
-        r[0] = 1.0
-        for n in range(1, n0 + 1):
-            a = alphas[s, n - 1]
-            for k in range(n + 1):
-                tmp[k] = r[k] + a * np.conj(r[n - k])
-            for k in range(n + 1):
-                r[k] = tmp[k]
-        if N > K:
-            for i in range(K + 1):
-                top[i] = r[K - i]
-            for n in range(K + 1, N + 1):
-                a = alphas[s, n - 1]
-                tmp[0] = r[0]
-                for j in range(1, K + 1):
-                    tmp[j] = r[j] + a * np.conj(top[j - 1])
-                ttmp[0] = a * np.conj(r[0])
-                for i in range(1, K + 1):
-                    ttmp[i] = top[i - 1] + a * np.conj(r[i])
-                for k in range(K + 1):
-                    r[k] = tmp[k]
-                    top[k] = ttmp[k]
-        for k in range(K + 1):
-            out[s, k] = r[k]
-    return out
 
 
 def _szego_low_np(alphas: np.ndarray, K: int) -> np.ndarray:
@@ -130,26 +67,10 @@ def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
     alphas = np.ascontiguousarray(alphas, dtype=np.complex128)
     if alphas.ndim != 2:
         raise ValueError("alphas must be a (samples, N) array")
-    if USE_NUMBA:
-        return _szego_low_nb(alphas, K)
     return _szego_low_np(alphas, K)
 
 
 # -- exp(-f) series --------------------------------------------------------
-
-
-@njit(cache=True)
-def _exp_neg_nb(f: np.ndarray) -> np.ndarray:  # pragma: no cover
-    S, L = f.shape
-    y = np.zeros((S, L), np.complex128)
-    for s in range(S):
-        y[s, 0] = 1.0
-        for k in range(1, L):
-            acc = 0.0 + 0.0j
-            for j in range(1, k + 1):
-                acc += (j / k) * (-f[s, j]) * y[s, k - j]
-            y[s, k] = acc
-    return y
 
 
 def _exp_neg_np(f: np.ndarray) -> np.ndarray:
@@ -170,50 +91,10 @@ def exp_neg_series(f: np.ndarray) -> np.ndarray:
         raise ValueError("f must be a (samples, modes+1) array")
     if f.shape[1] and np.abs(f[:, 0]).max() > 1e-12:
         raise ValueError("constant terms must vanish")
-    if USE_NUMBA:
-        return _exp_neg_nb(f)
     return _exp_neg_np(f)
 
 
 # -- batched Levinson ------------------------------------------------------
-
-
-@njit(cache=True)
-def _levinson_nb(c: np.ndarray, K: int):  # pragma: no cover
-    S = c.shape[0]
-    out = np.zeros((S, K), np.complex128)
-    ok = np.ones(S, np.bool_)
-    p = np.zeros(K + 1, np.complex128)
-    pn = np.zeros(K + 1, np.complex128)
-    for s in range(S):
-        for k in range(K + 1):
-            p[k] = 0.0
-        p[0] = 1.0
-        energy = c[s, 0].real
-        if energy <= 0:
-            ok[s] = False
-            continue
-        for n in range(1, K + 1):
-            inner = 0.0 + 0.0j
-            for k in range(n):
-                inner += p[k] * np.conj(c[s, k + 1])
-            a_star = -inner / energy
-            aa = a_star.real * a_star.real + a_star.imag * a_star.imag
-            if aa >= 1.0:
-                ok[s] = False
-                break
-            energy = energy * (1.0 - aa)
-            if energy <= 0:
-                ok[s] = False
-                break
-            out[s, n - 1] = np.conj(a_star)
-            for k in range(n + 1):
-                v = p[k - 1] if k >= 1 else 0.0 + 0.0j
-                w = np.conj(p[n - 1 - k]) if n - 1 - k >= 0 else 0.0 + 0.0j
-                pn[k] = v + a_star * w
-            for k in range(n + 1):
-                p[k] = pn[k]
-    return out, ok
 
 
 def _levinson_np(c: np.ndarray, K: int):
@@ -250,6 +131,4 @@ def levinson_batch(c: np.ndarray, K: int):
     c = np.ascontiguousarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] < K + 1:
         raise ValueError("need a (samples, >= K+1) moment array")
-    if USE_NUMBA:
-        return _levinson_nb(c, K)
     return _levinson_np(c, K)

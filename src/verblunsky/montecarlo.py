@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,17 +193,19 @@ def mc_x_moment(
         raise ValueError("need at least two samples")
     K = max([0, *p.support(), *q.support()])
     vals = np.empty(samples, np.complex128)
-    pos = 0
-    for rng, b in _draw_blocks(samples, seed, workers):
-        if side == "gaussian":
-            x = exp_neg_series(_f_block(rng, beta, K, b))
-        else:
-            alphas = _alpha_block(rng, beta, n_trunc, b)
-            x = szego_low_coefficients(alphas, K)
-        vals[pos : pos + b] = _monomial(x, p, q)
-        pos += b
-    if dump_csv is not None:
-        with open(dump_csv, "w", newline="") as fh:
+    # The dump file is opened before any draw, so a bad path fails at once.
+    dump = open(dump_csv, "w", newline="") if dump_csv is not None else nullcontext()
+    with dump as fh:
+        pos = 0
+        for rng, b in _draw_blocks(samples, seed, workers):
+            if side == "gaussian":
+                x = exp_neg_series(_f_block(rng, beta, K, b))
+            else:
+                alphas = _alpha_block(rng, beta, n_trunc, b)
+                x = szego_low_coefficients(alphas, K)
+            vals[pos : pos + b] = _monomial(x, p, q)
+            pos += b
+        if fh is not None:
             fh.write("# raw x-monomial samples, one row per sample\n")
             fh.write("# columns: index, real, imag\n")
             writer = csv.writer(fh)

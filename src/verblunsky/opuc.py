@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .combinatorics import gap_sequences
-from .ratfunc import Rat
+from .kernels import exp_neg_series, levinson_batch, szego_low_coefficients
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -36,7 +36,7 @@ class NotPositiveDefiniteError(ValueError):
 
 def _check_alpha(alpha) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-    if arr.size and np.abs(arr).max() >= 1.0:
+    if not np.all(np.abs(arr) < 1.0):  # also rejects NaN
         raise ValueError("need |alpha_n| < 1 for every coefficient")
     return arr
 
@@ -44,17 +44,14 @@ def _check_alpha(alpha) -> np.ndarray:
 def reversed_polynomial(alpha) -> np.ndarray:
     """Coefficients of r_N(z) = 1 + x_1 z + ... + x_N z^N from alpha_1..alpha_N.
 
-    One recursion step per coefficient: r_n[k] = r_{n-1}[k] + alpha_n *
-    conj(r_{n-1}[n-k]).  r_N(0) = 1 always, and r_N has no zeros in the closed
-    unit disk (see :func:`disk_nonvanishing` for the grid check).
+    One recursion step per coefficient, r_n[k] = r_{n-1}[k] + alpha_n *
+    conj(r_{n-1}[n-k]), run as one row of
+    :func:`~verblunsky.kernels.szego_low_coefficients`.  r_N(0) = 1 always,
+    and r_N has no zeros in the closed unit disk (see
+    :func:`disk_nonvanishing` for the grid check).
     """
     a = _check_alpha(alpha)
-    r = np.zeros(a.size + 1, dtype=np.complex128)
-    r[0] = 1.0
-    for n in range(1, a.size + 1):
-        prev = r[: n + 1].copy()
-        r[: n + 1] = prev + a[n - 1] * np.conj(prev[::-1])
-    return r
+    return szego_low_coefficients(a[None], a.size)[0]
 
 
 def disk_nonvanishing(coeffs, grid: int = 4096) -> bool:
@@ -132,30 +129,18 @@ def verblunsky_from_moments(c) -> np.ndarray:
 
     Levinson-type recursion on the Toeplitz moment matrix: with monic
     orthogonal p_{n-1}, the next coefficient is alpha_n = p_n(0)^* via
-    alpha_n^* = -<z p_{n-1}, 1> / E_{n-1}, and E_n = E_{n-1}(1 - |alpha_n|^2).
-    Raises :class:`NotPositiveDefiniteError` at the first failing order.
+    alpha_n^* = -<z p_{n-1}, 1> / E_{n-1}, and E_n = E_{n-1}(1 - |alpha_n|^2),
+    run as one row of :func:`~verblunsky.kernels.levinson_batch`.  Raises
+    :class:`NotPositiveDefiniteError` at the first failing order: 0 when
+    c_0 <= 0, otherwise the first n with |alpha_n| >= 1.
     """
     cm = np.asarray(c, dtype=np.complex128)
-    K = cm.size - 1
-    p = np.array([1.0 + 0.0j])
-    energy = float(cm[0].real)
-    if energy <= 0:
-        raise NotPositiveDefiniteError(0)
-    alphas = np.zeros(K, dtype=np.complex128)
-    for n in range(1, K + 1):
-        inner = np.sum(p * np.conj(cm[1 : n + 1]))
-        a_star = -inner / energy
-        a = np.conj(a_star)
-        if np.abs(a) >= 1.0:
-            raise NotPositiveDefiniteError(n)
-        energy = energy * (1.0 - np.abs(a) ** 2)
-        if energy <= 0:
-            raise NotPositiveDefiniteError(n)
-        alphas[n - 1] = a
-        p = np.concatenate([[0.0], p]) + a_star * np.concatenate(
-            [np.conj(p[::-1]), [0.0]]
-        )
-    return alphas
+    alphas, ok = levinson_batch(cm[None], cm.size - 1)
+    if not ok[0]:
+        # The kernel's coefficients are exact up to the first failing order.
+        first = int(np.argmax(np.abs(alphas[0]) >= 1.0)) + 1
+        raise NotPositiveDefiniteError(first if cm[0].real > 0 else 0)
+    return alphas[0]
 
 
 def log_series(x) -> np.ndarray:
@@ -182,16 +167,7 @@ def exp_series(f) -> np.ndarray:
     fc = np.asarray(f, dtype=np.complex128)
     if fc.size == 0 or abs(fc[0]) > 1e-9:
         raise ValueError("exp_series needs zero constant term")
-    n = fc.size
-    g = -fc
-    y = np.zeros(n, dtype=np.complex128)
-    y[0] = 1.0
-    for k in range(1, n):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            acc += (j / k) * g[j] * y[k - j]
-        y[k] = acc
-    return y
+    return exp_neg_series(fc[None])[0]
 
 
 def exp_series_partition_sum(f) -> np.ndarray:
@@ -268,25 +244,17 @@ def jacobian_determinant(alpha, step: float = 1e-6) -> tuple[float, float]:
             RuntimeWarning,
             stacklevel=2,
         )
-    v0 = _real_coords(a)
-
-    def forward(v: np.ndarray) -> np.ndarray:
-        # raw recursion: difference probes may step outside the unit disk
-        z = v[0::2] + 1j * v[1::2]
-        r = np.zeros(N + 1, dtype=np.complex128)
-        r[0] = 1.0
-        for n in range(1, N + 1):
-            prev = r[: n + 1].copy()
-            r[: n + 1] = prev + z[n - 1] * np.conj(prev[::-1])
-        return _real_coords(r[1:])
-
-    J = np.zeros((2 * N, 2 * N))
-    for j in range(2 * N):
-        vp = v0.copy()
-        vm = v0.copy()
-        vp[j] += step
-        vm[j] -= step
-        J[:, j] = (forward(vp) - forward(vm)) / (2 * step)
+    # Probe 2j steps real coordinate j up and probe 2j + 1 steps it down; the
+    # unchecked kernel is right here, since probes may leave the unit disk.
+    probes = np.repeat(_real_coords(a)[None], 4 * N, axis=0)
+    j = np.arange(2 * N)
+    probes[2 * j, j] += step
+    probes[2 * j + 1, j] -= step
+    x = szego_low_coefficients(probes[:, 0::2] + 1j * probes[:, 1::2], N)[:, 1:]
+    coords = np.empty((4 * N, 2 * N))
+    coords[:, 0::2] = x.real
+    coords[:, 1::2] = x.imag
+    J = ((coords[0::2] - coords[1::2]) / (2 * step)).T
     det = abs(float(np.linalg.det(J))) if N else 1.0
     rhs = float(np.prod((1.0 - np.abs(a) ** 2) ** (np.arange(1, N + 1) - 1))) if N else 1.0
     return det, rhs
@@ -346,7 +314,7 @@ def _exact_det(mat: list[list[tuple[Fraction, Fraction]]]) -> tuple[Fraction, Fr
 
 
 def jacobian_determinant_exact(
-    alpha: list[tuple[Rat, Rat]],
+    alpha: list[tuple[Fraction, Fraction]],
 ) -> tuple[Fraction, Fraction]:
     """Exact |det J| and prod (1-|alpha_n|^2)^{n-1} for rational alpha.
 

@@ -5,13 +5,13 @@ import pathlib
 
 import pytest
 
-from verblunsky import cli
+from verblunsky import cli, montecarlo
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 # Exact-arithmetic commands whose reports must never drift by a byte.  The
-# sampling commands are excluded on purpose: their float formatting is allowed
-# to differ in the last ulp between the numba and numpy kernel backends.
+# sampling commands are excluded on purpose: their float results are allowed
+# to differ in the last ulp across numpy versions and platforms.
 GOLDEN_CASES = {
     "variance_n3": ["variance", "--n", "3"],
     "identity_deg1": ["identity", "--p", "1:1", "--q", "1:1", "--beta", "1", "--max-index", "10000"],
@@ -144,7 +144,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
-    def test_unwritable_dump_csv_exits_two(self, capsys, tmp_path):
+    def test_unwritable_dump_csv_exits_two(self, capsys, tmp_path, monkeypatch):
+        # The dump path is opened before sampling, so a bad one fails at once.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before opening the dump file")
+
+        monkeypatch.setattr(montecarlo, "_alpha_block", no_draws)
         path = tmp_path / "missing" / "x.csv"
         code, out, err = _run(
             capsys,
@@ -153,7 +158,7 @@ class TestExitCodes:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and str(path) in err
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
 
     def test_alpha_path_is_directory_exits_two(self, capsys, tmp_path):
         code, out, err = _run(capsys, ["jacobian", "--alpha", str(tmp_path)])

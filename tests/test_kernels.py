@@ -1,26 +1,54 @@
-"""Batched kernels: numba and numpy paths must agree bit-for-bit in spirit."""
-
-import os
-import subprocess
-import sys
+"""Batched kernels against independent oracles: the gap-sequence sum for the
+Szego recursion, the partition sum for exp(-f), and a direct Toeplitz solve
+and the measure round trip for Levinson."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verblunsky import kernels
-from verblunsky.opuc import exp_series, reversed_polynomial, verblunsky_from_moments
-from verblunsky.opuc import measure_density, trig_moments
+from verblunsky.opuc import (
+    exp_series,
+    exp_series_partition_sum,
+    log_series,
+    measure_density,
+    trig_moments,
+    x_series_truncated,
+)
 
+# The kernel implementations under test; the test ids name them.
 IMPLS = [
     ("numpy", kernels._szego_low_np, kernels._exp_neg_np, kernels._levinson_np),
-    ("numba", kernels._szego_low_nb, kernels._exp_neg_nb, kernels._levinson_nb),
 ]
+
+PROPERTY = settings(max_examples=100, database=None, derandomize=True, deadline=None)
 
 
 def _rand_alphas(rng, S, N, top=0.7):
     return np.ascontiguousarray(
         rng.uniform(0.05, top, (S, N)) * np.exp(2j * np.pi * rng.random((S, N)))
     )
+
+
+def _gap_sum(alphas, K):
+    """x_0..x_K of every row by the gap-sequence sum, x_k = 0 above degree N."""
+    N = alphas.shape[1]
+    return np.array(
+        [[1.0] + [x_series_truncated(row, k, N) for k in range(1, K + 1)] for row in alphas]
+    )
+
+
+def _levinson_by_solve(c, K):
+    """alpha_1..alpha_K of one moment row, solving for each monic orthogonal
+    p_n directly: sum_k c_{j-k} p_n[k] = 0 for j < n, and alpha_n = conj(p_n(0))."""
+    out = []
+    for n in range(1, K + 1):
+        j = np.arange(n)
+        d = j[:, None] - j[None, :]
+        T = np.where(d >= 0, c[np.abs(d)], np.conj(c[np.abs(d)]))
+        out.append(np.conj(np.linalg.solve(T, -np.conj(c[n - j]))[0]))
+    return np.array(out)
 
 
 def _szego_low_samples_first(alphas, K):
@@ -49,20 +77,37 @@ def _szego_low_samples_first(alphas, K):
     return r
 
 
+def _disk_rows(max_rows, max_len, radius):
+    """Rows of complex coefficients of modulus at most ``radius``."""
+    entry = st.tuples(
+        st.floats(0.0, radius), st.floats(0.0, 2 * np.pi, exclude_max=True)
+    ).map(lambda t: t[0] * np.exp(1j * t[1]))
+    return st.integers(0, max_len).flatmap(
+        lambda n: st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=max_rows
+        )
+    ).map(lambda rows: np.array(rows, np.complex128).reshape(len(rows), -1))
+
+
 class TestSzegoLow:
     @pytest.mark.parametrize("name,szego,_e,_l", IMPLS)
     @pytest.mark.parametrize("N,K", [(12, 5), (5, 5), (3, 6), (25, 4)])
     def test_against_scalar(self, name, szego, _e, _l, N, K):
+        # N > K: the low/top tracking against the full recursion, which the
+        # property test checks against the gap-sequence sum; N <= K: that sum.
         rng = np.random.default_rng(50)
         alphas = _rand_alphas(rng, 20, N)
         out = szego(alphas, K)
         assert out.shape == (20, K + 1)
-        for s in range(20):
-            r = reversed_polynomial(alphas[s])
-            expect = np.zeros(K + 1, complex)
-            take = min(K + 1, r.size)
-            expect[:take] = r[:take]
-            np.testing.assert_allclose(out[s], expect, atol=1e-13)
+        expect = szego(alphas, N)[:, : K + 1] if N > K else _gap_sum(alphas, K)
+        np.testing.assert_allclose(out, expect, atol=1e-13)
+
+    @PROPERTY
+    @given(alphas=_disk_rows(3, 6, 0.99), K=st.integers(0, 7))
+    def test_equals_gap_sequence_sum(self, alphas, K):
+        np.testing.assert_allclose(
+            kernels.szego_low_coefficients(alphas, K), _gap_sum(alphas, K), rtol=1e-12, atol=1e-12
+        )
 
     @pytest.mark.parametrize("N,K", [(3, 6), (5, 5), (40, 3), (25, 0), (0, 2)])
     def test_numpy_bitwise_equals_samples_first_recursion(self, N, K):
@@ -74,15 +119,6 @@ class TestSzegoLow:
         expect = _szego_low_samples_first(alphas, K)
         assert out.shape == expect.shape and out.flags.c_contiguous
         assert np.array_equal(out.view(np.float64), expect.view(np.float64))
-
-    def test_backends_agree(self):
-        rng = np.random.default_rng(51)
-        alphas = _rand_alphas(rng, 64, 40)
-        np.testing.assert_allclose(
-            kernels._szego_low_np(alphas, 7),
-            kernels._szego_low_nb(alphas, 7),
-            atol=1e-13,
-        )
 
     def test_dispatcher_validates_shape(self):
         with pytest.raises(ValueError):
@@ -98,7 +134,23 @@ class TestExpNeg:
         f = np.ascontiguousarray(f)
         out = expneg(f)
         for s in range(16):
-            np.testing.assert_allclose(out[s], exp_series(f[s]), atol=1e-12)
+            np.testing.assert_allclose(out[s], exp_series_partition_sum(f[s]), atol=1e-12)
+
+    @PROPERTY
+    @given(f=_disk_rows(3, 7, 1.0))
+    def test_equals_partition_sum(self, f):
+        f = np.hstack([np.zeros((f.shape[0], 1)), f])
+        out = kernels.exp_neg_series(f)
+        for row, expect in zip(out, f):
+            np.testing.assert_allclose(
+                row, exp_series_partition_sum(expect), rtol=1e-12, atol=1e-12
+            )
+
+    @PROPERTY
+    @given(f=_disk_rows(1, 8, 1.0))
+    def test_log_inverts_exp(self, f):
+        f = np.concatenate([[0.0], f[0]])
+        np.testing.assert_allclose(log_series(exp_series(f)), f, rtol=1e-12, atol=1e-12)
 
     def test_constant_term_checked(self):
         with pytest.raises(ValueError):
@@ -113,7 +165,7 @@ class TestLevinsonBatch:
             a = _rand_alphas(rng, 1, N, top=0.6)[0]
             c = trig_moments(measure_density(a, 512), K)
             rows.append(c)
-            ref.append(verblunsky_from_moments(c))
+            ref.append(_levinson_by_solve(c, K))
         return np.ascontiguousarray(rows), np.array(ref)
 
     @pytest.mark.parametrize("name,_s,_e,levinson", IMPLS)
@@ -123,6 +175,16 @@ class TestLevinsonBatch:
         out, ok = levinson(c, 5)
         assert ok.all()
         np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    @PROPERTY
+    @given(alphas=_disk_rows(3, 6, 0.4))
+    def test_recovers_alpha_from_density_moments(self, alphas):
+        # |alpha| <= 0.4 and grid 4096 keep the quadrature error near 1e-13.
+        K = alphas.shape[1]
+        c = np.array([trig_moments(measure_density(a, 4096), K) for a in alphas])
+        out, ok = kernels.levinson_batch(c, K)
+        assert ok.all()
+        np.testing.assert_allclose(out, alphas, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("name,_s,_e,levinson", IMPLS)
     def test_flags_bad_rows(self, name, _s, _e, levinson):
@@ -139,32 +201,4 @@ class TestLevinsonBatch:
 
 class TestBackendSelection:
     def test_reports_a_backend(self):
-        assert kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        env = dict(os.environ, VERBLUNSKY_PURE_NUMPY="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from verblunsky import kernels; print(kernels.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_unset_flag_prefers_numba_when_available(self):
-        env = {k: v for k, v in os.environ.items() if k != "VERBLUNSKY_PURE_NUMPY"}
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from verblunsky import kernels; "
-                "print(kernels.backend_name(), kernels.HAVE_NUMBA)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        name, have = out.stdout.split()
-        assert name == ("numba" if have == "True" else "numpy")
+        assert kernels.backend_name() == "numpy"

@@ -51,6 +51,10 @@ class TestReversedPolynomial:
         with pytest.raises(ValueError):
             reversed_polynomial([0.5, 1.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="alpha_n"):
+            reversed_polynomial([0.5, complex("nan")])
+
     def test_nonvanishing_on_disk(self):
         rng = np.random.default_rng(32)
         for N in (1, 3, 6):
@@ -117,6 +121,15 @@ class TestMeasureRoundTrip:
         with pytest.raises(NotPositiveDefiniteError) as info:
             verblunsky_from_moments([1.0, 2.0])
         assert info.value.order == 1
+
+    @pytest.mark.parametrize(
+        "c,order",
+        [([0.0, 0.1], 0), ([-1.0, 0.0, 0.0], 0), ([1.0, 0.0, 2.0], 2), ([1.0, 0.5, 2.0, 0.0], 2)],
+    )
+    def test_not_positive_definite_first_failing_order(self, c, order):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            verblunsky_from_moments(c)
+        assert info.value.order == order
 
 
 class TestLogExpSeries:
