@@ -2,6 +2,10 @@
 Szego recursion, the partition sum for exp(-f), and a direct Toeplitz solve
 and the measure round trip for Levinson."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from verblunsky.opuc import (
     exp_series_partition_sum,
     log_series,
     measure_density,
+    reversed_polynomial,
     trig_moments,
     x_series_truncated,
 )
@@ -120,6 +125,17 @@ class TestSzegoLow:
         assert out.shape == expect.shape and out.flags.c_contiguous
         assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
+    def test_backends_agree(self):
+        # The Monte Carlo path (N > K: low/top tracking) and the scalar OPUC
+        # entry point (the full recursion) must give the same low coefficients.
+        rng = np.random.default_rng(51)
+        alphas = _rand_alphas(rng, 64, 40)
+        np.testing.assert_allclose(
+            kernels.szego_low_coefficients(alphas, 7),
+            np.array([reversed_polynomial(row)[:8] for row in alphas]),
+            atol=1e-13,
+        )
+
     def test_dispatcher_validates_shape(self):
         with pytest.raises(ValueError):
             kernels.szego_low_coefficients(np.zeros(4, complex), 2)
@@ -202,3 +218,15 @@ class TestLevinsonBatch:
 class TestBackendSelection:
     def test_reports_a_backend(self):
         assert kernels.backend_name() == "numpy"
+
+    def test_env_flag_forces_numpy(self):
+        # The retired VERBLUNSKY_PURE_NUMPY switch is ignored: numpy either way.
+        env = dict(os.environ, VERBLUNSKY_PURE_NUMPY="1")
+        out = subprocess.run(
+            [sys.executable, "-c", "from verblunsky import kernels; print(kernels.backend_name())"],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert out.stdout.strip() == "numpy"
