@@ -200,7 +200,8 @@ def _cmd_identity(args) -> Report:
 def _cmd_nice_identity(args) -> Report:
     lhs, rhs, tail = nice_identity_check(args.n, args.beta, args.max_index)
     diff = lhs - rhs
-    passed = abs(diff) <= 10 * tail
+    # The partial sum lhs of positive terms cannot exceed its limit rhs.
+    passed = -10 * tail <= diff <= 0
     return Report(
         command="nice-identity",
         params={

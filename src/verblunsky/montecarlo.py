@@ -29,7 +29,6 @@ N = ``n_trunc`` on the alpha side, but N = K, the largest index occurring in
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from contextlib import nullcontext
@@ -196,6 +195,9 @@ def mc_x_moment(
     # The dump file is opened before any draw, so a bad path fails at once.
     dump = open(dump_csv, "w", newline="") if dump_csv is not None else nullcontext()
     with dump as fh:
+        if fh is not None:
+            fh.write("# raw x-monomial samples, one row per sample\n")
+            fh.write("# columns: index, real, imag\n")
         pos = 0
         for rng, b in _draw_blocks(samples, seed, workers):
             if side == "gaussian":
@@ -203,14 +205,12 @@ def mc_x_moment(
             else:
                 alphas = _alpha_block(rng, beta, n_trunc, b)
                 x = szego_low_coefficients(alphas, K)
-            vals[pos : pos + b] = _monomial(x, p, q)
+            mono = _monomial(x, p, q)
+            vals[pos : pos + b] = mono
+            if fh is not None:
+                rows = zip(range(pos, pos + b), mono.real.tolist(), mono.imag.tolist())
+                fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in rows))
             pos += b
-        if fh is not None:
-            fh.write("# raw x-monomial samples, one row per sample\n")
-            fh.write("# columns: index, real, imag\n")
-            writer = csv.writer(fh)
-            for i, v in enumerate(vals):
-                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
     return _stats(vals)
 
 

@@ -6,7 +6,11 @@ from math import factorial
 
 import pytest
 
+from verblunsky import alphamoments
 from verblunsky.alphamoments import (
+    _level_sweep,
+    _slot_degrees,
+    _transitions,
     alpha_joint_moment,
     alpha_x_moment,
     count_tuples,
@@ -19,6 +23,90 @@ from verblunsky.combinatorics import MultiIndex, MultiplicityVector, partitions
 from verblunsky.gaussian import gaussian_x_moment
 
 BETAS = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def _reference_level_sweep(p_deg, q_deg, beta, max_index):
+    """Frozen per-level enumeration that the tabulated sweep replaced.
+
+    At every level and for every per-slot state it enumerates all slot
+    actions again, so it shares no table, canonical form or multiplicity
+    with :func:`alphamoments._level_sweep`.
+    """
+    one = Fraction(1)
+    bu, bv = beta.numerator, beta.denominator
+    n_p = len(p_deg)
+    n_slots = n_p + len(q_deg)
+    done = (0,) * n_slots
+    amps = {tuple(2 * d for d in (*p_deg, *q_deg)): one}
+    done_prev = done_now = Fraction(0)
+    for t in range(max_index + 1):
+        fac = [one]
+        for s in range(1, n_slots + 1):
+            fac.append(fac[-1] * Fraction(s * bv, t * bu + s * bv))
+        new_amps = {}
+        for state, amp in amps.items():
+            choices = []
+            for enc in state:
+                if enc & 1:
+                    choices.append((0, 2))
+                elif enc >> 1:
+                    choices.append((0, 1))
+                else:
+                    choices.append((0,))
+            for combo in itertools.product(*choices):
+                balance = 0
+                mt = 0
+                for idx, act in enumerate(combo):
+                    if not act:
+                        continue
+                    if (idx < n_p) == (act == 2):
+                        balance += 1
+                        mt += 1
+                    else:
+                        balance -= 1
+                if balance:
+                    continue
+                ns = list(state)
+                ok = True
+                for idx, act in enumerate(combo):
+                    enc = ns[idx]
+                    openf = enc & 1
+                    rem = enc >> 1
+                    if act == 1:
+                        openf = 1
+                    elif act == 2:
+                        openf = 0
+                    if openf:
+                        rem -= 1
+                        if rem < 0:
+                            ok = False
+                            break
+                    ns[idx] = rem * 2 + openf
+                if not ok:
+                    continue
+                key = tuple(ns)
+                val = amp * fac[mt] if mt else amp
+                if key in new_amps:
+                    new_amps[key] = new_amps[key] + val
+                else:
+                    new_amps[key] = val
+        amps = new_amps
+        if t == max_index - 1:
+            done_prev = amps.get(done, Fraction(0))
+        elif t == max_index:
+            done_now = amps.get(done, Fraction(0))
+    return done_now, done_prev
+
+
+# Every equal-degree pair of degree <= 3, plus the degree-4 pairs the
+# identity-sweep benchmark runs.
+SWEEP_PAIRS = [(p, q) for d in (1, 2, 3) for p in partitions(d) for q in partitions(d)] + [
+    (MultiIndex.from_string(p), MultiIndex.from_string(q))
+    for p, q in (
+        ("1:4", "4:1"), ("4:1", "1:4"), ("1:2,2:1", "4:1"), ("4:1", "1:2,2:1"),
+        ("1:1,3:1", "1:1,3:1"), ("1:1,3:1", "2:2"), ("2:2", "1:1,3:1"), ("2:2", "2:2"),
+    )
+]
 
 
 class TestAlphaJointMoment:
@@ -145,6 +233,36 @@ class TestAlphaXMoment:
             assert abs(far - res.value) <= 10 * res.tail_estimate
 
 
+class TestLevelSweepOracle:
+    @pytest.mark.parametrize(
+        "p, q", SWEEP_PAIRS, ids=[f"{p.to_string()}|{q.to_string()}" for p, q in SWEEP_PAIRS]
+    )
+    def test_equals_frozen_enumeration(self, p, q):
+        p_deg, q_deg = _slot_degrees(p), _slot_degrees(q)
+        for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
+            for N in (0, 1, 2, 5, 17):
+                expect = _reference_level_sweep(p_deg, q_deg, beta, N)
+                assert _level_sweep(p_deg, q_deg, beta, N) == expect, (beta, N)
+
+    def test_memoised_table_reused_across_betas(self):
+        p_deg, q_deg = [1, 2], [1, 2]
+        _level_sweep(p_deg, q_deg, Fraction(1, 3), 9)
+        hits = _transitions.cache_info().hits
+        got = _level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
+        assert _transitions.cache_info().hits > hits
+        assert got == _reference_level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
+
+    def test_transitions_grouped_by_mt(self):
+        # 1:2|2:1 from the start: both p-slots closed with budget 1, the
+        # q-slot closed with budget 2.  Opening one p-slot needs one q-side
+        # open; the two p-slots are interchangeable, so that move has
+        # multiplicity 2.
+        row = _transitions((2, 2, 4), 2)
+        assert [mt for mt, _ in row] == [0, 1]
+        assert row[0][1] == (((2, 2, 4), 1),)
+        assert row[1][1] == (((1, 2, 3), 2),)
+
+
 class TestNiceIdentity:
     def test_closed_form_side(self):
         from verblunsky.gaussian import variance_pmf
@@ -179,6 +297,25 @@ class TestVerifyCnIdentity:
         for check in rep.checks:
             assert check.passed
             assert check.difference == check.gaussian_value - check.alpha_value
+
+    def test_alpha_side_above_gaussian_fails(self, monkeypatch):
+        # A Gaussian value one tail below the alpha partial sum passes
+        # |diff| <= 10 tail, but a partial sum of positive terms cannot
+        # exceed its limit, so the sign check must fail it.
+        p, beta, N = MultiIndex({2: 1}), Fraction(1), 200
+        res = alpha_x_moment(p, p, beta, N)
+
+        class _Shifted:
+            def evaluate(self, b):
+                return res.value - res.tail_estimate
+
+        monkeypatch.setattr(alphamoments, "gaussian_x_moment", lambda p, q: _Shifted())
+        rep = verify_cn_identity(p, p, [beta], N)
+        (check,) = rep.checks
+        assert check.difference == -check.tail_estimate < 0
+        assert abs(check.difference) <= 10 * check.tail_estimate
+        assert not check.passed
+        assert not rep.passed
 
     def test_mixed_case_passes(self):
         p = MultiIndex({1: 1, 2: 1})

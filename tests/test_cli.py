@@ -118,6 +118,17 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["status"] == "FAIL"
 
+    def test_nice_identity_partial_sum_above_limit_fails(self, capsys, monkeypatch):
+        # lhs one tail above rhs passes |lhs - rhs| <= 10 tail, but a partial
+        # sum of positive terms cannot exceed its limit.
+        lhs, _, tail = cli.nice_identity_check(1, 1, 100)
+        monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: (lhs, lhs - tail, tail))
+        code, out, _ = _run(capsys, ["nice-identity", "--n", "1", "--beta", "1", "--max-index", "100"])
+        rep = json.loads(out)
+        assert code == 1
+        assert rep["status"] == "FAIL"
+        assert rep["diagnostics"]["difference"] == rep["diagnostics"]["tail"]
+
     def test_experimental_is_zero(self, capsys):
         code, out, _ = _run(capsys, TestSamplingDeterminism.PUSH)
         assert code == 0

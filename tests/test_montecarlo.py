@@ -1,5 +1,7 @@
 """Sampler laws, the determinism contract, and the MC estimator wrapper."""
 
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 
 from verblunsky import (
     MultiIndex,
+    montecarlo,
     mc_x_moment,
     pushforward_experiment,
     sample_alpha,
@@ -207,6 +210,40 @@ class TestMcXMoment:
         n_trunc = 25
         expect = Fraction(1, 2) * (1 - Fraction(1, 2 * n_trunc + 1))
         assert mc_reference("alpha", P1, P1, 2, n_trunc) == pytest.approx(float(expect))
+
+
+class TestCsvDump:
+    SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e300, math.nan, math.inf, -math.inf, 1 / 3, 5e-324]
+
+    # The injected NaN and inf make the summary statistics warn; only the
+    # dumped bytes are checked here.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("side", ["gaussian", "alpha"])
+    def test_dump_bytes_match_csv_writer(self, side, tmp_path, monkeypatch):
+        # Two workers with two blocks each, so rows are numbered across
+        # blocks; each block starts with special floats in both parts.
+        seen = []
+        monomial = montecarlo._monomial
+
+        def recording(x, p, q):
+            out = monomial(x, p, q)
+            out.real[: len(self.SPECIAL)] = self.SPECIAL
+            out.imag[: len(self.SPECIAL)] = self.SPECIAL[::-1]
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(montecarlo, "_monomial", recording)
+        out = tmp_path / "x.csv"
+        p, q = MultiIndex({2: 1}), MultiIndex({1: 2})
+        mc_x_moment(side, p, q, 0.75, 8, 2 * BLOCK_SIZE + 600, 17, workers=2, dump_csv=str(out))
+        assert len(seen) == 4
+        expect = io.StringIO()
+        expect.write("# raw x-monomial samples, one row per sample\n")
+        expect.write("# columns: index, real, imag\n")
+        writer = csv.writer(expect)
+        for i, v in enumerate(np.concatenate(seen)):
+            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        assert out.read_bytes() == expect.getvalue().encode()
 
 
 class TestPushforward:
