@@ -17,14 +17,16 @@ way, which gives the last-shell truncation diagnostics for free.
 Small-max_index brute enumeration of the same sum (:func:`count_tuples` +
 term values) cross-checks the sweep in tests.
 
-Arithmetic uses gmpy2 rationals when available (the sweep is exact-rational
-bound); the public API speaks ``fractions.Fraction``.
+The diagonal "nice" identity of :func:`nice_identity_check` is the same kind
+of sum over gap sequences, with one slot and the level factor 1/(t beta + 1)
+at every top and bottom index, so it runs on the same sweep.  All arithmetic
+is exact in ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,14 +41,8 @@ from .combinatorics import (
 )
 from .gaussian import gaussian_x_moment, variance_pmf
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _mpq = Fraction
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+#: The rational type of the exact sums (``perfbench`` reports it).
+_mpq = Fraction
 
 
 def term_value(m: MultiplicityVector, beta: Fraction) -> Fraction:
@@ -104,9 +100,6 @@ class TupleFamily:
             for i, _ in seq:
                 counts[i] += 1
         return MultiplicityVector(counts)
-
-    def is_balanced(self) -> bool:
-        return self.multiplicity_vector() == self.mirror_vector()
 
 
 def _slot_degrees(p: MultiIndex) -> list[int]:
@@ -233,37 +226,41 @@ def _transitions(state: tuple[int, ...], n_p: int) -> tuple:
 
 
 def _level_sweep(
-    p_deg: list[int], q_deg: list[int], beta: Fraction, max_index: int
+    init: tuple[int, ...], moves, beta: Fraction, max_index: int
 ) -> tuple[Fraction, Fraction]:
     """Exact transfer sweep over levels 0..max_index.
 
-    Slot state = remaining budget * 2 + open flag, p-slots first, each side
-    sorted; the pairs of degree <= 4 reach 3 to 40 such states.  Each level
-    multiplies a state's amplitude once per mt by the level factor
+    A state is a tuple of slot codes, remaining budget * 2 + open flag, and
+    ``moves(state)`` is one level's moves out of it in the form
+    ((mt, ((next, multiplicity), ...)), ...).  Moves do not depend on the
+    level, so they are tabulated once for the states reachable from ``init``:
+    3 to 40 for the x-moment pairs of degree <= 4, 2n + 1 for the nice
+    identity of degree n.
+    Each level multiplies a state's amplitude once per mt by the level factor
     mt! / ((t beta + 1)...(t beta + mt)) and adds it, times the multiplicity,
-    to each next state of its :func:`_transitions` row.  Returns (S(max_index),
-    S(max_index - 1)), the all-closed amplitudes after the last two levels.
+    to each next state.  Returns (S(max_index), S(max_index - 1)), the
+    all-closed amplitudes after the last two levels.
     """
-    zero = _mpq(0)
-    one = _mpq(1)
     bu, bv = beta.numerator, beta.denominator
-    n_p = len(p_deg)
-    init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
     done = (0,) * len(init)
     table = {}
     todo = [init]
     while todo:
         state = todo.pop()
         if state not in table:
-            table[state] = row = _transitions(state, n_p)
+            table[state] = row = moves(state)
             todo.extend(nxt for _, targets in row for nxt, _ in targets)
-    amps = {init: one}
-    done_prev = done_now = zero
+    top_mt = max(mt for row in table.values() for mt, _ in row)
+    amps = {init: Fraction(1)}
+    done_prev = done_now = Fraction(0)
     for t in range(max_index + 1):
-        fac = [one]
-        for s in range(1, len(init) // 2 + 1):
-            fac.append(fac[-1] * _mpq(s * bv, t * bu + s * bv))
-        new_amps: dict[tuple[int, ...], object] = {}
+        fac = [1]
+        num = den = 1
+        for s in range(1, top_mt + 1):
+            num *= s * bv
+            den *= t * bu + s * bv
+            fac.append(Fraction(num, den))
+        new_amps: dict[tuple[int, ...], Fraction] = {}
         get = new_amps.get
         for state, amp in amps.items():
             for mt, targets in table[state]:
@@ -274,10 +271,10 @@ def _level_sweep(
                     new_amps[nxt] = add if old is None else old + add
         amps = new_amps
         if t == max_index - 1:
-            done_prev = amps.get(done, zero)
+            done_prev = amps.get(done, done_prev)
         elif t == max_index:
-            done_now = amps.get(done, zero)
-    return _to_fraction(done_now), _to_fraction(done_prev)
+            done_now = amps.get(done, done_now)
+    return done_now, done_prev
 
 
 def alpha_x_moment(
@@ -299,9 +296,25 @@ def alpha_x_moment(
         return TruncatedSumResult(zero, max_index, zero, zero)
     if p.deg == 0:
         return TruncatedSumResult(Fraction(1), max_index, zero, zero)
-    s_now, s_prev = _level_sweep(_slot_degrees(p), _slot_degrees(q), beta, max_index)
+    n_p = p.size
+    init = _canonical([2 * d for d in (*_slot_degrees(p), *_slot_degrees(q))], n_p)
+    s_now, s_prev = _level_sweep(init, lambda s: _transitions(s, n_p), beta, max_index)
     shell = s_now - s_prev
     return TruncatedSumResult(s_now, max_index, shell, shell * max_index)
+
+
+def _nice_moves(state: tuple[int]) -> tuple:
+    """The nice identity's one slot: idle (mt = 0), or open or close (mt = 1).
+
+    As in :func:`_transitions`, a slot open after the level burns one unit of
+    budget; mt = 1 puts the factor 1/(t beta + 1) on each top and bottom index.
+    """
+    (enc,) = state
+    idle = enc - 2 if enc & 1 else enc
+    row = [(0, (((idle,), 1),))] if idle >= 0 else []
+    if enc:
+        row.append((1, (((enc - 1,), 1),)))
+    return tuple(row)
 
 
 def nice_identity_check(
@@ -313,49 +326,26 @@ def nice_identity_check(
     with top index <= max_index (the j = 0 factor is 1); rhs is the Bernoulli
     product variance_pmf(n) at beta; tail is last_shell * max_index.
 
-    Runs in O(n^2 max_index) via the top-index recursion
-    R(d, M) = R(d, M-1) + sum_g W(M, M-g) R(d-g, M-g-1), cross-checked against
-    literal enumeration in tests.
+    lhs is the transfer sweep of one slot with budget n under
+    :func:`_nice_moves`, cross-checked against literal enumeration in tests.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     beta = Fraction(beta)
-    bu, bv = beta.numerator, beta.denominator
-    zero = _mpq(0)
-    one = _mpq(1)
-    # hist[k] = column for top bound M-1-k; column[d] = R(d, that bound)
-    hist: deque[list] = deque([[one] + [zero] * n])
-    r_now = zero
-    r_prev = zero
-    for M in range(1, max_index + 1):
-        # w[g] = W(M, M-g), shared by every d
-        w = [zero]
-        for g in range(1, min(n, M) + 1):
-            w.append(_mpq(bv * bv, (M * bu + bv) * ((M - g) * bu + bv)))
-        col = [one]
-        for d in range(1, n + 1):
-            val = hist[0][d]
-            for g in range(1, min(d, M) + 1):
-                if g < len(hist):
-                    prev = hist[g][d - g]
-                elif d == g:
-                    prev = one
-                else:
-                    prev = zero
-                if prev:
-                    val = val + w[g] * prev
-            col.append(val)
-        hist.appendleft(col)
-        if len(hist) > n + 2:
-            hist.pop()
-        if M == max_index - 1:
-            r_prev = col[n]
-        elif M == max_index:
-            r_now = col[n]
-    lhs = _to_fraction(r_now)
-    shell = lhs - _to_fraction(r_prev)
+    lhs, prev = _level_sweep((2 * n,), _nice_moves, beta, max_index)
     rhs = variance_pmf(n).evaluate(beta)
-    return lhs, rhs, shell * max_index
+    return lhs, rhs, (lhs - prev) * max_index
+
+
+def tail_gate(shortfall: Fraction, tail: Fraction) -> bool:
+    """Verdict of an identity check on shortfall = limit - partial sum.
+
+    The shortfall must be nonnegative (a partial sum of positive terms cannot
+    exceed its limit) and at most 10x the last-shell tail estimate (a safety
+    factor over the empirical shell decay; no proved remainder bound is
+    available).
+    """
+    return 0 <= shortfall <= 10 * tail
 
 
 @dataclass(frozen=True)
@@ -385,10 +375,8 @@ def verify_cn_identity(
 ) -> CnIdentityReport:
     """Compare the Gaussian-side polynomial against truncated alpha-side sums.
 
-    For each beta the check passes when gaussian - alpha partial sum is
-    nonnegative (a partial sum of positive terms cannot exceed its limit) and
-    at most 10x the last-shell tail estimate (safety factor over the
-    empirical shell decay; no proved remainder bound is available).
+    For each beta the check passes when gaussian - alpha partial sum passes
+    :func:`tail_gate`.
     """
     if p.deg != q.deg:
         raise ValueError("verify_cn_identity needs deg(p) = deg(q)")
@@ -399,7 +387,7 @@ def verify_cn_identity(
         gval = gpoly.evaluate(b)
         res = alpha_x_moment(p, q, b, max_index)
         diff = gval - res.value
-        passed = 0 <= diff <= 10 * res.tail_estimate
+        passed = tail_gate(diff, res.tail_estimate)
         checks.append(
             CnCheck(b, gval, res.value, diff, res.last_shell, res.tail_estimate, passed)
         )

@@ -22,6 +22,7 @@ from .alphamoments import (
     alpha_x_moment,
     count_tuples,
     nice_identity_check,
+    tail_gate,
     verify_cn_identity,
 )
 from .combinatorics import MultiIndex, MultiplicityVector
@@ -199,9 +200,7 @@ def _cmd_identity(args) -> Report:
 
 def _cmd_nice_identity(args) -> Report:
     lhs, rhs, tail = nice_identity_check(args.n, args.beta, args.max_index)
-    diff = lhs - rhs
-    # The partial sum lhs of positive terms cannot exceed its limit rhs.
-    passed = -10 * tail <= diff <= 0
+    passed = tail_gate(rhs - lhs, tail)
     return Report(
         command="nice-identity",
         params={
@@ -212,7 +211,7 @@ def _cmd_nice_identity(args) -> Report:
         },
         results={"lhs": rat_str(lhs), "rhs": rat_str(rhs)},
         status=PASS if passed else FAIL,
-        diagnostics={"difference": rat_str(diff), "tail": rat_str(tail)},
+        diagnostics={"difference": rat_str(lhs - rhs), "tail": rat_str(tail)},
     )
 
 
@@ -350,7 +349,7 @@ def _cmd_mc(args) -> Report:
 
 def _cmd_pushforward(args) -> Report:
     beta = float(args.beta)
-    grid = args.grid if args.grid is not None else max(1024, 4 * args.modes)
+    grid = montecarlo.pushforward_grid(args.modes, args.grid)
     stats = montecarlo.pushforward_experiment(
         beta,
         args.modes,

@@ -140,10 +140,6 @@ class MultiplicityVector(MultiIndex):
     _min_index = 0
 
 
-#: A family of multi-index parts, one per labeled slot (n, r) with r <= p(n).
-Decomposition = tuple[MultiIndex, ...]
-
-
 @dataclass(frozen=True)
 class GapSequence:
     """Pairs ``[(i(1), j(1)), ..., (i(L), j(L))]`` strictly decreasing when flattened."""
@@ -252,24 +248,6 @@ def f_weight(p: MultiIndex, L: MultiIndex) -> int:
     return result
 
 
-def _gap_seq_rec(degree: int, max_top: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All pair lists of total gap ``degree`` with first top index <= max_top."""
-    if degree == 0:
-        yield ()
-        return
-    for i in range(1, max_top + 1):
-        for j in range(i - 1, -1, -1):
-            gap = i - j
-            if gap > degree:
-                break
-            rest = degree - gap
-            if rest == 0:
-                yield ((i, j),)
-            elif j >= 2:
-                for tail in _gap_seq_rec(rest, j - 1):
-                    yield ((i, j),) + tail
-
-
 def gap_sequences(n: int, max_index: int) -> list[GapSequence]:
     """All gap sequences of degree n with top index <= max_index.
 
@@ -278,9 +256,7 @@ def gap_sequences(n: int, max_index: int) -> list[GapSequence]:
     """
     if n < 1:
         raise ValueError("gap sequences need degree n >= 1")
-    seqs = [GapSequence(pairs) for pairs in _gap_seq_rec(n, max_index)]
-    seqs.sort(key=lambda s: (len(s.pairs), s.pairs))
-    return seqs
+    return gap_sequences_over(tuple(range(max_index + 1)), n)
 
 
 def gap_sequences_over(indices: tuple[int, ...], n: int) -> list[GapSequence]:

@@ -229,6 +229,11 @@ def mc_reference(side: str, p: MultiIndex, q: MultiIndex, beta, n_trunc: int) ->
     raise ValueError("side must be 'gaussian' or 'alpha'")
 
 
+def pushforward_grid(modes: int, grid: int | None) -> int:
+    """The pushforward quadrature grid: ``grid``, or max(1024, 4 * modes) if None."""
+    return max(1024, 4 * modes) if grid is None else grid
+
+
 def pushforward_experiment(
     beta: float,
     modes: int,
@@ -266,8 +271,7 @@ def pushforward_experiment(
         raise ValueError("need at least two samples")
     if max_alpha < 1:
         raise ValueError("max_alpha must be >= 1")
-    if grid is None:
-        grid = max(1024, 4 * modes)
+    grid = pushforward_grid(modes, grid)
     if modes > 0 and grid < 4 * modes:
         raise ValueError("quadrature grid too coarse relative to modes")
     if max_alpha >= grid // 2:

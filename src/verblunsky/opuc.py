@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 

@@ -8,6 +8,7 @@ import pytest
 
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
+    _canonical,
     _level_sweep,
     _slot_degrees,
     _transitions,
@@ -19,7 +20,7 @@ from verblunsky.alphamoments import (
     tuple_counts_all_m,
     verify_cn_identity,
 )
-from verblunsky.combinatorics import MultiIndex, MultiplicityVector, partitions
+from verblunsky.combinatorics import MultiIndex, MultiplicityVector, gap_sequences, partitions
 from verblunsky.gaussian import gaussian_x_moment
 
 BETAS = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -96,6 +97,13 @@ def _reference_level_sweep(p_deg, q_deg, beta, max_index):
         elif t == max_index:
             done_now = amps.get(done, Fraction(0))
     return done_now, done_prev
+
+
+def _sweep(p_deg, q_deg, beta, max_index):
+    """:func:`alphamoments._level_sweep` from the canonical start of p_deg | q_deg."""
+    n_p = len(p_deg)
+    init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
+    return _level_sweep(init, lambda state: _transitions(state, n_p), beta, max_index)
 
 
 # Every equal-degree pair of degree <= 3, plus the degree-4 pairs the
@@ -242,13 +250,13 @@ class TestLevelSweepOracle:
         for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
             for N in (0, 1, 2, 5, 17):
                 expect = _reference_level_sweep(p_deg, q_deg, beta, N)
-                assert _level_sweep(p_deg, q_deg, beta, N) == expect, (beta, N)
+                assert _sweep(p_deg, q_deg, beta, N) == expect, (beta, N)
 
     def test_memoised_table_reused_across_betas(self):
         p_deg, q_deg = [1, 2], [1, 2]
-        _level_sweep(p_deg, q_deg, Fraction(1, 3), 9)
+        _sweep(p_deg, q_deg, Fraction(1, 3), 9)
         hits = _transitions.cache_info().hits
-        got = _level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
+        got = _sweep(p_deg, q_deg, Fraction(5, 7), 9)
         assert _transitions.cache_info().hits > hits
         assert got == _reference_level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
 
@@ -282,6 +290,23 @@ class TestNiceIdentity:
         for N in (10, 100):
             lhs, rhs, tail = nice_identity_check(1, Fraction(1), N)
             assert rhs - lhs == tail == Fraction(1, N + 1)
+
+    def test_equals_literal_enumeration(self):
+        def literal_sum(n, beta, N):
+            total = Fraction(0)
+            for seq in gap_sequences(n, N):
+                term = Fraction(1)
+                for i, j in seq:
+                    term /= (i * beta + 1) * (j * beta + 1)
+                total += term
+            return total
+
+        for n in (1, 2, 3, 4):
+            for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
+                for N in (0, 1, 2, 5, 12):
+                    lhs, _, tail = nice_identity_check(n, beta, N)
+                    assert lhs == literal_sum(n, beta, N), (n, beta, N)
+                    assert tail == (lhs - literal_sum(n, beta, N - 1)) * N, (n, beta, N)
 
 
 class TestVerifyCnIdentity:
