@@ -14,7 +14,11 @@ out crossing, shared endpoints and nesting alike; nesting matters, since two
 nested same-color intervals never arise from a single gap sequence.
 
 Summing coloring counts over all m-graphs reproduces the tuple count; the
-equality is exercised exhaustively in the acceptance suite.
+equality is exercised exhaustively in the acceptance suite.  Only graphs of
+up-weight deg p can color to a nonzero count, so the enumeration takes that
+weight d as a budget and prunes every branch that would exceed it.  Their
+down-weight is d as well: a balanced graph splits into cycles, and each cycle
+climbs as far as it falls.
 """
 
 from __future__ import annotations
@@ -43,19 +47,17 @@ class MCondGraph:
         """(lo, hi) intervals for edges oriented downward (source > target)."""
         return tuple(sorted((b, a) for a, b in self.edges if a > b))
 
-    def margins(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for a, _ in self.edges:
-            out[a] = out.get(a, 0) + 1
-        return out
 
-
-def enumerate_m_graphs(m: MultiplicityVector) -> list[MCondGraph]:
-    """All zero-diagonal multigraphs with in-degree = out-degree = m at each vertex.
+def enumerate_m_graphs(m: MultiplicityVector, d: int) -> list[MCondGraph]:
+    """The zero-diagonal m-graphs of up-weight d; their down-weight is d too.
 
     Enumerated as nonnegative integer matrices with equal row and column
     margins m and zero diagonal, one matrix per graph (the edge multiset
-    determines and is determined by the matrix).  Guarded to |m| <= 12.
+    determines and is determined by the matrix).  Cell (r, c) costs
+    take * |v_c - v_r| of its side's budget d, which bounds take; a leaf is
+    kept when the up side spent exactly d.  The down side needs no leaf check
+    of its own: a balanced graph splits into cycles, and each cycle climbs as
+    far as it falls.  Guarded to |m| <= 12.
     """
     if m.size > 12:
         raise ValueError("m-graph enumeration guarded to |m| <= 12")
@@ -63,45 +65,50 @@ def enumerate_m_graphs(m: MultiplicityVector) -> list[MCondGraph]:
     k = len(verts)
     margins = [m.get(v) for v in verts]
     if k == 0:
-        return [MCondGraph(())]
+        return [MCondGraph(())] if d == 0 else []
     graphs: list[MCondGraph] = []
     col_left = list(margins)
 
     rows: list[list[int]] = []
 
-    def fill_row(r: int, c: int, left: int, row: list[int]) -> None:
+    def fill_row(r: int, c: int, left: int, row: list[int], up: int, down: int) -> None:
         if c == k:
             if left == 0:
                 rows.append(row[:])
                 for j in range(k):
                     col_left[j] -= row[j]
-                next_row(r + 1)
+                next_row(r + 1, up, down)
                 for j in range(k):
                     col_left[j] += row[j]
                 rows.pop()
             return
         if c == r:
             row[c] = 0
-            fill_row(r, c + 1, left, row)
+            fill_row(r, c + 1, left, row, up, down)
             return
-        hi = min(left, col_left[c])
+        w = abs(verts[c] - verts[r])
+        is_up = c > r
+        hi = min(left, col_left[c], (d - (up if is_up else down)) // w)
         for take in range(hi, -1, -1):
             row[c] = take
-            fill_row(r, c + 1, left - take, row)
+            if is_up:
+                fill_row(r, c + 1, left - take, row, up + take * w, down)
+            else:
+                fill_row(r, c + 1, left - take, row, up, down + take * w)
         row[c] = 0
 
-    def next_row(r: int) -> None:
+    def next_row(r: int, up: int, down: int) -> None:
         if r == k:
-            if all(c == 0 for c in col_left):
+            if up == d and all(c == 0 for c in col_left):
                 edges = []
                 for i, row in enumerate(rows):
                     for j, cnt in enumerate(row):
                         edges.extend([(verts[i], verts[j])] * cnt)
                 graphs.append(MCondGraph(tuple(sorted(edges))))
             return
-        fill_row(r, 0, margins[r], [0] * k)
+        fill_row(r, 0, margins[r], [0] * k, up, down)
 
-    next_row(0)
+    next_row(0, 0, 0)
     return graphs
 
 
@@ -173,33 +180,14 @@ def count_colorings(G: MCondGraph, p: MultiIndex, q: MultiIndex) -> int:
 
 
 def c_via_graphs(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:
-    """Sum of coloring counts over all m-graphs; equals the tuple count."""
-    return sum(count_colorings(G, p, q) for G in _graphs_cached(m))
+    """Coloring counts summed over the m-graphs of up-weight deg p; equals the tuple count."""
+    return sum(count_colorings(G, p, q) for G in _graphs_cached(m, p.deg))
 
 
 @lru_cache(maxsize=None)
-def _graphs_cached(m: MultiplicityVector) -> tuple[MCondGraph, ...]:
-    return tuple(enumerate_m_graphs(m))
+def _graphs_cached(m: MultiplicityVector, d: int) -> tuple[MCondGraph, ...]:
+    return tuple(enumerate_m_graphs(m, d))
 
 
-@lru_cache(maxsize=None)
-def _graphs_by_weight(m: MultiplicityVector) -> dict[tuple[int, int], tuple[MCondGraph, ...]]:
-    """m-graphs bucketed by (total up-weight, total down-weight).
-
-    The sweep over many (p, q) pairs only ever needs the bucket matching
-    (deg p, deg q); everything else colors to zero.
-    """
-    buckets: dict[tuple[int, int], list[MCondGraph]] = {}
-    for G in _graphs_cached(m):
-        key = (
-            sum(hi - lo for lo, hi in G.up_edges()),
-            sum(hi - lo for lo, hi in G.down_edges()),
-        )
-        buckets.setdefault(key, []).append(G)
-    return {k: tuple(v) for k, v in buckets.items()}
-
-
-def c_via_graphs_fast(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:
-    """Bucket-pruned variant of :func:`c_via_graphs` for exhaustive sweeps."""
-    bucket = _graphs_by_weight(m).get((p.deg, q.deg), ())
-    return sum(count_colorings(G, p, q) for G in bucket)
+# perfbench still binds this name; the next benchmark change (ROADMAP item 3) drops it.
+c_via_graphs_fast = c_via_graphs

@@ -18,6 +18,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+from graph_oracle import unpruned_count
 
 from verblunsky import (
     MultiIndex,
@@ -43,7 +44,6 @@ from verblunsky import (
 )
 from verblunsky.combinatorics import partitions
 from verblunsky.gaussian import MomentPolynomial, a_coefficients
-from verblunsky.graphs import c_via_graphs_fast
 from verblunsky.kernels import exp_neg_series, szego_low_coefficients
 from verblunsky.montecarlo import _stats, mc_reference
 from verblunsky.opuc import jacobian_determinant_exact
@@ -194,11 +194,11 @@ def test_criterion_07_graph_count_equals_tuple_count():
                 m = MultiplicityVector(Counter(combo))
                 for p, q in pairs:
                     want = realized[(p, q)].get(m, 0)
-                    assert c_via_graphs_fast(p, q, m) == want, (p, q, m)
+                    assert c_via_graphs(p, q, m) == want, (p, q, m)
                     # The unpruned count must agree too; at d=4 checking it on
                     # every realized m plus a random slice keeps runtime sane.
                     if d < 4 or want or rng.random() < 0.02:
-                        assert c_via_graphs(p, q, m) == want, (p, q, m)
+                        assert unpruned_count(p, q, m) == want, (p, q, m)
                     checked += 1
 
     p8 = MultiIndex({3: 1, 5: 1})

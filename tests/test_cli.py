@@ -1,9 +1,13 @@
 """End-to-end CLI coverage: byte-stable reports, exit codes, usage errors."""
 
+import io
 import json
 import pathlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verblunsky import cli, montecarlo
 
@@ -112,22 +116,55 @@ class TestSamplingDeterminism:
         assert [row["n"] for row in rep["results"]["moments"]] == [1, 2]
 
 
+def _lift_nice_lhs(monkeypatch):
+    """Make nice-identity report lhs one tail above rhs."""
+    lhs, _, tail = cli.nice_identity_check(1, 1, 100)
+    monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: (lhs, lhs - tail, tail))
+
+
+FAIL_JACOBIAN = ["jacobian", "--alpha", "0.3,0.2", "--tol", "1e-300"]
+NICE_N1 = GOLDEN_CASES["nice_identity_n1"]
+
+
 class TestExitCodes:
     def test_fail_is_one(self, capsys):
-        code, out, _ = _run(capsys, ["jacobian", "--alpha", "0.3,0.2", "--tol", "1e-300"])
+        code, out, _ = _run(capsys, FAIL_JACOBIAN)
         assert code == 1
         assert json.loads(out)["status"] == "FAIL"
 
     def test_nice_identity_partial_sum_above_limit_fails(self, capsys, monkeypatch):
         # lhs one tail above rhs passes |lhs - rhs| <= 10 tail, but a partial
         # sum of positive terms cannot exceed its limit.
-        lhs, _, tail = cli.nice_identity_check(1, 1, 100)
-        monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: (lhs, lhs - tail, tail))
-        code, out, _ = _run(capsys, ["nice-identity", "--n", "1", "--beta", "1", "--max-index", "100"])
+        _lift_nice_lhs(monkeypatch)
+        code, out, _ = _run(capsys, NICE_N1)
         rep = json.loads(out)
         assert code == 1
         assert rep["status"] == "FAIL"
         assert rep["diagnostics"]["difference"] == rep["diagnostics"]["tail"]
+
+    @settings(max_examples=40, database=None, derandomize=True, deadline=None)
+    @given(argv=st.sampled_from([*GOLDEN_CASES.values(), FAIL_JACOBIAN]), lift=st.booleans())
+    def test_exit_one_iff_fail(self, argv, lift):
+        # lift turns the golden nice-identity run into the FAIL case above.
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+            if lift:
+                _lift_nice_lhs(mp)
+            code = cli.run(argv)
+        assert (code == 1) == (json.loads(out.getvalue())["status"] == "FAIL")
+
+    def test_count_degree_mismatch_is_zero_pass(self, capsys):
+        code, out, _ = _run(capsys, ["count", "--p", "1:1", "--q", "2:1", "--m", "1:1,2:1"])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["results"] == {"tuples": 0, "graphs": 0}
+        assert rep["status"] == "PASS"
+
+    def test_count_size_guard_exits_two(self, capsys):
+        code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])
+        assert code == 2
+        assert out == ""
+        assert "guarded to |m| <= 12" in err
 
     def test_experimental_is_zero(self, capsys):
         code, out, _ = _run(capsys, TestSamplingDeterminism.PUSH)

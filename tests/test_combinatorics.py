@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from verblunsky.combinatorics import (
     GapSequence,
@@ -16,6 +18,8 @@ from verblunsky.combinatorics import (
     haar_weight,
     partitions,
 )
+
+PROPERTY = settings(max_examples=100, database=None, derandomize=True, deadline=None)
 
 # known partition counts p(0)..p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -60,6 +64,21 @@ class TestMultiIndex:
     def test_string_roundtrip(self):
         for text in ("1:1", "2:3,7:1", "0"):
             assert MultiIndex.from_string(text).to_string() == text
+
+    @PROPERTY
+    @given(entries=st.dictionaries(st.integers(1, 60), st.integers(1, 12), max_size=6))
+    @example(entries={})
+    def test_string_roundtrip_property(self, entries):
+        x = MultiIndex(entries)
+        assert MultiIndex.from_string(x.to_string()) == x
+
+    @PROPERTY
+    @given(entries=st.dictionaries(st.integers(0, 60), st.integers(1, 12), max_size=6))
+    @example(entries={})
+    @example(entries={0: 1})
+    def test_multiplicity_vector_roundtrip_property(self, entries):
+        x = MultiplicityVector(entries)
+        assert MultiplicityVector.from_string(x.to_string()) == x
 
     @pytest.mark.parametrize("bad", ["x", "1:", "1", "2:0", "0:1", "3:1,2:1", "1:1,1:2"])
     def test_from_string_rejects_and_names_token(self, bad):

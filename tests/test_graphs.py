@@ -1,15 +1,16 @@
 """Margin-constrained multigraph enumeration and interval coloring counts."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from graph_oracle import unpruned_count, unpruned_graphs, weights
 
 from verblunsky.alphamoments import count_tuples, tuple_counts_all_m
 from verblunsky.combinatorics import MultiIndex, MultiplicityVector, partitions
 from verblunsky.graphs import (
     MCondGraph,
     c_via_graphs,
-    c_via_graphs_fast,
     count_colorings,
     enumerate_m_graphs,
 )
@@ -71,32 +72,51 @@ SMALL_M = [
 ]
 
 
+def _all_budgets(m):
+    """Union of the budgeted graph sets over every weight a graph on m can have."""
+    return {g.edges for d in range(2 * m.size + 1) for g in enumerate_m_graphs(m, d)}
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("entries", SMALL_M)
     def test_matches_matrix_brute_force(self, entries):
         m = MultiplicityVector(entries)
-        got = {g.edges for g in enumerate_m_graphs(m)}
-        assert got == _brute_graphs_by_matrix(m)
+        assert _all_budgets(m) == _brute_graphs_by_matrix(m)
 
     @pytest.mark.parametrize("entries", SMALL_M)
     def test_matches_stub_pairings(self, entries):
         m = MultiplicityVector(entries)
-        got = {g.edges for g in enumerate_m_graphs(m)}
-        assert got == _brute_graphs_by_stubs(m)
+        assert _all_budgets(m) == _brute_graphs_by_stubs(m)
 
     def test_empty_m(self):
-        assert enumerate_m_graphs(MultiplicityVector({})) == [MCondGraph(())]
+        assert enumerate_m_graphs(MultiplicityVector({}), 0) == [MCondGraph(())]
+        assert enumerate_m_graphs(MultiplicityVector({}), 1) == []
 
     def test_single_vertex_unrealizable(self):
-        assert enumerate_m_graphs(MultiplicityVector({3: 2})) == []
+        assert enumerate_m_graphs(MultiplicityVector({3: 2}), 0) == []
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            enumerate_m_graphs(MultiplicityVector({1: 13}))
+            enumerate_m_graphs(MultiplicityVector({1: 13}), 1)
+
+    def test_pruned_sets_equal_unpruned_buckets(self):
+        # Every m of size 1..7 on indices 0..6 (3,431 vectors).
+        for size in range(1, 8):
+            for combo in itertools.combinations_with_replacement(range(7), size):
+                m = MultiplicityVector(Counter(combo))
+                buckets = {}
+                for g in unpruned_graphs(m):
+                    up, down = weights(g)
+                    assert up == down, (m, g)
+                    buckets.setdefault(up, set()).add(g.edges)
+                for d in range(5):
+                    got = [g.edges for g in enumerate_m_graphs(m, d)]
+                    assert len(got) == len(set(got)), (m, d)
+                    assert set(got) == buckets.get(d, set()), (m, d)
 
     def test_margins_balanced(self):
         m = MultiplicityVector({1: 2, 3: 1, 4: 1})
-        for g in enumerate_m_graphs(m):
+        for g in unpruned_graphs(m):
             outs = {}
             ins = {}
             for a, b in g.edges:
@@ -174,7 +194,7 @@ class TestAgainstTupleCounts:
             realized = tuple_counts_all_m(p, q, max_index)
             for m, count in realized.items():
                 assert c_via_graphs(p, q, m) == count
-                assert c_via_graphs_fast(p, q, m) == count
+                assert unpruned_count(p, q, m) == count
             # a vector that the tuple side never realizes must color to zero
             probe = MultiplicityVector({1: 1, 4: 1})
             if probe not in realized:
@@ -183,4 +203,4 @@ class TestAgainstTupleCounts:
     def test_fast_variant_agrees_off_support(self):
         p = MultiIndex({2: 1})
         m = MultiplicityVector({1: 2, 2: 1})
-        assert c_via_graphs_fast(p, p, m) == c_via_graphs(p, p, m)
+        assert c_via_graphs(p, p, m) == unpruned_count(p, p, m)
