@@ -14,8 +14,13 @@ weights.  The moves out of a state do not depend on the level t, so they are
 tabulated once and shared by all levels, betas and calls.  Reading the
 all-closed amplitude after level t yields every partial sum S(t) along the
 way, which gives the last-shell truncation diagnostics for free.
-Small-max_index brute enumeration of the same sum (:func:`count_tuples` +
-term values) cross-checks the sweep in tests.
+
+At small max_index the tuples can be counted outright.  One counter does it
+for :func:`count_tuples` and :func:`tuple_counts_all_m`: each side's slot
+assignments are grouped by their signed top-minus-bottom index counter, and
+the two sides are joined on equal counters, which is exactly the balance
+condition.  Those counts times :func:`term_value` cross-check the sweep in
+tests, and the graph-coloring counts cross-check the counts.
 
 The diagonal "nice" identity of :func:`nice_identity_check` is the same kind
 of sum over gap sequences, with one slot and the level factor 1/(t beta + 1)
@@ -33,7 +38,6 @@ from functools import lru_cache
 from math import factorial
 
 from .combinatorics import (
-    GapSequence,
     MultiIndex,
     MultiplicityVector,
     gap_sequences,
@@ -72,74 +76,18 @@ def alpha_joint_moment(p: MultiIndex, q: MultiIndex, beta: Fraction) -> Fraction
     return term_value(p, beta) if p == q else Fraction(0)
 
 
-@dataclass(frozen=True)
-class TupleFamily:
-    """One gap sequence per labeled monomial slot, both sides."""
-
-    p_seqs: tuple[GapSequence, ...]
-    q_seqs: tuple[GapSequence, ...]
-
-    def multiplicity_vector(self) -> MultiplicityVector:
-        """Tops of the p-side plus bottoms of the q-side."""
-        counts: Counter[int] = Counter()
-        for seq in self.p_seqs:
-            for i, _ in seq:
-                counts[i] += 1
-        for seq in self.q_seqs:
-            for _, j in seq:
-                counts[j] += 1
-        return MultiplicityVector(counts)
-
-    def mirror_vector(self) -> MultiplicityVector:
-        """Bottoms of the p-side plus tops of the q-side."""
-        counts: Counter[int] = Counter()
-        for seq in self.p_seqs:
-            for _, j in seq:
-                counts[j] += 1
-        for seq in self.q_seqs:
-            for i, _ in seq:
-                counts[i] += 1
-        return MultiplicityVector(counts)
-
-
 def _slot_degrees(p: MultiIndex) -> list[int]:
     return [n for n, c in p.items() for _ in range(c)]
 
 
-def count_tuples(
-    p: MultiIndex, q: MultiIndex, m: MultiplicityVector, max_index: int
-) -> int:
-    """Exact number of balanced tuple families with multiplicity vector m.
-
-    Every index of such a family lies in the support of m (each side's index
-    multiset equals m), so enumeration is restricted to supp(m).
-    """
-    if max_index < m.max_support:
-        raise ValueError("max_index must be >= max support of m")
-    allowed = m.support()
-    candidates: dict[int, list[GapSequence]] = {}
-    for n in set(_slot_degrees(p) + _slot_degrees(q)):
-        candidates[n] = gap_sequences_over(allowed, n)
-    p_choices = [candidates[n] for n in _slot_degrees(p)]
-    q_choices = [candidates[n] for n in _slot_degrees(q)]
-    count = 0
-    for ps in itertools.product(*p_choices):
-        for qs in itertools.product(*q_choices):
-            fam = TupleFamily(ps, qs)
-            if fam.multiplicity_vector() == m and fam.mirror_vector() == m:
-                count += 1
-    return count
-
-
-def _side_groups(degrees: list[int], max_index: int):
+def _side_groups(choices: list[list], bottoms: bool) -> dict[tuple, Counter]:
     """Group one side's slot assignments by the signed top-minus-bottom counter.
 
-    Returns {difference signature: {tops signature: multiplicity}} together
-    with a parallel map keyed on bottoms, so both join orientations are cheap.
+    ``choices`` holds each slot's candidate gap sequences.  Returns
+    {difference signature: {tops signature: multiplicity}}, keyed on bottoms
+    instead of tops when ``bottoms`` is set.
     """
-    choices = [gap_sequences(n, max_index) for n in degrees]
-    by_diff_tops: dict[tuple, Counter] = {}
-    by_diff_bots: dict[tuple, Counter] = {}
+    groups: dict[tuple, Counter] = {}
     for family in itertools.product(*choices):
         tops: Counter[int] = Counter()
         bots: Counter[int] = Counter()
@@ -153,26 +101,24 @@ def _side_groups(degrees: list[int], max_index: int):
             if d:
                 signed[idx] = d
         key = tuple(sorted(signed.items()))
-        tkey = tuple(sorted(tops.items()))
-        bkey = tuple(sorted(bots.items()))
-        by_diff_tops.setdefault(key, Counter())[tkey] += 1
-        by_diff_bots.setdefault(key, Counter())[bkey] += 1
-    return by_diff_tops, by_diff_bots
+        side = bots if bottoms else tops
+        groups.setdefault(key, Counter())[tuple(sorted(side.items()))] += 1
+    return groups
 
 
-def tuple_counts_all_m(
-    p: MultiIndex, q: MultiIndex, max_index: int
-) -> dict[MultiplicityVector, int]:
-    """All nonzero balanced-tuple counts with indices <= max_index, keyed by m.
+def _tuple_counts(p: MultiIndex, q: MultiIndex, seqs) -> dict[MultiplicityVector, int]:
+    """Nonzero balanced-tuple counts keyed by m, slot candidates from ``seqs(n)``.
 
     Joins the two sides on the signed difference of their top/bottom index
-    counters: balance holds iff the differences match, and then
-    m = (p-side tops) + (q-side bottoms).
+    counters: balance (p-side tops + q-side bottoms = p-side bottoms + q-side
+    tops) holds iff the differences match, and then m = (p-side tops) +
+    (q-side bottoms), which is also the mirror vector.
     """
     if p.deg != q.deg:
         return {}
-    p_tops, _ = _side_groups(_slot_degrees(p), max_index)
-    _, q_bots = _side_groups(_slot_degrees(q), max_index)
+    cands = {n: seqs(n) for n in {*_slot_degrees(p), *_slot_degrees(q)}}
+    p_tops = _side_groups([cands[n] for n in _slot_degrees(p)], bottoms=False)
+    q_bots = _side_groups([cands[n] for n in _slot_degrees(q)], bottoms=True)
     out: dict[MultiplicityVector, int] = {}
     for diff, tops_counter in p_tops.items():
         bots_counter = q_bots.get(diff)
@@ -186,6 +132,27 @@ def tuple_counts_all_m(
                 mv = MultiplicityVector(merged)
                 out[mv] = out.get(mv, 0) + cp * cq
     return out
+
+
+def count_tuples(
+    p: MultiIndex, q: MultiIndex, m: MultiplicityVector, max_index: int
+) -> int:
+    """Exact number of balanced tuple families with multiplicity vector m.
+
+    Every index of such a family lies in the support of m (each side's index
+    multiset equals m), so the slot candidates are restricted to supp(m).
+    """
+    if max_index < m.max_support:
+        raise ValueError("max_index must be >= max support of m")
+    allowed = m.support()
+    return _tuple_counts(p, q, lambda n: gap_sequences_over(allowed, n)).get(m, 0)
+
+
+def tuple_counts_all_m(
+    p: MultiIndex, q: MultiIndex, max_index: int
+) -> dict[MultiplicityVector, int]:
+    """All nonzero balanced-tuple counts with indices <= max_index, keyed by m."""
+    return _tuple_counts(p, q, lambda n: gap_sequences(n, max_index))
 
 
 @dataclass(frozen=True)
@@ -277,6 +244,16 @@ def _level_sweep(
     return done_now, done_prev
 
 
+def _sweep_args(beta, max_index: int) -> Fraction:
+    """beta as a Fraction, once the exact sweep's arguments are known valid."""
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be a positive rational")
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
+    return beta
+
+
 def alpha_x_moment(
     p: MultiIndex, q: MultiIndex, beta: Fraction, max_index: int
 ) -> TruncatedSumResult:
@@ -286,11 +263,7 @@ def alpha_x_moment(
     partial sums are nondecreasing in max_index (all terms positive).  The
     moment vanishes exactly when deg(p) != deg(q).
     """
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise ValueError("beta must be a positive rational")
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
+    beta = _sweep_args(beta, max_index)
     zero = Fraction(0)
     if p.deg != q.deg:
         return TruncatedSumResult(zero, max_index, zero, zero)
@@ -331,7 +304,7 @@ def nice_identity_check(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    beta = Fraction(beta)
+    beta = _sweep_args(beta, max_index)
     lhs, prev = _level_sweep((2 * n,), _nice_moves, beta, max_index)
     rhs = variance_pmf(n).evaluate(beta)
     return lhs, rhs, (lhs - prev) * max_index
@@ -380,10 +353,10 @@ def verify_cn_identity(
     """
     if p.deg != q.deg:
         raise ValueError("verify_cn_identity needs deg(p) = deg(q)")
+    betas = [_sweep_args(b, max_index) for b in betas]
     gpoly = gaussian_x_moment(p, q)
     checks = []
     for b in betas:
-        b = Fraction(b)
         gval = gpoly.evaluate(b)
         res = alpha_x_moment(p, q, b, max_index)
         diff = gval - res.value

@@ -86,31 +86,6 @@ def _split_complex(text: str) -> tuple[str, str]:
     return body, "0"
 
 
-def _component_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        return float(Fraction(text))
-
-
-def _alpha_floats(text: str) -> np.ndarray:
-    try:
-        if os.path.exists(text):
-            with open(text) as fh:
-                data = json.load(fh)
-            vals = [complex(float(re), float(im)) for re, im in data]
-        else:
-            vals = []
-            for tok in text.split(","):
-                re_s, im_s = _split_complex(tok)
-                vals.append(complex(_component_float(re_s), _component_float(im_s)))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
-    if not vals:
-        raise argparse.ArgumentTypeError("empty alpha list")
-    return np.array(vals, dtype=np.complex128)
-
-
 def _alpha_exact(text: str) -> list[tuple[Fraction, Fraction]]:
     try:
         if os.path.exists(text):
@@ -122,8 +97,19 @@ def _alpha_exact(text: str) -> list[tuple[Fraction, Fraction]]:
             re_s, im_s = _split_complex(tok)
             pairs.append((Fraction(re_s), Fraction(im_s)))
         return pairs
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad exact alpha list {text!r}: {exc}") from None
+    except (ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
+
+
+def _alpha_floats(text: str) -> np.ndarray:
+    pairs = _alpha_exact(text)
+    try:
+        vals = [complex(float(re), float(im)) for re, im in pairs]
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
+    if not vals:
+        raise argparse.ArgumentTypeError("empty alpha list")
+    return np.array(vals, dtype=np.complex128)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -135,12 +121,7 @@ def _cmd_gaussian_moment(args) -> Report:
     moment = fn(args.p, args.q)
     return Report(
         command="gaussian-moment",
-        params={
-            "p": args.p.to_string(),
-            "q": args.q.to_string(),
-            "engine": engine,
-            "threads": args.threads,
-        },
+        params={"p": args.p.to_string(), "q": args.q.to_string(), "engine": engine},
         results={"moment": poly_map(moment.to_map())},
         status=PASS,
     )
@@ -155,7 +136,6 @@ def _cmd_alpha_moment(args) -> Report:
             "q": args.q.to_string(),
             "beta": rat_str(args.beta),
             "max_index": args.max_index,
-            "threads": args.threads,
         },
         results={"value": rat_str(res.value)},
         status=PASS,
@@ -190,7 +170,6 @@ def _cmd_identity(args) -> Report:
             "q": args.q.to_string(),
             "beta": [rat_str(b) for b in args.beta],
             "max_index": args.max_index,
-            "threads": args.threads,
         },
         results={"checks": checks},
         status=PASS if rep.passed else FAIL,
@@ -203,12 +182,7 @@ def _cmd_nice_identity(args) -> Report:
     passed = tail_gate(rhs - lhs, tail)
     return Report(
         command="nice-identity",
-        params={
-            "n": args.n,
-            "beta": rat_str(args.beta),
-            "max_index": args.max_index,
-            "threads": args.threads,
-        },
+        params={"n": args.n, "beta": rat_str(args.beta), "max_index": args.max_index},
         results={"lhs": rat_str(lhs), "rhs": rat_str(rhs)},
         status=PASS if passed else FAIL,
         diagnostics={"difference": rat_str(lhs - rhs), "tail": rat_str(tail)},
@@ -219,7 +193,7 @@ def _cmd_variance(args) -> Report:
     pmf = variance_pmf(args.n)
     return Report(
         command="variance",
-        params={"n": args.n, "threads": args.threads},
+        params={"n": args.n},
         results={"polynomial": poly_map(pmf.to_map())},
         status=PASS,
     )
@@ -231,12 +205,7 @@ def _cmd_count(args) -> Report:
     graphs = c_via_graphs(args.p, args.q, args.m)
     return Report(
         command="count",
-        params={
-            "p": args.p.to_string(),
-            "q": args.q.to_string(),
-            "m": args.m.to_string(),
-            "threads": args.threads,
-        },
+        params={"p": args.p.to_string(), "q": args.q.to_string(), "m": args.m.to_string()},
         results={"tuples": tuples, "graphs": graphs},
         status=PASS if tuples == graphs else FAIL,
         diagnostics={"max_index": max_index},
@@ -249,7 +218,7 @@ def _cmd_jacobian(args) -> Report:
         det, prod = opuc.jacobian_determinant_exact(pairs)
         return Report(
             command="jacobian",
-            params={"alpha": args.alpha, "mode": "exact", "threads": args.threads},
+            params={"alpha": args.alpha, "mode": "exact"},
             results={"determinant": rat_str(det), "product": rat_str(prod)},
             status=PASS if det == prod else FAIL,
         )
@@ -258,12 +227,7 @@ def _cmd_jacobian(args) -> Report:
     rel = abs(det - prod) / max(abs(prod), 1e-300)
     return Report(
         command="jacobian",
-        params={
-            "alpha": args.alpha,
-            "mode": "finite-difference",
-            "tol": args.tol,
-            "threads": args.threads,
-        },
+        params={"alpha": args.alpha, "mode": "finite-difference", "tol": args.tol},
         results={"determinant": det, "product": prod},
         status=PASS if rel <= args.tol else FAIL,
         diagnostics={"relative_gap": rel},
@@ -275,12 +239,7 @@ def _cmd_szego_check(args) -> Report:
     gap = opuc.szego_identity_gap(a, args.order)
     return Report(
         command="szego-check",
-        params={
-            "alpha": args.alpha,
-            "order": args.order,
-            "tol": args.tol,
-            "threads": args.threads,
-        },
+        params={"alpha": args.alpha, "order": args.order, "tol": args.tol},
         results={"gap": gap},
         status=PASS if gap <= args.tol else FAIL,
     )
@@ -294,12 +253,7 @@ def _cmd_roundtrip(args) -> Report:
     err = float(np.abs(rec - a).max())
     return Report(
         command="roundtrip",
-        params={
-            "alpha": args.alpha,
-            "grid": args.grid,
-            "tol": args.tol,
-            "threads": args.threads,
-        },
+        params={"alpha": args.alpha, "grid": args.grid, "tol": args.tol},
         results={"max_error": err},
         status=PASS if err <= args.tol else FAIL,
     )
@@ -329,7 +283,6 @@ def _cmd_mc(args) -> Report:
         "n_trunc": args.n_trunc,
         "samples": args.samples,
         "seed": args.seed,
-        "threads": args.threads,
     }
     if args.dump_csv:
         params["dump_csv"] = args.dump_csv
@@ -379,7 +332,6 @@ def _cmd_pushforward(args) -> Report:
             "samples": args.samples,
             "max_alpha": args.max_alpha,
             "seed": args.seed,
-            "threads": args.threads,
         },
         results={"moments": rows},
         status=EXPERIMENTAL,
@@ -495,6 +447,7 @@ def run(argv) -> int:
     except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.params["threads"] = args.threads
     sys.stdout.write(report.to_json())
     return report.exit_code
 

@@ -4,9 +4,7 @@ Everything here is symbolic in beta: results are polynomials in beta**-1 with
 rational coefficients (:class:`MomentPolynomial`).  The main engine
 :func:`gaussian_x_moment` sums over integer partitions with conjugacy-class
 weights; :func:`gaussian_x_moment_raw` recomputes the same moment by brute
-enumeration of decomposition families and exists purely as an oracle, as does
-:func:`gaussian_x_moment_via_f_expansion`, which expands the x-monomials into
-Gaussian f-monomials and integrates term by term.
+enumeration of decomposition families and exists purely as an oracle.
 """
 
 from __future__ import annotations
@@ -86,20 +84,6 @@ class MomentPolynomial:
         return f"MomentPolynomial({body})"
 
 
-def gaussian_f_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
-    """E of f**p (f**q)* for the independent complex Gaussians f_n.
-
-    Nonzero only on the diagonal p = q, where it is
-    prod_n p(n)! / n**p(n) times beta**-|p|.
-    """
-    if p != q:
-        return MomentPolynomial.zero()
-    value = Fraction(1)
-    for n, c in p.items():
-        value *= Fraction(factorial(c), n**c)
-    return MomentPolynomial.from_terms({p.size: value})
-
-
 def gaussian_x_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
     """E of x**p (x**q)* as a polynomial in beta**-1 (partition-sum engine).
 
@@ -166,54 +150,6 @@ def gaussian_x_moment_raw(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
         k = M.size
         out[k] = out.get(k, Fraction(0)) + lval * rval * mid
     return MomentPolynomial.from_terms(out)
-
-
-def _exp_neg_f_coefficient(n: int) -> dict[MultiIndex, Fraction]:
-    """Coefficient of z**n in exp(-sum f_u z**u) as a polynomial in the f_u.
-
-    Monomials are multi-indices A in the f-variables; the coefficient of f**A
-    is (-1)**|A| / A!.
-    """
-    out: dict[MultiIndex, Fraction] = {}
-    for A in partitions(n):
-        denom = 1
-        for _, c in A.items():
-            denom *= factorial(c)
-        out[A] = Fraction((-1) ** A.size, denom)
-    return out
-
-
-def gaussian_x_moment_via_f_expansion(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
-    """Second oracle: expand the x-monomials into f-monomials and integrate.
-
-    Writes each x_n as its exponential-series polynomial in the f-variables,
-    multiplies out x**p and x**q symbolically, and applies the diagonal
-    Gaussian moment formula monomial by monomial.  Independent of both the
-    partition engine and the raw decomposition sum.
-    """
-
-    def monomial_poly(mi: MultiIndex) -> dict[MultiIndex, Fraction]:
-        poly: dict[MultiIndex, Fraction] = {MultiIndex(): Fraction(1)}
-        for n, c in mi.items():
-            factor = _exp_neg_f_coefficient(n)
-            for _ in range(c):
-                nxt: dict[MultiIndex, Fraction] = {}
-                for A, ca in poly.items():
-                    for B, cb in factor.items():
-                        key = A + B
-                        nxt[key] = nxt.get(key, Fraction(0)) + ca * cb
-                poly = nxt
-        return poly
-
-    poly_p = monomial_poly(p)
-    poly_q = monomial_poly(q)
-    out = MomentPolynomial.zero()
-    for A, ca in poly_p.items():
-        cb = poly_q.get(A)
-        if cb is None:
-            continue
-        out = out + gaussian_f_moment(A, A).scale(ca * cb)
-    return out
 
 
 def variance_pmf(n: int) -> MomentPolynomial:

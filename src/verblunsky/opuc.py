@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import gap_sequences
-from .kernels import exp_neg_series, levinson_batch, szego_low_coefficients
+from .kernels import levinson_batch, szego_low_coefficients
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -143,7 +143,7 @@ def verblunsky_from_moments(c) -> np.ndarray:
 
 
 def log_series(x) -> np.ndarray:
-    """f with exp_series(f) = x, i.e. f = -log(x) as a formal power series.
+    """f with exp(-f) = x, i.e. f = -log(x) as a formal power series.
 
     Standard coefficient recursion for log; requires x_0 = 1.  Note the sign:
     f_1 = -x_1, f_2 = -x_2 + x_1^2 / 2.
@@ -159,41 +159,6 @@ def log_series(x) -> np.ndarray:
             acc -= (j / k) * g[j] * xc[k - j]
         g[k] = acc
     return -g
-
-
-def exp_series(f) -> np.ndarray:
-    """x = exp(-f) truncated at the input length; requires f_0 = 0."""
-    fc = np.asarray(f, dtype=np.complex128)
-    if fc.size == 0 or abs(fc[0]) > 1e-9:
-        raise ValueError("exp_series needs zero constant term")
-    return exp_neg_series(fc[None])[0]
-
-
-def exp_series_partition_sum(f) -> np.ndarray:
-    """Oracle for :func:`exp_series` by the explicit partition sum.
-
-    Coefficient n of exp(sum g_u z^u) is sum over partitions J of n of
-    g**J / J!; here g = -f.  Exponential cost, for cross-checks only.
-    """
-    from math import factorial
-
-    from .combinatorics import partitions
-
-    fc = np.asarray(f, dtype=np.complex128)
-    if fc.size == 0 or abs(fc[0]) > 1e-9:
-        raise ValueError("exp_series needs zero constant term")
-    g = -fc
-    y = np.zeros(fc.size, dtype=np.complex128)
-    y[0] = 1.0
-    for n in range(1, fc.size):
-        acc = 0.0 + 0.0j
-        for J in partitions(n):
-            term = 1.0 + 0.0j
-            for u, cnt in J.items():
-                term *= g[u] ** cnt / factorial(cnt)
-            acc += term
-        y[n] = acc
-    return y
 
 
 def szego_identity_gap(alpha, M: int) -> float:

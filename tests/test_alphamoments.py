@@ -1,10 +1,12 @@
 """Exact moment engine for the rotation-invariant coefficient law."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from tuple_oracle import literal_count
 
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
@@ -177,7 +179,25 @@ class TestCountTuples:
         assert every  # not empty
         for m, count in every.items():
             assert count == count_tuples(p, q, m, max_index=5)
+            assert count == literal_count(p, q, m)
             assert count > 0
+
+    def test_join_matches_literal_product(self):
+        # Every same-degree pair of degree <= 3 with every m of size <= 2 deg
+        # on indices 0..5, plus two off-degree pairs, whose counts are all 0.
+        shapes = [[MultiIndex(dict(L.items())) for L in partitions(d)] for d in range(1, 4)]
+        pairs = [(MultiIndex(), MultiIndex())]
+        pairs += [(p, q) for same in shapes for p in same for q in same]
+        pairs += [(MultiIndex.delta(1), MultiIndex.delta(2)), (MultiIndex({1: 2}), MultiIndex.delta(3))]
+        nonzero = 0
+        for p, q in pairs:
+            for size in range(2 * max(p.deg, q.deg) + 1):
+                for combo in itertools.combinations_with_replacement(range(6), size):
+                    m = MultiplicityVector(Counter(combo))
+                    count = count_tuples(p, q, m, max_index=5)
+                    assert count == literal_count(p, q, m), (p, q, m)
+                    nonzero += count > 0
+        assert nonzero == 287
 
 
 class TestAlphaXMoment:

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,55 @@ class TestExitCodes:
         code, _, err = _run(capsys, ["szego-check", "--alpha", "0.3+?i", "--order", "10"])
         assert code == 2
         assert "alpha" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nice-identity", "--n", "1", "--beta", "0", "--max-index", "5"],
+         "beta must be a positive rational"),
+        (["nice-identity", "--n", "1", "--beta", "-1", "--max-index", "5"],
+         "beta must be a positive rational"),
+        (["identity", "--p", "1:1", "--q", "1:1", "--beta", "0", "--max-index", "3"],
+         "beta must be a positive rational"),
+        (["nice-identity", "--n", "1", "--beta", "1", "--max-index", "-1"],
+         "max_index must be >= 0"),
+    ])
+    def test_exact_sweep_arguments_exit_two(self, capsys, argv, message):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian", "--alpha=1/0"],
+        ["jacobian", "--exact", "--alpha=1/0"],
+        ["szego-check", "--order", "5", "--alpha=1/0i"],
+        ["roundtrip", "--grid", "64", "--alpha=0.1+1/0i"],
+        ["szego-check", "--order", "5", "--alpha=1e400"],
+        ["jacobian", "--alpha=1e400"],
+    ])
+    def test_unparsable_alpha_value_exits_two(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad alpha list") and err.count("\n") == 1
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSplitComplex:
+    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @given(re=FINITE, im=FINITE)
+    def test_round_trip(self, re, im):
+        # Both readings of a part, float() and the alpha parser's Fraction,
+        # give back the float that was written.
+        for text, want in (
+            (f"{re!r}{im:+}i", (re, im)),
+            (f"{im!r}i", (0.0, im)),
+            (repr(re), (re, 0.0)),
+        ):
+            parts = cli._split_complex(text)
+            assert tuple(float(part) for part in parts) == want, text
+            assert tuple(float(Fraction(part)) for part in parts) == want, text
 
 
 class TestNumericCommands:

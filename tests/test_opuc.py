@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from exp_series_oracle import exp_series, exp_series_partition_sum
 
 from verblunsky.opuc import (
     NotPositiveDefiniteError,
     disk_nonvanishing,
-    exp_series,
-    exp_series_partition_sum,
     jacobian_determinant,
     jacobian_determinant_exact,
     log_series,
