@@ -15,12 +15,13 @@ tabulated once and shared by all levels, betas and calls.  Reading the
 all-closed amplitude after level t yields every partial sum S(t) along the
 way, which gives the last-shell truncation diagnostics for free.
 
-At small max_index the tuples can be counted outright.  One counter does it
-for :func:`count_tuples` and :func:`tuple_counts_all_m`: each side's slot
-assignments are grouped by their signed top-minus-bottom index counter, and
-the two sides are joined on equal counters, which is exactly the balance
-condition.  Those counts times :func:`term_value` cross-check the sweep in
-tests, and the graph-coloring counts cross-check the counts.
+At small max_index the tuples can be counted outright, and
+:func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
+:func:`_transitions` table: integer amplitudes, keyed also by the
+multiplicities read so far.  Those counts times :func:`term_value`
+cross-check the sweep in tests.  The counts' independent references are the
+literal product ``tests/tuple_oracle.literal_count`` and the graph-coloring
+counts; neither reads the table.
 
 The diagonal "nice" identity of :func:`nice_identity_check` is the same kind
 of sum over gap sequences, with one slot and the level factor 1/(t beta + 1)
@@ -37,12 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinatorics import (
-    MultiIndex,
-    MultiplicityVector,
-    gap_sequences,
-    gap_sequences_over,
-)
+from .combinatorics import MultiIndex, MultiplicityVector
+
+# Unused here: perfbench's span bindings look these names up on this module.
+from .combinatorics import gap_sequences, gap_sequences_over  # noqa: F401
 from .gaussian import gaussian_x_moment, variance_pmf
 
 #: The rational type of the exact sums (``perfbench`` reports it).
@@ -80,81 +79,6 @@ def _slot_degrees(p: MultiIndex) -> list[int]:
     return [n for n, c in p.items() for _ in range(c)]
 
 
-def _side_groups(choices: list[list], bottoms: bool) -> dict[tuple, Counter]:
-    """Group one side's slot assignments by the signed top-minus-bottom counter.
-
-    ``choices`` holds each slot's candidate gap sequences.  Returns
-    {difference signature: {tops signature: multiplicity}}, keyed on bottoms
-    instead of tops when ``bottoms`` is set.
-    """
-    groups: dict[tuple, Counter] = {}
-    for family in itertools.product(*choices):
-        tops: Counter[int] = Counter()
-        bots: Counter[int] = Counter()
-        for seq in family:
-            for i, j in seq:
-                tops[i] += 1
-                bots[j] += 1
-        signed = {}
-        for idx in set(tops) | set(bots):
-            d = tops[idx] - bots[idx]
-            if d:
-                signed[idx] = d
-        key = tuple(sorted(signed.items()))
-        side = bots if bottoms else tops
-        groups.setdefault(key, Counter())[tuple(sorted(side.items()))] += 1
-    return groups
-
-
-def _tuple_counts(p: MultiIndex, q: MultiIndex, seqs) -> dict[MultiplicityVector, int]:
-    """Nonzero balanced-tuple counts keyed by m, slot candidates from ``seqs(n)``.
-
-    Joins the two sides on the signed difference of their top/bottom index
-    counters: balance (p-side tops + q-side bottoms = p-side bottoms + q-side
-    tops) holds iff the differences match, and then m = (p-side tops) +
-    (q-side bottoms), which is also the mirror vector.
-    """
-    if p.deg != q.deg:
-        return {}
-    cands = {n: seqs(n) for n in {*_slot_degrees(p), *_slot_degrees(q)}}
-    p_tops = _side_groups([cands[n] for n in _slot_degrees(p)], bottoms=False)
-    q_bots = _side_groups([cands[n] for n in _slot_degrees(q)], bottoms=True)
-    out: dict[MultiplicityVector, int] = {}
-    for diff, tops_counter in p_tops.items():
-        bots_counter = q_bots.get(diff)
-        if not bots_counter:
-            continue
-        for tkey, cp in tops_counter.items():
-            for bkey, cq in bots_counter.items():
-                merged: Counter[int] = Counter(dict(tkey))
-                for idx, c in bkey:
-                    merged[idx] += c
-                mv = MultiplicityVector(merged)
-                out[mv] = out.get(mv, 0) + cp * cq
-    return out
-
-
-def count_tuples(
-    p: MultiIndex, q: MultiIndex, m: MultiplicityVector, max_index: int
-) -> int:
-    """Exact number of balanced tuple families with multiplicity vector m.
-
-    Every index of such a family lies in the support of m (each side's index
-    multiset equals m), so the slot candidates are restricted to supp(m).
-    """
-    if max_index < m.max_support:
-        raise ValueError("max_index must be >= max support of m")
-    allowed = m.support()
-    return _tuple_counts(p, q, lambda n: gap_sequences_over(allowed, n)).get(m, 0)
-
-
-def tuple_counts_all_m(
-    p: MultiIndex, q: MultiIndex, max_index: int
-) -> dict[MultiplicityVector, int]:
-    """All nonzero balanced-tuple counts with indices <= max_index, keyed by m."""
-    return _tuple_counts(p, q, lambda n: gap_sequences(n, max_index))
-
-
 @dataclass(frozen=True)
 class TruncatedSumResult:
     """Exact partial sum of the alpha-side series with truncation diagnostics."""
@@ -190,6 +114,63 @@ def _transitions(state: tuple[int, ...], n_p: int) -> tuple:
         if min(ns) >= 0:
             groups.setdefault(mt, Counter())[_canonical(ns, n_p)] += 1
     return tuple((mt, tuple(g.items())) for mt, g in sorted(groups.items()))
+
+
+def _initial_state(p: MultiIndex, q: MultiIndex) -> tuple[int, ...]:
+    """Every slot closed with its whole degree as budget, p-side slots first."""
+    return _canonical([2 * d for d in (*_slot_degrees(p), *_slot_degrees(q))], p.size)
+
+
+def _tuple_counts(
+    p: MultiIndex, q: MultiIndex, max_index: int, m: MultiplicityVector | None = None
+) -> dict[MultiplicityVector, int]:
+    """Nonzero balanced-tuple counts with indices <= max_index, keyed by m.
+
+    Walks the :func:`_transitions` table over levels 0..max_index with
+    integer amplitudes keyed by (state, ((t, mt), ...) read so far): level t
+    is index t, and a move's mt (p-side tops + q-side bottoms at t) is m(t).
+    With ``m`` given, only the moves with mt = m(t) are kept.  The families
+    are the walks that end all closed.
+    """
+    if p.deg != q.deg:
+        return {}
+    if p.deg == 0:
+        return {MultiplicityVector(): 1}
+    init, n_p = _initial_state(p, q), p.size
+    amps = {(init, ()): 1}
+    for t in range(max_index + 1):
+        want = None if m is None else m[t]
+        new_amps: dict[tuple, int] = {}
+        for (state, read), amp in amps.items():
+            for mt, targets in _transitions(state, n_p):
+                if want is not None and mt != want:
+                    continue
+                now = read + ((t, mt),) if mt else read
+                for nxt, mult in targets:
+                    new_amps[nxt, now] = new_amps.get((nxt, now), 0) + amp * mult
+        amps = new_amps
+    done = (0,) * len(init)
+    return {MultiplicityVector(dict(read)): c for (s, read), c in amps.items() if s == done}
+
+
+def count_tuples(
+    p: MultiIndex, q: MultiIndex, m: MultiplicityVector, max_index: int
+) -> int:
+    """Exact number of balanced tuple families with multiplicity vector m.
+
+    Every index of such a family lies in the support of m, so the walk stops
+    at its largest index whatever ``max_index`` is.
+    """
+    if max_index < m.max_support:
+        raise ValueError("max_index must be >= max support of m")
+    return _tuple_counts(p, q, m.max_support, m).get(m, 0)
+
+
+def tuple_counts_all_m(
+    p: MultiIndex, q: MultiIndex, max_index: int
+) -> dict[MultiplicityVector, int]:
+    """All nonzero balanced-tuple counts with indices <= max_index, keyed by m."""
+    return _tuple_counts(p, q, max_index)
 
 
 def _level_sweep(
@@ -270,8 +251,9 @@ def alpha_x_moment(
     if p.deg == 0:
         return TruncatedSumResult(Fraction(1), max_index, zero, zero)
     n_p = p.size
-    init = _canonical([2 * d for d in (*_slot_degrees(p), *_slot_degrees(q))], n_p)
-    s_now, s_prev = _level_sweep(init, lambda s: _transitions(s, n_p), beta, max_index)
+    s_now, s_prev = _level_sweep(
+        _initial_state(p, q), lambda s: _transitions(s, n_p), beta, max_index
+    )
     shell = s_now - s_prev
     return TruncatedSumResult(s_now, max_index, shell, shell * max_index)
 

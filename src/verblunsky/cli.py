@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -53,6 +54,26 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return tol
+
+
+def _threads(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return n
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -350,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_threads,
         default=1,
         help="worker substream count for sampling commands; recorded in every report",
     )
@@ -395,19 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("jacobian", help="volume identity for the coefficient map")
     s.add_argument("--alpha", required=True, metavar="FILE|LIST")
     s.add_argument("--exact", action="store_true", help="exact arithmetic (rational alpha)")
-    s.add_argument("--tol", type=float, default=1e-6)
+    s.add_argument("--tol", type=_tolerance, default=1e-6)
     s.set_defaults(func=_cmd_jacobian)
 
     s = sub.add_parser("szego-check", help="log-series mass against the coefficient product")
     s.add_argument("--alpha", required=True, metavar="FILE|LIST")
     s.add_argument("--order", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-8)
+    s.add_argument("--tol", type=_tolerance, default=1e-8)
     s.set_defaults(func=_cmd_szego_check)
 
     s = sub.add_parser("roundtrip", help="alpha -> density -> moments -> alpha recovery")
     s.add_argument("--alpha", required=True, metavar="FILE|LIST")
     s.add_argument("--grid", type=int, required=True)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--tol", type=_tolerance, default=1e-9)
     s.set_defaults(func=_cmd_roundtrip)
 
     s = sub.add_parser("mc", help="Monte Carlo x-moment against the exact engines")

@@ -265,6 +265,8 @@ def pushforward_experiment(
                 "pass override_beta_check=True to force"
             )
         warnings.warn("running with beta^2 >= 2; no convergence is expected")
+    if modes < 0:
+        raise ValueError("modes must be >= 0")
     if not 0 < radius < 1:
         raise ValueError("radius must lie in (0, 1)")
     if samples < 2:

@@ -1,7 +1,8 @@
 """Deterministic machinery for orthogonal polynomials on the unit circle.
 
 Float lane: everything here is double precision (quadrature and series
-truncation are inherently approximate); the exact engines live elsewhere.
+truncation are inherently approximate), except the exact Jacobian; the other
+exact engines live elsewhere.
 
 Conventions used throughout:
 
@@ -182,21 +183,38 @@ def szego_identity_gap(alpha, M: int) -> float:
     return abs(lhs - rhs)
 
 
-def _real_coords(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
+def _unit_probes(pairs: list) -> list[list]:
+    """alpha, then alpha + 1 and alpha + i at each coordinate: 2N + 1 rows.
+
+    Coordinates are (re, im) pairs of floats or Fractions.  Each gap-sequence
+    term of x_n reads alpha_k or conj(alpha_k) at most once (the flattened
+    indices strictly decrease), so x_n is affine in each alpha_k and
+    x(probe) - x(alpha) is the exact derivative along that unit direction.
+    """
+    rows = [list(pairs)]
+    for k, (re, im) in enumerate(pairs):
+        for dre, dim in ((1, 0), (0, 1)):
+            rows.append([*pairs[:k], (re + dre, im + dim), *pairs[k + 1 :]])
+    return rows
+
+
+def _volume_product(pairs: list):
+    """prod_n (1 - |alpha_n|^2)^{n-1} over (re, im) pairs."""
+    out = 1
+    for n, (re, im) in enumerate(pairs):
+        out *= (1 - re * re - im * im) ** n
     return out
 
 
-def jacobian_determinant(alpha, step: float = 1e-6) -> tuple[float, float]:
+def jacobian_determinant(alpha) -> tuple[float, float]:
     """(|det J|, prod_n (1-|alpha_n|^2)^{n-1}) for the alpha -> x coordinate map.
 
     J is the 2N x 2N real Jacobian of the map sending the real/imaginary parts
     of alpha_1..alpha_N to those of x_1..x_N (the coefficients of the reversed
-    polynomial); central finite differences with the given step.  Warns when
-    some alpha sits within 1e-6 of the unit circle, where differencing is
-    ill-conditioned.
+    polynomial).  x is affine in each coordinate (see :func:`_unit_probes`),
+    so its columns are the exact unit-step differences, evaluated in floats
+    by the Szego kernel.  Warns when some alpha sits within 1e-6 of the unit
+    circle, where the relative gap to the vanishing product is ill-conditioned.
     """
     a = _check_alpha(alpha)
     N = a.size
@@ -208,73 +226,42 @@ def jacobian_determinant(alpha, step: float = 1e-6) -> tuple[float, float]:
             RuntimeWarning,
             stacklevel=2,
         )
-    # Probe 2j steps real coordinate j up and probe 2j + 1 steps it down; the
-    # unchecked kernel is right here, since probes may leave the unit disk.
-    probes = np.repeat(_real_coords(a)[None], 4 * N, axis=0)
-    j = np.arange(2 * N)
-    probes[2 * j, j] += step
-    probes[2 * j + 1, j] -= step
-    x = szego_low_coefficients(probes[:, 0::2] + 1j * probes[:, 1::2], N)[:, 1:]
-    coords = np.empty((4 * N, 2 * N))
-    coords[:, 0::2] = x.real
-    coords[:, 1::2] = x.imag
-    J = ((coords[0::2] - coords[1::2]) / (2 * step)).T
-    det = abs(float(np.linalg.det(J))) if N else 1.0
-    rhs = float(np.prod((1.0 - np.abs(a) ** 2) ** (np.arange(1, N + 1) - 1))) if N else 1.0
-    return det, rhs
+    pairs = [(float(z.real), float(z.imag)) for z in a]
+    # The unchecked kernel is right here, since probes leave the unit disk.
+    probes = np.array([[complex(*z) for z in row] for row in _unit_probes(pairs)])
+    x = szego_low_coefficients(probes, N)[:, 1:]
+    d = x[1:] - x[0]  # one row per direction: J transposed, same |det|
+    J = np.stack([d.real, d.imag], axis=-1).reshape(2 * N, 2 * N)
+    return abs(float(np.linalg.det(J))), float(_volume_product(pairs))
 
 
-# -- exact-mode Jacobian ---------------------------------------------------
-# Complex rationals as (re, im) Fraction pairs; enough arithmetic for an
-# exact determinant by Gaussian elimination.
-
-_CZERO = (Fraction(0), Fraction(0))
-_CONE = (Fraction(1), Fraction(0))
-
-
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _reversed_exact(pairs: list) -> list:
+    """x_1..x_N as (re, im) pairs: the recursion r_n[k] = r_{n-1}[k] +
+    alpha_n conj(r_{n-1}[n-k]) of :func:`reversed_polynomial`, exactly."""
+    r = [(1, 0)]
+    for ar, ai in pairs:
+        r.append((0, 0))
+        r = [(xr + ar * yr + ai * yi, xi + ai * yr - ar * yi)
+             for (xr, xi), (yr, yi) in zip(r, reversed(r))]
+    return r[1:]
 
 
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cconj(a):
-    return (a[0], -a[1])
-
-
-def _cdiv(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    if n == 0:
-        raise ZeroDivisionError("complex rational division by zero")
-    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
-
-
-def _exact_det(mat: list[list[tuple[Fraction, Fraction]]]) -> tuple[Fraction, Fraction]:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = _CONE
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != _CZERO), None)
+def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square Fraction matrix by Gaussian elimination."""
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
         if pivot is None:
-            return _CZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        det = _cmul(det, pv)
-        for r in range(col + 1, n):
-            if m[r][col] == _CZERO:
-                continue
-            factor = _cdiv(m[r][col], pv)
-            m[r] = [_csub(m[r][c], _cmul(factor, m[col][c])) for c in range(n)]
-    return (sign * det[0], sign * det[1])
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
 
 
 def jacobian_determinant_exact(
@@ -282,54 +269,15 @@ def jacobian_determinant_exact(
 ) -> tuple[Fraction, Fraction]:
     """Exact |det J| and prod (1-|alpha_n|^2)^{n-1} for rational alpha.
 
-    Differentiates the gap-sequence expansion of each x_n in the Wirtinger
-    sense (alpha and conj alpha as independent variables) and takes an exact
-    determinant of the 2N x 2N complex-rational matrix.  The determinant of
-    the block-conjugate structure is real, which is asserted.
+    The same unit-step differences as :func:`jacobian_determinant` (exact,
+    since x is affine in each coordinate), taken on the reversed-polynomial
+    recursion in Fraction arithmetic, with a real Fraction determinant.
     """
     a = [(Fraction(re), Fraction(im)) for re, im in alpha]
-    N = len(a)
-    if N > 4:
+    if len(a) > 4:
         raise ValueError("exact Jacobian supported for N <= 4")
     if any(re * re + im * im >= 1 for re, im in a):
         raise ValueError("need |alpha_n| < 1 for every coefficient")
-    if N == 0:
-        return Fraction(1), Fraction(1)
-    abar = [_cconj(z) for z in a]
-
-    def avar(i):  # alpha_i with alpha_0 = 1
-        return _CONE if i == 0 else a[i - 1]
-
-    def bvar(i):  # conj(alpha_i)
-        return _CONE if i == 0 else abar[i - 1]
-
-    # d x_n / d alpha_k and d x_n / d conj(alpha_k), k = 1..N
-    dx_da = [[_CZERO] * N for _ in range(N)]
-    dx_db = [[_CZERO] * N for _ in range(N)]
-    for n in range(1, N + 1):
-        for seq in gap_sequences(n, N):
-            pairs = list(seq)
-            for pos, (i, j) in enumerate(pairs):
-                rest = _CONE
-                for pos2, (i2, j2) in enumerate(pairs):
-                    if pos2 == pos:
-                        continue
-                    rest = _cmul(rest, _cmul(avar(i2), bvar(j2)))
-                if i >= 1:
-                    dx_da[n - 1][i - 1] = _cadd(dx_da[n - 1][i - 1], _cmul(rest, bvar(j)))
-                if j >= 1:
-                    dx_db[n - 1][j - 1] = _cadd(dx_db[n - 1][j - 1], _cmul(rest, avar(i)))
-
-    # Assemble [[dx/da, dx/db], [conj(dx/db), conj(dx/da)]]
-    mat: list[list[tuple[Fraction, Fraction]]] = []
-    for n in range(N):
-        mat.append(dx_da[n] + dx_db[n])
-    for n in range(N):
-        mat.append([_cconj(v) for v in dx_db[n]] + [_cconj(v) for v in dx_da[n]])
-    det = _exact_det(mat)
-    assert det[1] == 0, "Jacobian determinant of the conjugate structure must be real"
-    rhs = Fraction(1)
-    for n in range(1, N + 1):
-        re, im = a[n - 1]
-        rhs *= (1 - re * re - im * im) ** (n - 1)
-    return abs(det[0]), rhs
+    base, *moved = [_reversed_exact(row) for row in _unit_probes(a)]
+    J = [[v for (xr, xi), (br, bi) in zip(x, base) for v in (xr - br, xi - bi)] for x in moved]
+    return abs(_fraction_det(J)), Fraction(_volume_product(a))

@@ -161,6 +161,30 @@ class TestExitCodes:
         assert rep["results"] == {"tuples": 0, "graphs": 0}
         assert rep["status"] == "PASS"
 
+    def test_count_all_indices_once_is_zero_pass(self, capsys):
+        m = ",".join(f"{i}:1" for i in range(12))
+        code, out, _ = _run(capsys, ["count", "--p", "1:5", "--q", "1:5", "--m", m])
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["results"] == {"tuples": 0, "graphs": 0}
+        assert rep["status"] == "PASS"
+
+    @pytest.mark.parametrize("argv", [
+        ["szego-check", "--alpha", "0.1", "--order", "5", "--tol", "nan"],
+        ["jacobian", "--alpha", "0.5", "--tol", "-1"],
+        ["roundtrip", "--alpha", "0.5", "--grid", "64", "--tol", "inf"],
+        ["--threads", "-3", "mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1",
+         "--beta", "1", "--samples", "10", "--seed", "1"],
+        ["--threads", "0", "variance", "--n", "3"],
+        ["pushforward", "--beta", "1", "--modes", "-2", "--radius", "0.5",
+         "--samples", "10", "--seed", "1"],
+    ])
+    def test_out_of_range_option_exits_two(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
     def test_count_size_guard_exits_two(self, capsys):
         code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])
         assert code == 2

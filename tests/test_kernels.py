@@ -220,7 +220,10 @@ class TestBackendSelection:
 
     def test_env_flag_forces_numpy(self):
         # The retired VERBLUNSKY_PURE_NUMPY switch is ignored: numpy either way.
-        env = dict(os.environ, VERBLUNSKY_PURE_NUMPY="1")
+        # The child imports the package under test, installed or not.
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, VERBLUNSKY_PURE_NUMPY="1", PYTHONPATH=path)
         out = subprocess.run(
             [sys.executable, "-c", "from verblunsky import kernels; print(kernels.backend_name())"],
             capture_output=True,

@@ -262,6 +262,8 @@ class TestPushforward:
             pushforward_experiment(1.0, 8, 0.9, 10, 600, seed=0, grid=1024)
         with pytest.raises(ValueError, match="max_alpha"):
             pushforward_experiment(1.0, 8, 0.9, 10, 0, seed=0)
+        with pytest.raises(ValueError, match="modes must be >= 0"):
+            pushforward_experiment(1.0, -2, 0.5, 10, 2, seed=0)
 
     def test_zero_modes_gives_zero_alpha(self):
         for st in pushforward_experiment(1.0, 0, 0.9, 5, 3, seed=0):

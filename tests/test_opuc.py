@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from exp_series_oracle import exp_series, exp_series_partition_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from verblunsky.combinatorics import gap_sequences
 from verblunsky.opuc import (
     NotPositiveDefiniteError,
     disk_nonvanishing,
@@ -19,6 +22,7 @@ from verblunsky.opuc import (
     trig_moments,
     verblunsky_from_moments,
     x_series_truncated,
+    _reversed_exact,
 )
 
 
@@ -208,6 +212,12 @@ class TestJacobian:
                 (Fraction(-1, 5), Fraction(1, 5)),
                 (Fraction(1, 7), Fraction(2, 7)),
             ],
+            [
+                (Fraction(1, 3), Fraction(-1, 4)),
+                (Fraction(-2, 5), Fraction(0)),
+                (Fraction(0), Fraction(3, 7)),
+                (Fraction(1, 6), Fraction(1, 2)),
+            ],
         ]
         for alphas in cases:
             det, prod = jacobian_determinant_exact(alphas)
@@ -227,3 +237,57 @@ class TestJacobian:
     def test_exact_size_guard(self):
         with pytest.raises(ValueError):
             jacobian_determinant_exact([(Fraction(1, 10), Fraction(0))] * 5)
+
+    def test_matches_product_to_rounding(self):
+        # Unit-step differences carry no truncation error, only rounding.
+        rng = np.random.default_rng(43)
+        for N in range(1, 9):
+            for _ in range(25):
+                a = _random_alpha(rng, N, max_mod=0.7)
+                det, prod = jacobian_determinant(a)
+                assert det == pytest.approx(prod, rel=1e-12)
+
+
+def _x_by_gap_sequences(pairs):
+    """x_1..x_N as exact (re, im) pairs, summed term by term over gap sequences."""
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def coord(i, conj):
+        re, im = (1, 0) if i == 0 else pairs[i - 1]
+        return (re, -im) if conj else (re, im)
+
+    out = []
+    for n in range(1, len(pairs) + 1):
+        total = (0, 0)
+        for seq in gap_sequences(n, len(pairs)):
+            term = (1, 0)
+            for i, j in seq:
+                term = mul(term, mul(coord(i, False), coord(j, True)))
+            total = (total[0] + term[0], total[1] + term[1])
+        out.append(total)
+    return out
+
+
+SMALL_RATIONAL = st.fractions(min_value=-1, max_value=1, max_denominator=9)
+
+
+class TestUnitStepPremise:
+    @settings(max_examples=60, database=None, derandomize=True, deadline=None)
+    @given(pairs=st.lists(st.tuples(SMALL_RATIONAL, SMALL_RATIONAL), min_size=1, max_size=4))
+    def test_x_affine_in_each_coordinate(self, pairs):
+        # x(alpha + 2e) - x(alpha) = 2 (x(alpha + e) - x(alpha)) exactly, for
+        # each of the 2N unit directions e: the Jacobians' difference premise.
+        def x(row):
+            out = _reversed_exact(row)
+            assert out == _x_by_gap_sequences(row)
+            return out
+
+        base = x(pairs)
+        for k, (re, im) in enumerate(pairs):
+            for dre, dim in ((1, 0), (0, 1)):
+                one, two = (
+                    x([*pairs[:k], (re + s * dre, im + s * dim), *pairs[k + 1 :]]) for s in (1, 2)
+                )
+                for b, x1, x2 in zip(base, one, two):
+                    assert (x2[0] - b[0], x2[1] - b[1]) == (2 * (x1[0] - b[0]), 2 * (x1[1] - b[1]))

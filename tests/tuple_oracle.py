@@ -1,9 +1,9 @@
-"""Literal balanced-tuple count: the reference for the side-join counter.
+"""Literal balanced-tuple count: the reference for the tuple counter.
 
-This is the product over both sides' gap sequences that
-``alphamoments.count_tuples`` used before it joined the sides on their
-signed top-minus-bottom counters.  It builds every tuple family and compares
-its two index vectors against m, so the tests compare the join against it.
+This is the product over both sides' gap sequences.  It builds every tuple
+family and compares its two index vectors against m, without the transfer
+table that ``alphamoments.count_tuples`` walks, so the tests compare the
+counter against it.
 """
 
 from __future__ import annotations
