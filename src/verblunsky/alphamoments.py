@@ -23,10 +23,10 @@ cross-check the sweep in tests.  The counts' independent references are the
 literal product ``tests/tuple_oracle.literal_count`` and the graph-coloring
 counts; neither reads the table.
 
-The diagonal "nice" identity of :func:`nice_identity_check` is the same kind
-of sum over gap sequences, with one slot and the level factor 1/(t beta + 1)
-at every top and bottom index, so it runs on the same sweep.  All arithmetic
-is exact in ``fractions.Fraction``.
+The "nice" identity of :func:`nice_identity_check` is the CN identity at
+p = q = delta_n, E|x_n|**2: its lhs is :func:`alpha_x_moment` and its rhs
+the Bernoulli product :func:`~verblunsky.gaussian.variance_pmf`.  All
+arithmetic is exact in ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -174,16 +174,16 @@ def tuple_counts_all_m(
 
 
 def _level_sweep(
-    init: tuple[int, ...], moves, beta: Fraction, max_index: int
+    init: tuple[int, ...], n_p: int, beta: Fraction, max_index: int
 ) -> tuple[Fraction, Fraction]:
     """Exact transfer sweep over levels 0..max_index.
 
-    A state is a tuple of slot codes, remaining budget * 2 + open flag, and
-    ``moves(state)`` is one level's moves out of it in the form
-    ((mt, ((next, multiplicity), ...)), ...).  Moves do not depend on the
-    level, so they are tabulated once for the states reachable from ``init``:
-    3 to 40 for the x-moment pairs of degree <= 4, 2n + 1 for the nice
-    identity of degree n.
+    A state is a tuple of slot codes, remaining budget * 2 + open flag, the
+    first ``n_p`` on the p side.  One level's moves out of a state are
+    :func:`_transitions`; they do not depend on the level, so they are
+    tabulated once for the states reachable from ``init``: 3 to 40 for the
+    x-moment pairs of degree <= 4, and 2n + 1 for (delta_n, delta_n), whose
+    two slots open and close in lockstep.
     Each level multiplies a state's amplitude once per mt by the level factor
     mt! / ((t beta + 1)...(t beta + mt)) and adds it, times the multiplicity,
     to each next state.  Returns (S(max_index), S(max_index - 1)), the
@@ -196,7 +196,7 @@ def _level_sweep(
     while todo:
         state = todo.pop()
         if state not in table:
-            table[state] = row = moves(state)
+            table[state] = row = _transitions(state, n_p)
             todo.extend(nxt for _, targets in row for nxt, _ in targets)
     top_mt = max(mt for row in table.values() for mt, _ in row)
     amps = {init: Fraction(1)}
@@ -250,46 +250,27 @@ def alpha_x_moment(
         return TruncatedSumResult(zero, max_index, zero, zero)
     if p.deg == 0:
         return TruncatedSumResult(Fraction(1), max_index, zero, zero)
-    n_p = p.size
-    s_now, s_prev = _level_sweep(
-        _initial_state(p, q), lambda s: _transitions(s, n_p), beta, max_index
-    )
+    s_now, s_prev = _level_sweep(_initial_state(p, q), p.size, beta, max_index)
     shell = s_now - s_prev
     return TruncatedSumResult(s_now, max_index, shell, shell * max_index)
-
-
-def _nice_moves(state: tuple[int]) -> tuple:
-    """The nice identity's one slot: idle (mt = 0), or open or close (mt = 1).
-
-    As in :func:`_transitions`, a slot open after the level burns one unit of
-    budget; mt = 1 puts the factor 1/(t beta + 1) on each top and bottom index.
-    """
-    (enc,) = state
-    idle = enc - 2 if enc & 1 else enc
-    row = [(0, (((idle,), 1),))] if idle >= 0 else []
-    if enc:
-        row.append((1, (((enc - 1,), 1),)))
-    return tuple(row)
 
 
 def nice_identity_check(
     n: int, beta: Fraction, max_index: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Partial sum of the diagonal gap-sequence series against its closed form.
+    """The CN identity at p = q = delta_n: E|x_n|**2 against its closed form.
 
-    lhs sums 1 / ((i beta + 1)(j beta + 1)) over all gap sequences of degree n
-    with top index <= max_index (the j = 0 factor is 1); rhs is the Bernoulli
-    product variance_pmf(n) at beta; tail is last_shell * max_index.
-
-    lhs is the transfer sweep of one slot with budget n under
-    :func:`_nice_moves`, cross-checked against literal enumeration in tests.
+    lhs is :func:`alpha_x_moment` of (delta_n, delta_n), the sum of
+    1 / ((i beta + 1)(j beta + 1)) over all gap sequences of degree n with
+    top index <= max_index (the j = 0 factor is 1); tail is its last-shell
+    tail estimate.  rhs is the Bernoulli product variance_pmf(n) at beta,
+    which is gaussian_x_moment(delta_n, delta_n).
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    beta = _sweep_args(beta, max_index)
-    lhs, prev = _level_sweep((2 * n,), _nice_moves, beta, max_index)
-    rhs = variance_pmf(n).evaluate(beta)
-    return lhs, rhs, (lhs - prev) * max_index
+    delta = MultiIndex.delta(n)
+    res = alpha_x_moment(delta, delta, beta, max_index)
+    return res.value, variance_pmf(n).evaluate(beta), res.tail_estimate
 
 
 def tail_gate(shortfall: Fraction, tail: Fraction) -> bool:
@@ -335,6 +316,8 @@ def verify_cn_identity(
     """
     if p.deg != q.deg:
         raise ValueError("verify_cn_identity needs deg(p) = deg(q)")
+    if not betas:
+        raise ValueError("need at least one beta")
     betas = [_sweep_args(b, max_index) for b in betas]
     gpoly = gaussian_x_moment(p, q)
     checks = []

@@ -4,7 +4,9 @@ Everything here is symbolic in beta: results are polynomials in beta**-1 with
 rational coefficients (:class:`MomentPolynomial`).  The main engine
 :func:`gaussian_x_moment` sums over integer partitions with conjugacy-class
 weights; :func:`gaussian_x_moment_raw` recomputes the same moment by brute
-enumeration of decomposition families and exists purely as an oracle.
+enumeration of decomposition families and exists purely as an oracle.  The
+diagonal moment at p = q = delta_n is the closed-form Bernoulli product
+:func:`variance_pmf`, whose coefficients :func:`a_coefficients` lists.
 """
 
 from __future__ import annotations
@@ -177,29 +179,12 @@ def multiplicity_free_moment(p: MultiIndex) -> MomentPolynomial:
 
 
 def a_coefficients(n: int) -> list[Fraction]:
-    """Coefficients (a_1, ..., a_n) of variance_pmf(n), by two formulas at once.
+    """Coefficients (a_1, ..., a_n) of variance_pmf(n) in beta**-1.
 
-    Route one sums conjugacy-class weights over partitions of n by length;
-    route two reads a_k as e_{n-k}(0, 1, ..., n-1) / n! off the expansion of
-    prod_j (t + j).  A mismatch raises, since it would mean an internal bug.
+    Equivalently the conjugacy-class weights of partitions of n summed by
+    length, and e_{n-k}(0, 1, ..., n-1) / n!; tests compare those forms.
     """
     if not 1 <= n <= 20:
         raise ValueError("a_coefficients supported for 1 <= n <= 20")
-    by_partitions = [Fraction(0)] * (n + 1)
-    for L in partitions(n):
-        by_partitions[L.size] += haar_weight(L)
-
-    # prod_{j=0}^{n-1} (t + j), ascending in t; coefficient of t^k is e_{n-k}.
-    poly = [Fraction(1)]
-    for j in range(n):
-        shifted = [Fraction(0)] + poly
-        scaled = [Fraction(j) * c for c in poly] + [Fraction(0)]
-        poly = [a + b for a, b in zip(shifted, scaled)]
-    nfact = factorial(n)
-    by_stirling = [c / nfact for c in poly]
-
-    if by_partitions != by_stirling:
-        raise RuntimeError(
-            f"coefficient formulas disagree at n={n}: {by_partitions} vs {by_stirling}"
-        )
-    return by_partitions[1:]
+    pmf = variance_pmf(n)
+    return [pmf.coeff(k) for k in range(1, n + 1)]

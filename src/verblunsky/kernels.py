@@ -2,7 +2,8 @@
 
 Every float-lane Szego recursion, exp(-f) series and Levinson recovery in the
 package runs here; the scalar entry points in :mod:`verblunsky.opuc` are
-one-row calls into these kernels.
+one-row calls into these kernels.  numpy is the only backend: each public
+function validates its input and runs the recursion itself.
 
 Kernels:
 
@@ -34,7 +35,11 @@ def backend_name() -> str:
 # -- reversed-polynomial low coefficients ----------------------------------
 
 
-def _szego_low_np(alphas: np.ndarray, K: int) -> np.ndarray:
+def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
+    """(S, K+1) low coefficients of r_N per sample row of alphas (S, N)."""
+    alphas = np.ascontiguousarray(alphas, dtype=np.complex128)
+    if alphas.ndim != 2:
+        raise ValueError("alphas must be a (samples, N) array")
     S, N = alphas.shape
     n0 = min(N, K)
     # Samples-last state: row k holds coefficient k of every sample, so each
@@ -62,18 +67,16 @@ def _szego_low_np(alphas: np.ndarray, K: int) -> np.ndarray:
     return np.ascontiguousarray(low.T)
 
 
-def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
-    """(S, K+1) low coefficients of r_N per sample row of alphas (S, N)."""
-    alphas = np.ascontiguousarray(alphas, dtype=np.complex128)
-    if alphas.ndim != 2:
-        raise ValueError("alphas must be a (samples, N) array")
-    return _szego_low_np(alphas, K)
-
-
 # -- exp(-f) series --------------------------------------------------------
 
 
-def _exp_neg_np(f: np.ndarray) -> np.ndarray:
+def exp_neg_series(f: np.ndarray) -> np.ndarray:
+    """x = exp(-f) coefficients per row; f[:, 0] must be zero."""
+    f = np.ascontiguousarray(f, dtype=np.complex128)
+    if f.ndim != 2:
+        raise ValueError("f must be a (samples, modes+1) array")
+    if f.shape[1] and np.abs(f[:, 0]).max() > 1e-12:
+        raise ValueError("constant terms must vanish")
     S, L = f.shape
     g = -f
     y = np.zeros((S, L), np.complex128)
@@ -84,20 +87,18 @@ def _exp_neg_np(f: np.ndarray) -> np.ndarray:
     return y
 
 
-def exp_neg_series(f: np.ndarray) -> np.ndarray:
-    """x = exp(-f) coefficients per row; f[:, 0] must be zero."""
-    f = np.ascontiguousarray(f, dtype=np.complex128)
-    if f.ndim != 2:
-        raise ValueError("f must be a (samples, modes+1) array")
-    if f.shape[1] and np.abs(f[:, 0]).max() > 1e-12:
-        raise ValueError("constant terms must vanish")
-    return _exp_neg_np(f)
-
-
 # -- batched Levinson ------------------------------------------------------
 
 
-def _levinson_np(c: np.ndarray, K: int):
+def levinson_batch(c: np.ndarray, K: int):
+    """Per-row Verblunsky recovery from moments c (S, >= K+1).
+
+    Returns (alphas (S, K), ok (S,)); rows with a positive-definiteness
+    failure are flagged False and their coefficients are unspecified.
+    """
+    c = np.ascontiguousarray(c, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[1] < K + 1:
+        raise ValueError("need a (samples, >= K+1) moment array")
     S = c.shape[0]
     out = np.zeros((S, K), np.complex128)
     ok = np.ones(S, bool)
@@ -120,15 +121,3 @@ def _levinson_np(c: np.ndarray, K: int):
         pn[:, :n] += a_star[:, None] * np.conj(p[:, n - 1 :: -1][:, :n])
         p = pn
     return out, ok
-
-
-def levinson_batch(c: np.ndarray, K: int):
-    """Per-row Verblunsky recovery from moments c (S, >= K+1).
-
-    Returns (alphas (S, K), ok (S,)); rows with a positive-definiteness
-    failure are flagged False and their coefficients are unspecified.
-    """
-    c = np.ascontiguousarray(c, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[1] < K + 1:
-        raise ValueError("need a (samples, >= K+1) moment array")
-    return _levinson_np(c, K)

@@ -11,6 +11,7 @@ from tuple_oracle import literal_count
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
     _canonical,
+    _initial_state,
     _level_sweep,
     _slot_degrees,
     _transitions,
@@ -105,7 +106,7 @@ def _sweep(p_deg, q_deg, beta, max_index):
     """:func:`alphamoments._level_sweep` from the canonical start of p_deg | q_deg."""
     n_p = len(p_deg)
     init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
-    return _level_sweep(init, lambda state: _transitions(state, n_p), beta, max_index)
+    return _level_sweep(init, n_p, beta, max_index)
 
 
 # Every equal-degree pair of degree <= 3, plus the degree-4 pairs the
@@ -328,11 +329,35 @@ class TestNiceIdentity:
                     assert lhs == literal_sum(n, beta, N), (n, beta, N)
                     assert tail == (lhs - literal_sum(n, beta, N - 1)) * N, (n, beta, N)
 
+    def test_diagonal_slots_move_in_lockstep(self):
+        # From (delta_n, delta_n) the balance rule opens and closes both
+        # slots together: the reachable states are the 2n + 1 pairs (e, e),
+        # and each move reads mt <= 1 once, like the one-slot gap sequence.
+        for n in range(1, 9):
+            delta = MultiIndex.delta(n)
+            seen, todo = set(), [_initial_state(delta, delta)]
+            while todo:
+                state = todo.pop()
+                if state in seen:
+                    continue
+                seen.add(state)
+                for mt, targets in _transitions(state, 1):
+                    assert mt in (0, 1), (n, state)
+                    assert all(mult == 1 for _, mult in targets), (n, state)
+                    todo.extend(nxt for nxt, _ in targets)
+            assert seen == {(e, e) for e in range(2 * n + 1)}, n
+
 
 class TestVerifyCnIdentity:
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
             verify_cn_identity(MultiIndex({1: 1}), MultiIndex({2: 1}), [Fraction(1)], 10)
+
+    def test_no_beta_raises(self):
+        # all() of no checks would otherwise report a vacuous PASS.
+        p = MultiIndex({1: 1})
+        with pytest.raises(ValueError, match="at least one beta"):
+            verify_cn_identity(p, p, [], 10)
 
     def test_small_diagonal_passes(self):
         p = MultiIndex({2: 1})

@@ -143,7 +143,7 @@ class TestExitCodes:
         assert rep["status"] == "FAIL"
         assert rep["diagnostics"]["difference"] == rep["diagnostics"]["tail"]
 
-    @settings(max_examples=40, database=None, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(argv=st.sampled_from([*GOLDEN_CASES.values(), FAIL_JACOBIAN]), lift=st.booleans())
     def test_exit_one_iff_fail(self, argv, lift):
         # lift turns the golden nice-identity run into the FAIL case above.
@@ -299,8 +299,26 @@ class TestExitCodes:
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+class TestNiceIdentityIsDiagonalIdentity:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_identity_at_delta(self, capsys, k):
+        for beta in ("1/2", "1", "2"):
+            _, nice, _ = _run(
+                capsys, ["nice-identity", "--n", str(k), "--beta", beta, "--max-index", "40"]
+            )
+            _, ident, _ = _run(
+                capsys,
+                ["identity", "--p", f"{k}:1", "--q", f"{k}:1", "--beta", beta, "--max-index", "40"],
+            )
+            nice = json.loads(nice)
+            (check,) = json.loads(ident)["results"]["checks"]
+            assert nice["results"] == {"lhs": check["alpha"], "rhs": check["gaussian"]}
+            assert nice["diagnostics"]["tail"] == check["tail"]
+            assert nice["status"] == ("PASS" if check["passed"] else "FAIL")
+
+
 class TestSplitComplex:
-    @settings(max_examples=300, database=None, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(re=FINITE, im=FINITE)
     def test_round_trip(self, re, im):
         # Both readings of a part, float() and the alpha parser's Fraction,

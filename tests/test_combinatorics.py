@@ -19,7 +19,7 @@ from verblunsky.combinatorics import (
     partitions,
 )
 
-PROPERTY = settings(max_examples=100, database=None, derandomize=True, deadline=None)
+PROPERTY = settings(max_examples=100)
 
 # known partition counts p(0)..p(10)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from f_expansion_oracle import gaussian_f_moment, gaussian_x_moment_via_f_expansion
@@ -166,6 +167,20 @@ class TestACoefficients:
     def test_small_values(self):
         assert a_coefficients(1) == [Fraction(1)]
         assert a_coefficients(2) == [Fraction(1, 2), Fraction(1, 2)]
+
+    def test_engine_and_stirling_forms_agree(self):
+        # The partition-sum engine at (delta_n, delta_n) (f_weight = 1), the
+        # Bernoulli product, and e_{n-k}(0, ..., n-1) / n! read off
+        # prod_j (t + j), over a_coefficients' whole guarded range.
+        for n in range(1, 21):
+            delta = MultiIndex.delta(n)
+            pmf = variance_pmf(n)
+            assert gaussian_x_moment(delta, delta) == pmf, n
+            poly = [1]  # prod_{j<n} (t + j), ascending in t
+            for j in range(n):
+                poly = [a + j * b for a, b in zip([0, *poly], [*poly, 0])]
+            stirling = [Fraction(c, factorial(n)) for c in poly[1:]]
+            assert a_coefficients(n) == [pmf.coeff(k) for k in range(1, n + 1)] == stirling, n
 
     def test_guard(self):
         with pytest.raises(ValueError):

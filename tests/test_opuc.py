@@ -273,7 +273,7 @@ SMALL_RATIONAL = st.fractions(min_value=-1, max_value=1, max_denominator=9)
 
 
 class TestUnitStepPremise:
-    @settings(max_examples=60, database=None, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(pairs=st.lists(st.tuples(SMALL_RATIONAL, SMALL_RATIONAL), min_size=1, max_size=4))
     def test_x_affine_in_each_coordinate(self, pairs):
         # x(alpha + 2e) - x(alpha) = 2 (x(alpha + e) - x(alpha)) exactly, for
