@@ -26,7 +26,9 @@ counts; neither reads the table.
 The "nice" identity of :func:`nice_identity_check` is the CN identity at
 p = q = delta_n, E|x_n|**2: its lhs is :func:`alpha_x_moment` and its rhs
 the Bernoulli product :func:`~verblunsky.gaussian.variance_pmf`.  All
-arithmetic is exact in ``fractions.Fraction``.
+arithmetic is exact: inside the sweep, amplitudes are integer numerators over
+one common denominator reduced once per level, and values cross the API as
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd
 
 from .combinatorics import MultiIndex, MultiplicityVector
 
@@ -44,7 +46,7 @@ from .combinatorics import MultiIndex, MultiplicityVector
 from .combinatorics import gap_sequences, gap_sequences_over  # noqa: F401
 from .gaussian import gaussian_x_moment, variance_pmf
 
-#: The rational type of the exact sums (``perfbench`` reports it).
+#: The type of the exact values the sweep returns (``perfbench`` reports it).
 _mpq = Fraction
 
 
@@ -184,10 +186,15 @@ def _level_sweep(
     tabulated once for the states reachable from ``init``: 3 to 40 for the
     x-moment pairs of degree <= 4, and 2n + 1 for (delta_n, delta_n), whose
     two slots open and close in lockstep.
-    Each level multiplies a state's amplitude once per mt by the level factor
-    mt! / ((t beta + 1)...(t beta + mt)) and adds it, times the multiplicity,
-    to each next state.  Returns (S(max_index), S(max_index - 1)), the
-    all-closed amplitudes after the last two levels.
+    Amplitudes are integer numerators over one shared denominator D.  With
+    beta = bu / bv, level t's factor for mt, mt! / ((t beta + 1)...(t beta + mt)),
+    is w[mt] / P_t with integers P_t = prod_{s=1..top_mt} (t bu + s bv) and
+    w[mt] = mt! bv**mt prod_{s>mt} (t bu + s bv).  Each level multiplies a
+    state's numerator once per mt by w[mt] and adds it, times the
+    multiplicity, to each next state; then D *= P_t, and D and every
+    numerator are divided by their common gcd, which keeps them from growing
+    by a factor P_t per level.  Returns (S(max_index), S(max_index - 1)), the
+    all-closed amplitudes after the last two levels, as ``Fraction``s.
     """
     bu, bv = beta.numerator, beta.denominator
     done = (0,) * len(init)
@@ -199,30 +206,35 @@ def _level_sweep(
             table[state] = row = _transitions(state, n_p)
             todo.extend(nxt for _, targets in row for nxt, _ in targets)
     top_mt = max(mt for row in table.values() for mt, _ in row)
-    amps = {init: Fraction(1)}
-    done_prev = done_now = Fraction(0)
+    head = [factorial(mt) * bv**mt for mt in range(top_mt + 1)]
+    amps = {init: 1}
+    den = 1
+    done_prev = done_now = (0, 1)
     for t in range(max_index + 1):
-        fac = [1]
-        num = den = 1
-        for s in range(1, top_mt + 1):
-            num *= s * bv
-            den *= t * bu + s * bv
-            fac.append(Fraction(num, den))
-        new_amps: dict[tuple[int, ...], Fraction] = {}
+        suffix = [1] * (top_mt + 1)
+        for s in range(top_mt, 0, -1):
+            suffix[s - 1] = suffix[s] * (t * bu + s * bv)
+        w = [h * x for h, x in zip(head, suffix)]
+        new_amps: dict[tuple[int, ...], int] = {}
         get = new_amps.get
         for state, amp in amps.items():
             for mt, targets in table[state]:
-                val = amp * fac[mt] if mt else amp
+                val = amp * w[mt]
                 for nxt, mult in targets:
                     add = val * mult if mult > 1 else val
                     old = get(nxt)
                     new_amps[nxt] = add if old is None else old + add
+        den *= suffix[0]
+        g = gcd(den, *new_amps.values())
+        if g > 1:
+            den //= g
+            new_amps = {state: amp // g for state, amp in new_amps.items()}
         amps = new_amps
         if t == max_index - 1:
-            done_prev = amps.get(done, done_prev)
+            done_prev = (amps.get(done, 0), den)
         elif t == max_index:
-            done_now = amps.get(done, done_now)
-    return done_now, done_prev
+            done_now = (amps.get(done, 0), den)
+    return Fraction(*done_now), Fraction(*done_prev)
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:

@@ -221,7 +221,7 @@ def _cmd_variance(args) -> Report:
 
 
 def _cmd_count(args) -> Report:
-    max_index = args.m.max_support + args.p.deg
+    max_index = args.m.max_support
     tuples = count_tuples(args.p, args.q, args.m, max_index)
     graphs = c_via_graphs(args.p, args.q, args.m)
     return Report(

@@ -292,6 +292,31 @@ class TestLevelSweepOracle:
         assert row[1][1] == (((1, 2, 3), 2),)
 
 
+# 355/113 has a large numerator and denominator, so the sweep's common
+# denominator mixes many distinct level factors.
+DEEP_BETAS = (Fraction(1, 3), Fraction(3, 2), Fraction(355, 113))
+DEEP_PAIRS = [(p, q) for d in (1, 2) for p in partitions(d) for q in partitions(d)]
+
+
+class TestDeepLevels:
+    @pytest.mark.parametrize(
+        "p, q", DEEP_PAIRS, ids=[f"{p.to_string()}|{q.to_string()}" for p, q in DEEP_PAIRS]
+    )
+    def test_equals_frozen_enumeration(self, p, q):
+        p_deg, q_deg = _slot_degrees(p), _slot_degrees(q)
+        for beta in DEEP_BETAS:
+            for N in (64, 200):
+                expect = _reference_level_sweep(p_deg, q_deg, beta, N)
+                assert _sweep(p_deg, q_deg, beta, N) == expect, (beta, N)
+
+    def test_first_coefficient_telescopes(self):
+        d = MultiIndex.delta(1)
+        for beta in DEEP_BETAS:
+            for N in (0, 1, 2, 1000, 12700):
+                res = alpha_x_moment(d, d, beta, N)
+                assert res.value == 1 / beta - (1 / beta) / (N * beta + 1), (beta, N)
+
+
 class TestNiceIdentity:
     def test_closed_form_side(self):
         from verblunsky.gaussian import variance_pmf
