@@ -22,9 +22,7 @@ from .montecarlo import (
     SampleStats,
     mc_x_moment,
     pushforward_experiment,
-    sample_alpha,
     sample_alpha_batch,
-    sample_f,
     sample_f_batch,
 )
 from .opuc import (
@@ -64,9 +62,7 @@ __all__ = [
     "nice_identity_check",
     "pushforward_experiment",
     "reversed_polynomial",
-    "sample_alpha",
     "sample_alpha_batch",
-    "sample_f",
     "sample_f_batch",
     "szego_identity_gap",
     "trig_moments",

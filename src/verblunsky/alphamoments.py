@@ -77,10 +77,6 @@ def alpha_joint_moment(p: MultiIndex, q: MultiIndex, beta: Fraction) -> Fraction
     return term_value(p, beta) if p == q else Fraction(0)
 
 
-def _slot_degrees(p: MultiIndex) -> list[int]:
-    return [n for n, c in p.items() for _ in range(c)]
-
-
 @dataclass(frozen=True)
 class TruncatedSumResult:
     """Exact partial sum of the alpha-side series with truncation diagnostics."""
@@ -120,7 +116,7 @@ def _transitions(state: tuple[int, ...], n_p: int) -> tuple:
 
 def _initial_state(p: MultiIndex, q: MultiIndex) -> tuple[int, ...]:
     """Every slot closed with its whole degree as budget, p-side slots first."""
-    return _canonical([2 * d for d in (*_slot_degrees(p), *_slot_degrees(q))], p.size)
+    return _canonical([2 * d for d in (*p.slots(), *q.slots())], p.size)
 
 
 def _tuple_counts(

@@ -2,7 +2,8 @@
 
 Exit status: 0 for PASS or EXPERIMENTAL, 1 for FAIL, 2 for usage errors
 (including malformed multi-index strings, which are reported with the
-offending token, and files that cannot be read or written).  Alpha lists are
+offending token, values out of floating-point range, and files that cannot
+be read or written).  Alpha lists are
 given either inline as comma-separated complex literals ("0.3", "0.3+0.4i",
 "-1/4i") or as a path to a JSON file holding an array of [re, im] pairs.
 """
@@ -323,7 +324,6 @@ def _cmd_mc(args) -> Report:
 
 def _cmd_pushforward(args) -> Report:
     beta = float(args.beta)
-    grid = montecarlo.pushforward_grid(args.modes, args.grid)
     stats = montecarlo.pushforward_experiment(
         beta,
         args.modes,
@@ -331,7 +331,6 @@ def _cmd_pushforward(args) -> Report:
         args.samples,
         args.max_alpha,
         args.seed,
-        grid=grid,
         workers=args.threads,
         override_beta_check=args.force_beta,
     )
@@ -356,7 +355,10 @@ def _cmd_pushforward(args) -> Report:
         },
         results={"moments": rows},
         status=EXPERIMENTAL,
-        diagnostics={"grid": grid, "rng": montecarlo.RNG_ALGORITHM},
+        diagnostics={
+            "grid": montecarlo.pushforward_grid(args.modes),
+            "rng": montecarlo.RNG_ALGORITHM,
+        },
     )
 
 
@@ -449,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--max-alpha", type=int, default=4)
-    s.add_argument("--grid", type=int, default=None)
     s.add_argument("--force-beta", action="store_true", help="allow beta^2 >= 2")
     s.set_defaults(func=_cmd_pushforward)
 
@@ -465,7 +466,7 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         report = args.func(args)
-    except (ValueError, argparse.ArgumentTypeError, OSError) as exc:
+    except (ValueError, OverflowError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.params["threads"] = args.threads

@@ -94,6 +94,10 @@ class MultiIndex:
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self._items)
 
+    def slots(self) -> tuple[int, ...]:
+        """One entry per labeled slot: each index repeated ``count`` times, increasing."""
+        return tuple(n for n, c in self._items for _ in range(c))
+
     @property
     def max_support(self) -> int:
         """Largest index present (0 when empty)."""
@@ -217,7 +221,7 @@ def f_weight(p: MultiIndex, L: MultiIndex) -> int:
     """
     if p.deg != L.deg:
         return 0
-    parts = [n for n, c in p.items() for _ in range(c)]
+    parts = p.slots()
 
     @lru_cache(maxsize=None)
     def rec(idx: int, rem: tuple[tuple[int, int], ...]) -> int:

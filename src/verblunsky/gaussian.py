@@ -47,6 +47,7 @@ class MomentPolynomial:
                 return c
         return Fraction(0)
 
+    @property
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -114,9 +115,8 @@ def _decomposition_sums(p: MultiIndex) -> dict[MultiIndex, Fraction]:
     Families assign one partition J of n to each labeled slot (n, r), r <= p(n);
     J! means prod_u J(u)!.
     """
-    parts = [n for n, c in p.items() for _ in range(c)]
     acc: dict[MultiIndex, Fraction] = {MultiIndex(): Fraction(1)}
-    for n in parts:
+    for n in p.slots():
         nxt: dict[MultiIndex, Fraction] = {}
         for M, val in acc.items():
             for J in partitions(n):

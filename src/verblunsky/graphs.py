@@ -167,16 +167,12 @@ def _count_side(intervals: tuple[tuple[int, int], ...], budgets: tuple[int, ...]
     return rec(0)
 
 
-def _budget_list(p: MultiIndex) -> tuple[int, ...]:
-    return tuple(n for n, c in p.items() for _ in range(c))
-
-
 def count_colorings(G: MCondGraph, p: MultiIndex, q: MultiIndex) -> int:
     """Valid (p, q)-colorings of G; 0 when the total weights miss the degrees."""
-    up = _count_side(G.up_edges(), _budget_list(p))
+    up = _count_side(G.up_edges(), p.slots())
     if up == 0:
         return 0
-    return up * _count_side(G.down_edges(), _budget_list(q))
+    return up * _count_side(G.down_edges(), q.slots())
 
 
 def c_via_graphs(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:

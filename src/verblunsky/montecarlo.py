@@ -64,22 +64,31 @@ def _worker_chunks(samples: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def _worker_rngs(seed: int, workers: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(workers)
-    return [np.random.Generator(np.random.PCG64(child)) for child in children]
-
-
 def _draw_blocks(samples: int, seed: int, workers: int):
-    """Yield ``(rng, block)`` for every draw block, in worker order.
+    """Yield ``(rng, rows)`` for every draw block, in worker order.
 
-    Worker ``w`` gets its own substream and a contiguous chunk of samples,
-    which it draws in blocks of at most :data:`BLOCK_SIZE`.
+    ``rows`` is the block's slice of the ``samples`` output rows.  Worker
+    ``w`` draws from substream ``SeedSequence(seed).spawn(workers)[w]`` and
+    covers a contiguous chunk of rows, in blocks of at most
+    :data:`BLOCK_SIZE`.  This is the one place the stream is split.
     """
-    for rng, chunk in zip(_worker_rngs(seed, workers), _worker_chunks(samples, workers)):
-        while chunk > 0:
-            b = min(chunk, BLOCK_SIZE)
-            yield rng, b
-            chunk -= b
+    chunks = _worker_chunks(samples, workers)
+    children = np.random.SeedSequence(seed).spawn(workers)
+    start = 0
+    for child, chunk in zip(children, chunks):
+        rng = np.random.Generator(np.random.PCG64(child))
+        stop = start + chunk
+        for lo in range(start, stop, BLOCK_SIZE):
+            yield rng, slice(lo, min(lo + BLOCK_SIZE, stop))
+        start = stop
+
+
+def _check_beta(beta: float) -> None:
+    """The samplers scale by 1/(n beta), so 1/beta must be a finite float."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if math.isinf(1 / beta):
+        raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
 
 
 def _alpha_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
@@ -101,39 +110,23 @@ def _f_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.nd
     return out
 
 
-def sample_alpha(beta: float, N: int, seed: int) -> np.ndarray:
-    """One sequence alpha_1..alpha_N (index n at position n-1)."""
-    return sample_alpha_batch(beta, N, 1, seed)[0]
-
-
 def sample_alpha_batch(
     beta: float, N: int, count: int, seed: int, *, workers: int = 1
 ) -> np.ndarray:
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     out = np.empty((count, N), np.complex128)
-    pos = 0
-    for rng, b in _draw_blocks(count, seed, workers):
-        out[pos : pos + b] = _alpha_block(rng, beta, N, b)
-        pos += b
+    for rng, rows in _draw_blocks(count, seed, workers):
+        out[rows] = _alpha_block(rng, beta, N, rows.stop - rows.start)
     return out
-
-
-def sample_f(beta: float, N: int, seed: int) -> np.ndarray:
-    """One draw of the Gaussian modes f_0..f_N with f_0 = 0, E|f_n|^2 = 1/(n beta)."""
-    return sample_f_batch(beta, N, 1, seed)[0]
 
 
 def sample_f_batch(
     beta: float, N: int, count: int, seed: int, *, workers: int = 1
 ) -> np.ndarray:
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     out = np.empty((count, N + 1), np.complex128)
-    pos = 0
-    for rng, b in _draw_blocks(count, seed, workers):
-        out[pos : pos + b] = _f_block(rng, beta, N, b)
-        pos += b
+    for rng, rows in _draw_blocks(count, seed, workers):
+        out[rows] = _f_block(rng, beta, N, rows.stop - rows.start)
     return out
 
 
@@ -180,8 +173,7 @@ def mc_x_moment(
     """
     if side not in ("gaussian", "alpha"):
         raise ValueError("side must be 'gaussian' or 'alpha'")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     if p.deg != q.deg:
         raise ValueError("p and q must have equal degree")
     if p.deg > 4:
@@ -198,19 +190,18 @@ def mc_x_moment(
         if fh is not None:
             fh.write("# raw x-monomial samples, one row per sample\n")
             fh.write("# columns: index, real, imag\n")
-        pos = 0
-        for rng, b in _draw_blocks(samples, seed, workers):
+        for rng, rows in _draw_blocks(samples, seed, workers):
+            b = rows.stop - rows.start
             if side == "gaussian":
                 x = exp_neg_series(_f_block(rng, beta, K, b))
             else:
                 alphas = _alpha_block(rng, beta, n_trunc, b)
                 x = szego_low_coefficients(alphas, K)
             mono = _monomial(x, p, q)
-            vals[pos : pos + b] = mono
+            vals[rows] = mono
             if fh is not None:
-                rows = zip(range(pos, pos + b), mono.real.tolist(), mono.imag.tolist())
-                fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in rows))
-            pos += b
+                lines = zip(range(rows.start, rows.stop), mono.real.tolist(), mono.imag.tolist())
+                fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
     return _stats(vals)
 
 
@@ -229,9 +220,9 @@ def mc_reference(side: str, p: MultiIndex, q: MultiIndex, beta, n_trunc: int) ->
     raise ValueError("side must be 'gaussian' or 'alpha'")
 
 
-def pushforward_grid(modes: int, grid: int | None) -> int:
-    """The pushforward quadrature grid: ``grid``, or max(1024, 4 * modes) if None."""
-    return max(1024, 4 * modes) if grid is None else grid
+def pushforward_grid(modes: int) -> int:
+    """The pushforward quadrature grid, max(1024, 4 * modes)."""
+    return max(1024, 4 * modes)
 
 
 def pushforward_experiment(
@@ -242,22 +233,20 @@ def pushforward_experiment(
     max_alpha: int,
     seed: int,
     *,
-    grid=None,
     workers: int = 1,
     override_beta_check: bool = False,
 ) -> list[SampleStats]:
     """Empirical E|alpha_n|^2 of the measure with density ∝ e^{2 Re f_+(r e^{i theta})}.
 
     Each sample draws f_1..f_modes, evaluates the field on a uniform theta
-    grid at radius ``r``, normalizes the density, and recovers
-    alpha_1..alpha_max_alpha from its trigonometric moments.  The means are
-    meant to approach 1/(n beta + 1) as (modes, radius) grow; the
-    approximation is deliberate and the quality must be judged by refining
-    both, not assumed.  ``modes=0`` is the degenerate f = 0 path (uniform
-    density, all alpha exactly zero).
+    grid of :func:`pushforward_grid` points at radius ``r``, normalizes the
+    density, and recovers alpha_1..alpha_max_alpha from its trigonometric
+    moments.  The means are meant to approach 1/(n beta + 1) as (modes,
+    radius) grow; the approximation is deliberate and the quality must be
+    judged by refining both, not assumed.  ``modes=0`` is the degenerate
+    f = 0 path (uniform density, all alpha exactly zero).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_beta(beta)
     if beta * beta >= 2:
         if not override_beta_check:
             raise ValueError(
@@ -273,19 +262,15 @@ def pushforward_experiment(
         raise ValueError("need at least two samples")
     if max_alpha < 1:
         raise ValueError("max_alpha must be >= 1")
-    grid = pushforward_grid(modes, grid)
-    if modes > 0 and grid < 4 * modes:
-        raise ValueError("quadrature grid too coarse relative to modes")
+    grid = pushforward_grid(modes)
     if max_alpha >= grid // 2:
         raise ValueError("quadrature grid too coarse relative to max_alpha")
-    decay = radius ** np.arange(1, modes + 1)
+    decay = radius ** np.arange(modes + 1)
     absq = np.empty((samples, max_alpha))
-    pos = 0
-    for rng, b in _draw_blocks(samples, seed, workers):
-        f = _f_block(rng, beta, modes, b) if modes > 0 else np.zeros((b, 1), complex)
+    for rng, rows in _draw_blocks(samples, seed, workers):
+        b = rows.stop - rows.start
         field = np.zeros((b, grid), np.complex128)
-        if modes > 0:
-            field[:, 1 : modes + 1] = f[:, 1:] * decay
+        field[:, : modes + 1] = _f_block(rng, beta, modes, b) * decay
         vals = np.fft.ifft(field, axis=1) * grid
         dens = np.exp(2.0 * vals.real)
         dens /= dens.mean(axis=1, keepdims=True)
@@ -294,8 +279,8 @@ def pushforward_experiment(
         if not ok.all():
             bad = int((~ok).sum())
             raise ValueError(
-                f"{bad} sample(s) gave non-positive-definite moments; refine the grid"
+                f"{bad} sample(s) gave non-positive-definite moments; "
+                "the density is too peaked, lower radius or max_alpha"
             )
-        absq[pos : pos + b] = np.abs(al) ** 2
-        pos += b
+        absq[rows] = np.abs(al) ** 2
     return [_stats(absq[:, n]) for n in range(max_alpha)]

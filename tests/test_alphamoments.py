@@ -13,7 +13,6 @@ from verblunsky.alphamoments import (
     _canonical,
     _initial_state,
     _level_sweep,
-    _slot_degrees,
     _transitions,
     alpha_joint_moment,
     alpha_x_moment,
@@ -267,7 +266,7 @@ class TestLevelSweepOracle:
         "p, q", SWEEP_PAIRS, ids=[f"{p.to_string()}|{q.to_string()}" for p, q in SWEEP_PAIRS]
     )
     def test_equals_frozen_enumeration(self, p, q):
-        p_deg, q_deg = _slot_degrees(p), _slot_degrees(q)
+        p_deg, q_deg = p.slots(), q.slots()
         for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
             for N in (0, 1, 2, 5, 17):
                 expect = _reference_level_sweep(p_deg, q_deg, beta, N)
@@ -303,7 +302,7 @@ class TestDeepLevels:
         "p, q", DEEP_PAIRS, ids=[f"{p.to_string()}|{q.to_string()}" for p, q in DEEP_PAIRS]
     )
     def test_equals_frozen_enumeration(self, p, q):
-        p_deg, q_deg = _slot_degrees(p), _slot_degrees(q)
+        p_deg, q_deg = p.slots(), q.slots()
         for beta in DEEP_BETAS:
             for N in (64, 200):
                 expect = _reference_level_sweep(p_deg, q_deg, beta, N)

@@ -1,9 +1,11 @@
-"""Names of the package that the benchmark in ``perfbench/`` looks up.
+"""Names and command lines of the package that the benchmark in ``perfbench/`` uses.
 
 The benchmark traces the package by rebinding the functions listed in
-``perfbench/spans.py``'s ``BINDINGS`` and reports the kernel and rational
-backends on every pass.  A refactor that removes one of these names would
-otherwise show up only when a benchmark pass dies.
+``perfbench/spans.py``'s ``BINDINGS``, reports the kernel and rational
+backends on every pass, and runs the CLI argvs that
+``perfbench/workloads.py`` generates.  A refactor that removes one of these
+names or options would otherwise show up only as failed benchmark
+operations.
 """
 
 import importlib
@@ -13,14 +15,20 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from verblunsky import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _bindings():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.BINDINGS
+    return _perfbench("spans").BINDINGS
 
 
 def _resolve(module: str, attr: str):
@@ -40,3 +48,19 @@ def test_traced_binding_resolves(module, attr):
 def test_run_report_names_resolve():
     assert _resolve("alphamoments", "_mpq") is Fraction
     assert _resolve("kernels", "backend_name")() == "numpy"
+
+
+WORKLOADS = _perfbench("workloads")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_benchmark_argvs_parse(workload, tmp_path):
+    parser = cli.build_parser()
+    for seed in range(3):
+        for op in WORKLOADS.generate(workload, seed, str(tmp_path)):
+            if op["lane"] != "cli":
+                continue
+            try:
+                parser.parse_args(op["argv"])
+            except SystemExit:
+                pytest.fail(f"benchmark argv does not parse: {op['argv']}")

@@ -115,6 +115,7 @@ class TestSamplingDeterminism:
         rep = json.loads(out1)
         assert rep["status"] == "EXPERIMENTAL"
         assert [row["n"] for row in rep["results"]["moments"]] == [1, 2]
+        assert rep["diagnostics"]["grid"] == 1024
 
 
 def _lift_nice_lhs(monkeypatch):
@@ -177,6 +178,12 @@ class TestExitCodes:
          "--beta", "1", "--samples", "10", "--seed", "1"],
         ["--threads", "0", "variance", "--n", "3"],
         ["pushforward", "--beta", "1", "--modes", "-2", "--radius", "0.5",
+         "--samples", "10", "--seed", "1"],
+        ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1e400",
+         "--samples", "10", "--seed", "1"],
+        ["pushforward", "--beta", "1e400", "--modes", "4", "--radius", "0.5",
+         "--samples", "10", "--seed", "1"],
+        ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-320",
          "--samples", "10", "--seed", "1"],
     ])
     def test_out_of_range_option_exits_two(self, capsys, argv):

@@ -34,6 +34,7 @@ class TestMultiIndex:
         assert p.length == 2
         assert p.max_support == 2
         assert p.support() == (1, 2)
+        assert p.slots() == (1, 1, 1, 2)
         assert p[1] == 3 and p[7] == 0
 
     def test_delta(self):
@@ -43,6 +44,7 @@ class TestMultiIndex:
         assert MultiIndex({1: 2, 3: 0}) == MultiIndex({1: 2})
         assert not MultiIndex({})
         assert MultiIndex({}).max_support == 0
+        assert MultiIndex({}).slots() == ()
 
     def test_add_merges(self):
         a = MultiIndex({1: 1, 2: 1})

@@ -13,13 +13,12 @@ from verblunsky import (
     montecarlo,
     mc_x_moment,
     pushforward_experiment,
-    sample_alpha,
-    sample_f,
 )
 from verblunsky.montecarlo import (
     BLOCK_SIZE,
     _worker_chunks,
     mc_reference,
+    pushforward_grid,
     sample_alpha_batch,
     sample_f_batch,
 )
@@ -56,11 +55,6 @@ class TestAlphaSampler:
         a = sample_alpha_batch(2.0, 4, 5000, seed=9)
         assert np.abs(a).max() < 1.0
 
-    def test_single_is_batch_of_one(self):
-        np.testing.assert_array_equal(
-            sample_alpha(1.0, 5, seed=3), sample_alpha_batch(1.0, 5, 1, seed=3)[0]
-        )
-
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             sample_alpha_batch(0.0, 2, 10, seed=0)
@@ -78,11 +72,6 @@ class TestFSampler:
         _band(q4.mean(), 2.0 / beta**2, q4.std(ddof=1) / math.sqrt(count))
         cross = f[:, 1] * np.conj(f[:, 2])
         _band(cross.mean(), 0.0, np.abs(cross).std(ddof=1) / math.sqrt(count))
-
-    def test_single_is_batch_of_one(self):
-        np.testing.assert_array_equal(
-            sample_f(1.0, 4, seed=5), sample_f_batch(1.0, 4, 1, seed=5)[0]
-        )
 
 
 class TestDeterminism:
@@ -195,6 +184,8 @@ class TestMcXMoment:
             mc_x_moment("exact", P1, P1, 1.0, 8, 10, 0)
         with pytest.raises(ValueError, match="beta"):
             mc_x_moment("alpha", P1, P1, -1.0, 8, 10, 0)
+        with pytest.raises(ValueError, match="too small"):
+            mc_x_moment("gaussian", P1, P1, 1e-320, 8, 10, 0)
         with pytest.raises(ValueError, match="degree"):
             mc_x_moment("alpha", P1, MultiIndex({2: 1}), 1.0, 8, 10, 0)
         with pytest.raises(ValueError, match="degree"):
@@ -257,13 +248,14 @@ class TestPushforward:
         with pytest.raises(ValueError, match="radius"):
             pushforward_experiment(1.0, 8, 1.0, 10, 2, seed=0)
         with pytest.raises(ValueError, match="grid"):
-            pushforward_experiment(1.0, 300, 0.9, 10, 2, seed=0, grid=512)
-        with pytest.raises(ValueError, match="grid"):
-            pushforward_experiment(1.0, 8, 0.9, 10, 600, seed=0, grid=1024)
+            pushforward_experiment(1.0, 8, 0.9, 10, 600, seed=0)
         with pytest.raises(ValueError, match="max_alpha"):
             pushforward_experiment(1.0, 8, 0.9, 10, 0, seed=0)
         with pytest.raises(ValueError, match="modes must be >= 0"):
             pushforward_experiment(1.0, -2, 0.5, 10, 2, seed=0)
+
+    def test_grid_is_derived_from_modes(self):
+        assert [pushforward_grid(m) for m in (0, 256, 257, 1000)] == [1024, 1024, 1028, 4000]
 
     def test_zero_modes_gives_zero_alpha(self):
         for st in pushforward_experiment(1.0, 0, 0.9, 5, 3, seed=0):
