@@ -23,9 +23,11 @@ cross-check the sweep in tests.  The counts' independent references are the
 literal product ``tests/tuple_oracle.literal_count`` and the graph-coloring
 counts; neither reads the table.
 
-The "nice" identity of :func:`nice_identity_check` is the CN identity at
-p = q = delta_n, E|x_n|**2: its lhs is :func:`alpha_x_moment` and its rhs
-the Bernoulli product :func:`~verblunsky.gaussian.variance_pmf`.  All
+Each comparison of the CN identity's two sides is one :class:`CnCheck` from
+:func:`_cn_check`, and ``CnCheck.passed`` is the one place its PASS/FAIL rule
+is written.  :func:`verify_cn_identity` makes one check per beta;
+:func:`nice_identity_check` makes the one at p = q = delta_n, E|x_n|**2,
+whose Gaussian value is :func:`~verblunsky.gaussian.variance_pmf`.  All
 arithmetic is exact: inside the sweep, amplitudes are integer numerators over
 one common denominator reduced once per level, and values cross the API as
 ``fractions.Fraction``.
@@ -82,7 +84,6 @@ class TruncatedSumResult:
     """Exact partial sum of the alpha-side series with truncation diagnostics."""
 
     value: Fraction
-    max_index: int
     last_shell: Fraction
     tail_estimate: Fraction
 
@@ -151,16 +152,12 @@ def _tuple_counts(
     return {MultiplicityVector(dict(read)): c for (s, read), c in amps.items() if s == done}
 
 
-def count_tuples(
-    p: MultiIndex, q: MultiIndex, m: MultiplicityVector, max_index: int
-) -> int:
+def count_tuples(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:
     """Exact number of balanced tuple families with multiplicity vector m.
 
     Every index of such a family lies in the support of m, so the walk stops
-    at its largest index whatever ``max_index`` is.
+    at its largest index.
     """
-    if max_index < m.max_support:
-        raise ValueError("max_index must be >= max support of m")
     return _tuple_counts(p, q, m.max_support, m).get(m, 0)
 
 
@@ -255,86 +252,77 @@ def alpha_x_moment(
     beta = _sweep_args(beta, max_index)
     zero = Fraction(0)
     if p.deg != q.deg:
-        return TruncatedSumResult(zero, max_index, zero, zero)
+        return TruncatedSumResult(zero, zero, zero)
     if p.deg == 0:
-        return TruncatedSumResult(Fraction(1), max_index, zero, zero)
+        return TruncatedSumResult(Fraction(1), zero, zero)
     s_now, s_prev = _level_sweep(_initial_state(p, q), p.size, beta, max_index)
     shell = s_now - s_prev
-    return TruncatedSumResult(s_now, max_index, shell, shell * max_index)
-
-
-def nice_identity_check(
-    n: int, beta: Fraction, max_index: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """The CN identity at p = q = delta_n: E|x_n|**2 against its closed form.
-
-    lhs is :func:`alpha_x_moment` of (delta_n, delta_n), the sum of
-    1 / ((i beta + 1)(j beta + 1)) over all gap sequences of degree n with
-    top index <= max_index (the j = 0 factor is 1); tail is its last-shell
-    tail estimate.  rhs is the Bernoulli product variance_pmf(n) at beta,
-    which is gaussian_x_moment(delta_n, delta_n).
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    delta = MultiIndex.delta(n)
-    res = alpha_x_moment(delta, delta, beta, max_index)
-    return res.value, variance_pmf(n).evaluate(beta), res.tail_estimate
-
-
-def tail_gate(shortfall: Fraction, tail: Fraction) -> bool:
-    """Verdict of an identity check on shortfall = limit - partial sum.
-
-    The shortfall must be nonnegative (a partial sum of positive terms cannot
-    exceed its limit) and at most 10x the last-shell tail estimate (a safety
-    factor over the empirical shell decay; no proved remainder bound is
-    available).
-    """
-    return 0 <= shortfall <= 10 * tail
+    return TruncatedSumResult(s_now, shell, shell * max_index)
 
 
 @dataclass(frozen=True)
 class CnCheck:
-    """One beta's worth of identity comparison, all values exact."""
+    """One beta's comparison of the two sides of the CN identity, all exact."""
 
     beta: Fraction
     gaussian_value: Fraction
     alpha_value: Fraction
-    difference: Fraction
-    last_shell: Fraction
     tail_estimate: Fraction
-    passed: bool
+
+    @property
+    def difference(self) -> Fraction:
+        """gaussian - alpha: how far the partial sum falls short of its limit."""
+        return self.gaussian_value - self.alpha_value
+
+    @property
+    def passed(self) -> bool:
+        """0 <= difference <= 10 tail: a partial sum of positive terms cannot
+        exceed its limit, and 10x is a safety factor over the empirical shell
+        decay (no proved remainder bound is available)."""
+        return 0 <= self.difference <= 10 * self.tail_estimate
 
 
 @dataclass(frozen=True)
 class CnIdentityReport:
-    p: MultiIndex
-    q: MultiIndex
-    max_index: int
     checks: tuple[CnCheck, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _cn_check(p, q, beta: Fraction, max_index: int, limit: Fraction) -> CnCheck:
+    """The alpha partial sum of (p, q) at beta against its exact limit."""
+    res = alpha_x_moment(p, q, beta, max_index)
+    return CnCheck(beta, limit, res.value, res.tail_estimate)
 
 
 def verify_cn_identity(
     p: MultiIndex, q: MultiIndex, betas: list[Fraction], max_index: int
 ) -> CnIdentityReport:
-    """Compare the Gaussian-side polynomial against truncated alpha-side sums.
-
-    For each beta the check passes when gaussian - alpha partial sum passes
-    :func:`tail_gate`.
-    """
+    """Compare the Gaussian-side polynomial against truncated alpha-side sums,
+    one :class:`CnCheck` per beta."""
     if p.deg != q.deg:
         raise ValueError("verify_cn_identity needs deg(p) = deg(q)")
     if not betas:
         raise ValueError("need at least one beta")
     betas = [_sweep_args(b, max_index) for b in betas]
     gpoly = gaussian_x_moment(p, q)
-    checks = []
-    for b in betas:
-        gval = gpoly.evaluate(b)
-        res = alpha_x_moment(p, q, b, max_index)
-        diff = gval - res.value
-        passed = tail_gate(diff, res.tail_estimate)
-        checks.append(
-            CnCheck(b, gval, res.value, diff, res.last_shell, res.tail_estimate, passed)
-        )
-    return CnIdentityReport(p, q, max_index, tuple(checks), all(c.passed for c in checks))
+    return CnIdentityReport(
+        tuple(_cn_check(p, q, b, max_index, gpoly.evaluate(b)) for b in betas)
+    )
+
+
+def nice_identity_check(n: int, beta: Fraction, max_index: int) -> CnCheck:
+    """The CN identity at p = q = delta_n, E|x_n|**2: the same check as
+    ``verify_cn_identity(delta_n, delta_n, [beta], max_index).checks[0]``.
+
+    The alpha value sums 1 / ((i beta + 1)(j beta + 1)) over the gap sequences
+    of degree n with top index <= max_index (the j = 0 factor is 1); the
+    Gaussian value is the Bernoulli product variance_pmf(n) at beta.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    beta = _sweep_args(beta, max_index)
+    delta = MultiIndex.delta(n)
+    return _cn_check(delta, delta, beta, max_index, variance_pmf(n).evaluate(beta))

@@ -20,13 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import montecarlo, opuc
-from .alphamoments import (
-    alpha_x_moment,
-    count_tuples,
-    nice_identity_check,
-    tail_gate,
-    verify_cn_identity,
-)
+from .alphamoments import alpha_x_moment, count_tuples, nice_identity_check, verify_cn_identity
 from .combinatorics import MultiIndex, MultiplicityVector
 from .gaussian import gaussian_x_moment, gaussian_x_moment_raw, variance_pmf
 from .graphs import c_via_graphs
@@ -200,14 +194,13 @@ def _cmd_identity(args) -> Report:
 
 
 def _cmd_nice_identity(args) -> Report:
-    lhs, rhs, tail = nice_identity_check(args.n, args.beta, args.max_index)
-    passed = tail_gate(rhs - lhs, tail)
+    c = nice_identity_check(args.n, args.beta, args.max_index)
     return Report(
         command="nice-identity",
         params={"n": args.n, "beta": rat_str(args.beta), "max_index": args.max_index},
-        results={"lhs": rat_str(lhs), "rhs": rat_str(rhs)},
-        status=PASS if passed else FAIL,
-        diagnostics={"difference": rat_str(lhs - rhs), "tail": rat_str(tail)},
+        results={"lhs": rat_str(c.alpha_value), "rhs": rat_str(c.gaussian_value)},
+        status=PASS if c.passed else FAIL,
+        diagnostics={"difference": rat_str(-c.difference), "tail": rat_str(c.tail_estimate)},
     )
 
 
@@ -222,15 +215,14 @@ def _cmd_variance(args) -> Report:
 
 
 def _cmd_count(args) -> Report:
-    max_index = args.m.max_support
-    tuples = count_tuples(args.p, args.q, args.m, max_index)
+    tuples = count_tuples(args.p, args.q, args.m)
     graphs = c_via_graphs(args.p, args.q, args.m)
     return Report(
         command="count",
         params={"p": args.p.to_string(), "q": args.q.to_string(), "m": args.m.to_string()},
         results={"tuples": tuples, "graphs": graphs},
         status=PASS if tuples == graphs else FAIL,
-        diagnostics={"max_index": max_index},
+        diagnostics={"max_index": args.m.max_support},
     )
 
 
@@ -282,19 +274,18 @@ def _cmd_roundtrip(args) -> Report:
 
 
 def _cmd_mc(args) -> Report:
-    beta = float(args.beta)
+    ref = montecarlo.mc_reference(args.side, args.p, args.q, args.beta, args.n_trunc)
     stats = montecarlo.mc_x_moment(
         args.side,
         args.p,
         args.q,
-        beta,
+        float(args.beta),
         args.n_trunc,
         args.samples,
         args.seed,
         workers=args.threads,
         dump_csv=args.dump_csv,
     )
-    ref = montecarlo.mc_reference(args.side, args.p, args.q, args.beta, args.n_trunc)
     err = abs(stats.mean - ref)
     passed = err <= 4.0 * stats.stderr + 1e-12
     params = {
@@ -332,7 +323,6 @@ def _cmd_pushforward(args) -> Report:
         args.max_alpha,
         args.seed,
         workers=args.threads,
-        override_beta_check=args.force_beta,
     )
     rows = [
         {
@@ -451,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--max-alpha", type=int, default=4)
-    s.add_argument("--force-beta", action="store_true", help="allow beta^2 >= 2")
     s.set_defaults(func=_cmd_pushforward)
 
     return parser

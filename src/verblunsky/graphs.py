@@ -185,5 +185,5 @@ def _graphs_cached(m: MultiplicityVector, d: int) -> tuple[MCondGraph, ...]:
     return tuple(enumerate_m_graphs(m, d))
 
 
-# perfbench still binds this name; the next benchmark change (ROADMAP item 3) drops it.
+# perfbench still binds this name; the next benchmark change (ROADMAP item 4) drops it.
 c_via_graphs_fast = c_via_graphs

@@ -164,13 +164,7 @@ class TestCountTuples:
     def test_pinned_small_case(self):
         p = MultiIndex({1: 1})
         m = MultiplicityVector({1: 1, 2: 1})
-        assert count_tuples(p, p, m, max_index=3) == 1
-
-    def test_max_index_guard(self):
-        p = MultiIndex({1: 1})
-        m = MultiplicityVector({5: 1, 6: 1})
-        with pytest.raises(ValueError):
-            count_tuples(p, p, m, max_index=4)
+        assert count_tuples(p, p, m) == 1
 
     def test_all_m_totals_match_single_counts(self):
         p = MultiIndex({1: 1, 2: 1})
@@ -178,7 +172,7 @@ class TestCountTuples:
         every = tuple_counts_all_m(p, q, max_index=5)
         assert every  # not empty
         for m, count in every.items():
-            assert count == count_tuples(p, q, m, max_index=5)
+            assert count == count_tuples(p, q, m)
             assert count == literal_count(p, q, m)
             assert count > 0
 
@@ -194,7 +188,7 @@ class TestCountTuples:
             for size in range(2 * max(p.deg, q.deg) + 1):
                 for combo in itertools.combinations_with_replacement(range(6), size):
                     m = MultiplicityVector(Counter(combo))
-                    count = count_tuples(p, q, m, max_index=5)
+                    count = count_tuples(p, q, m)
                     assert count == literal_count(p, q, m), (p, q, m)
                     nonzero += count > 0
         assert nonzero == 287
@@ -322,19 +316,20 @@ class TestNiceIdentity:
 
         for n in (1, 2, 3):
             for beta in BETAS:
-                _, rhs, _ = nice_identity_check(n, beta, 10)
-                assert rhs == variance_pmf(n).evaluate(beta)
+                check = nice_identity_check(n, beta, 10)
+                assert check.gaussian_value == variance_pmf(n).evaluate(beta)
 
     def test_partial_sum_approaches_closed_form(self):
         for n in (1, 2, 3):
             for beta in (Fraction(1, 2), Fraction(1)):
-                lhs, rhs, tail = nice_identity_check(n, beta, 3000)
-                assert abs(lhs - rhs) <= 10 * tail
+                check = nice_identity_check(n, beta, 3000)
+                assert abs(check.difference) <= 10 * check.tail_estimate
+                assert check.passed
 
     def test_degree_one_is_exact_telescoping(self):
         for N in (10, 100):
-            lhs, rhs, tail = nice_identity_check(1, Fraction(1), N)
-            assert rhs - lhs == tail == Fraction(1, N + 1)
+            check = nice_identity_check(1, Fraction(1), N)
+            assert check.difference == check.tail_estimate == Fraction(1, N + 1)
 
     def test_equals_literal_enumeration(self):
         def literal_sum(n, beta, N):
@@ -349,7 +344,8 @@ class TestNiceIdentity:
         for n in (1, 2, 3, 4):
             for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
                 for N in (0, 1, 2, 5, 12):
-                    lhs, _, tail = nice_identity_check(n, beta, N)
+                    check = nice_identity_check(n, beta, N)
+                    lhs, tail = check.alpha_value, check.tail_estimate
                     assert lhs == literal_sum(n, beta, N), (n, beta, N)
                     assert tail == (lhs - literal_sum(n, beta, N - 1)) * N, (n, beta, N)
 
@@ -370,6 +366,15 @@ class TestNiceIdentity:
                     assert all(mult == 1 for _, mult in targets), (n, state)
                     todo.extend(nxt for nxt, _ in targets)
             assert seen == {(e, e) for e in range(2 * n + 1)}, n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_identity_check_at_delta(self, n):
+        # nice-identity and identity share one check object, PASS rule included.
+        delta = MultiIndex.delta(n)
+        for beta in BETAS:
+            for N in (0, 1, 40):
+                check = nice_identity_check(n, beta, N)
+                assert check == verify_cn_identity(delta, delta, [beta], N).checks[0]
 
 
 class TestVerifyCnIdentity:

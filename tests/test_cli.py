@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: byte-stable reports, exit codes, usage errors."""
 
+import dataclasses
 import io
 import json
 import pathlib
@@ -120,8 +121,9 @@ class TestSamplingDeterminism:
 
 def _lift_nice_lhs(monkeypatch):
     """Make nice-identity report lhs one tail above rhs."""
-    lhs, _, tail = cli.nice_identity_check(1, 1, 100)
-    monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: (lhs, lhs - tail, tail))
+    check = cli.nice_identity_check(1, 1, 100)
+    lifted = dataclasses.replace(check, gaussian_value=check.alpha_value - check.tail_estimate)
+    monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: lifted)
 
 
 FAIL_JACOBIAN = ["jacobian", "--alpha", "0.3,0.2", "--tol", "1e-300"]
@@ -185,12 +187,31 @@ class TestExitCodes:
          "--samples", "10", "--seed", "1"],
         ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-320",
          "--samples", "10", "--seed", "1"],
+        ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "0",
+         "--samples", "10", "--seed", "1"],
+        ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "0",
+         "--samples", "10", "--seed", "1"],
     ])
     def test_out_of_range_option_exits_two(self, capsys, argv):
         code, out, err = _run(capsys, argv)
         assert code == 2
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
+
+    def test_mc_reference_overflow_exits_before_drawing(self, capsys, monkeypatch):
+        # The exact reference (about 1e400 here) is computed before any draw,
+        # so the overflow costs no samples and prints no numpy warnings.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before computing the reference")
+
+        monkeypatch.setattr(montecarlo, "_f_block", no_draws)
+        code, out, err = _run(capsys, [
+            "mc", "--side", "gaussian", "--p", "2:2", "--q", "2:2", "--beta", "1e-100",
+            "--samples", "100000", "--seed", "1",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_count_size_guard_exits_two(self, capsys):
         code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -238,11 +239,12 @@ class TestCsvDump:
 
 
 class TestPushforward:
-    def test_beta_range_guard(self):
-        with pytest.raises(ValueError, match="override_beta_check"):
-            pushforward_experiment(1.5, 16, 0.9, 10, 2, seed=0)
-        with pytest.warns(UserWarning):
-            pushforward_experiment(1.5, 4, 0.5, 5, 1, seed=0, override_beta_check=True)
+    def test_beta_two_runs_without_warning(self):
+        # gamma^2 = 2/beta: beta = 2 is subcritical, so nothing guards it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = pushforward_experiment(2.0, 16, 0.9, 40, 2, seed=2)
+        assert all(0.0 < st.mean < 1.0 for st in stats)
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError, match="radius"):
