@@ -33,7 +33,6 @@ from .opuc import (
     szego_identity_gap,
     trig_moments,
     verblunsky_from_moments,
-    x_series_truncated,
 )
 
 __version__ = "0.1.0"
@@ -70,5 +69,4 @@ __all__ = [
     "variance_pmf",
     "verblunsky_from_moments",
     "verify_cn_identity",
-    "x_series_truncated",
 ]

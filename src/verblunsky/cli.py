@@ -61,14 +61,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _threads(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(lo: int):
+    """argparse type for an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=_threads,
+        type=_int_at_least(1),
         default=1,
         help="worker substream count for sampling commands; recorded in every report",
     )
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_multi_index, required=True)
     s.add_argument("--q", type=_multi_index, required=True)
     s.add_argument("--beta", type=_rational, required=True)
-    s.add_argument("--samples", type=int, required=True)
+    s.add_argument("--samples", type=_int_at_least(2), required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--n-trunc", type=int, default=200)
     s.add_argument("--dump-csv", metavar="PATH", help="write raw samples as CSV")
@@ -438,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=_rational, required=True)
     s.add_argument("--modes", type=int, required=True)
     s.add_argument("--radius", type=float, required=True)
-    s.add_argument("--samples", type=int, required=True)
+    s.add_argument("--samples", type=_int_at_least(2), required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--max-alpha", type=int, default=4)
     s.set_defaults(func=_cmd_pushforward)

@@ -8,15 +8,13 @@ function validates its input and runs the recursion itself.
 Kernels:
 
 * ``szego_low_coefficients`` — first K+1 coefficients of the reversed
-  polynomial for a batch of coefficient sequences.  For sequences longer than
-  K it tracks only the K+1 lowest and K+1 highest coefficients (the recursion
-  couples low[j] to top[j-1]), giving O(N K) per sample instead of O(N^2).
-  The kernel keeps its state samples-last: ``low`` and ``conj(top)``
-  are ``(K+1, S)`` arrays, one row per coefficient, so every step works on
-  contiguous rows.  ``low`` is updated in place, the conjugated top is kept
-  directly instead of being conjugated each step, and the result is
-  transposed back to ``(S, K+1)`` once at the end.  Its output is bitwise
-  equal to the same recursion run with samples on the first axis.
+  polynomial for a batch of coefficient sequences.  One loop over n = 1..N
+  tracks only the K+1 lowest and K+1 highest coefficients (the recursion
+  couples low[j] to top[j-1]): O(N K) per sample.  The state is samples-last,
+  ``low`` and ``conj(top)`` as ``(K+1, S)`` arrays updated in place on
+  contiguous rows, and is transposed back to ``(S, K+1)`` once at the end.
+  Its output is bitwise equal to the same recursion run with samples on the
+  first axis.
 * ``exp_neg_series`` — x = exp(-f) series coefficients for a batch of f rows.
 * ``levinson_batch`` — Verblunsky coefficients from trigonometric moments for
   a batch of moment rows, with per-sample positive-definiteness flags.
@@ -41,29 +39,22 @@ def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
     if alphas.ndim != 2:
         raise ValueError("alphas must be a (samples, N) array")
     S, N = alphas.shape
-    n0 = min(N, K)
-    # Samples-last state: row k holds coefficient k of every sample, so each
-    # recursion step is a handful of contiguous length-S vector operations.
+    # Samples-last state: row k holds coefficient k of every sample.  low[j] =
+    # r_n[j] and ctop[i] = conj(r_n[n - i]), zero past degree n; as conj(a) *
+    # low = conj(a * conj(low)), each value is bitwise the recursion on r_n.
     a_t = np.ascontiguousarray(alphas.T)
     low = np.zeros((K + 1, S), np.complex128)
     low[0] = 1.0
-    for n in range(1, n0 + 1):
-        sub = low[: n + 1]
-        low[: n + 1] = sub + a_t[n - 1] * np.conj(sub[::-1])
-    if N > K:
-        # ctop[i] = conj(top[i]) for top[i] = r_n[n - i]; with conj(a) * low
-        # = conj(a * conj(low)) this keeps every value bitwise equal to the
-        # recursion on top itself.
-        ctop = np.conj(low[::-1])
-        nxt = np.empty_like(ctop)
-        tmp = np.empty((K, S), np.complex128)
-        for n in range(K + 1, N + 1):
-            a = a_t[n - 1]
-            np.multiply(np.conj(a), low, out=nxt)
-            nxt[1:] += ctop[:-1]
-            np.multiply(a, ctop[:-1], out=tmp)
-            low[1:] += tmp
-            ctop, nxt = nxt, ctop
+    ctop = low.copy()
+    nxt = np.empty_like(ctop)
+    tmp = np.empty((K, S), np.complex128)
+    for n in range(1, N + 1):
+        a = a_t[n - 1]
+        np.multiply(np.conj(a), low, out=nxt)
+        nxt[1:] += ctop[:-1]
+        np.multiply(a, ctop[:-1], out=tmp)
+        low[1:] += tmp
+        ctop, nxt = nxt, ctop
     return np.ascontiguousarray(low.T)
 
 

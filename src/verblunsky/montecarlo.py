@@ -218,9 +218,14 @@ def mc_reference(side: str, p: MultiIndex, q: MultiIndex, beta, n_trunc: int) ->
     """
     _check_mc_args(side, p, q, float(beta), n_trunc)
     b = Fraction(beta)
-    if side == "gaussian":
-        return float(gaussian_x_moment(p, q).evaluate(b))
-    return float(alpha_x_moment(p, q, b, n_trunc).value)
+    exact = (gaussian_x_moment(p, q).evaluate(b) if side == "gaussian"
+             else alpha_x_moment(p, q, b, n_trunc).value)
+    try:
+        return float(exact)
+    except OverflowError:
+        raise ValueError(
+            f"exact {side}-side reference overflows a float at beta = {float(b):g}"
+        ) from None
 
 
 def pushforward_grid(modes: int) -> int:

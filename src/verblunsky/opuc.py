@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import gap_sequences
+# Unused here: perfbench's span bindings look this name up on this module.
+from .combinatorics import gap_sequences  # noqa: F401
 from .kernels import levinson_batch, szego_low_coefficients
 
 
@@ -47,55 +48,10 @@ def reversed_polynomial(alpha) -> np.ndarray:
     One recursion step per coefficient, r_n[k] = r_{n-1}[k] + alpha_n *
     conj(r_{n-1}[n-k]), run as one row of
     :func:`~verblunsky.kernels.szego_low_coefficients`.  r_N(0) = 1 always,
-    and r_N has no zeros in the closed unit disk (see
-    :func:`disk_nonvanishing` for the grid check).
+    and r_N has no zeros in the closed unit disk.
     """
     a = _check_alpha(alpha)
     return szego_low_coefficients(a[None], a.size)[0]
-
-
-def disk_nonvanishing(coeffs, grid: int = 4096) -> bool:
-    """Winding-number check that a polynomial has no zeros in the closed disk.
-
-    Evaluates on the uniform grid and requires zero net winding of the
-    argument plus a safely positive minimum modulus.
-    """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    vals = np.fft.ifft(c, n=max(grid, 4 * c.size)) * max(grid, 4 * c.size)
-    if np.abs(vals).min() < 1e-12:
-        return False
-    angles = np.angle(vals)
-    d = np.diff(np.concatenate([angles, angles[:1]]))
-    d = (d + np.pi) % (2 * np.pi) - np.pi
-    winding = int(round(d.sum() / (2 * np.pi)))
-    return winding == 0
-
-
-def x_series_truncated(alpha, n: int, max_index: int) -> complex:
-    """Coefficient x_n as a truncated sum over gap sequences.
-
-    ``alpha`` may be a finite sequence (entries beyond its length count as 0)
-    or a callable rule index -> complex; alpha_0 = 1 either way.  For a finite
-    sequence of length N and max_index >= N this reproduces coefficient n of
-    :func:`reversed_polynomial`.
-    """
-    if callable(alpha):
-        lookup = lambda i: 1.0 if i == 0 else complex(alpha(i))
-    else:
-        arr = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-
-        def lookup(i: int) -> complex:
-            if i == 0:
-                return 1.0
-            return complex(arr[i - 1]) if i <= arr.size else 0.0
-
-    total = 0.0 + 0.0j
-    for seq in gap_sequences(n, max_index):
-        term = 1.0 + 0.0j
-        for i, j in seq:
-            term *= lookup(i) * np.conj(lookup(j))
-        total += term
-    return complex(total)
 
 
 def measure_density(alpha, grid: int) -> np.ndarray:

@@ -191,6 +191,10 @@ class TestExitCodes:
          "--samples", "10", "--seed", "1"],
         ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "0",
          "--samples", "10", "--seed", "1"],
+        ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1",
+         "--samples", "1", "--seed", "1"],
+        ["pushforward", "--beta", "1", "--modes", "4", "--radius", "0.5",
+         "--samples", "1", "--seed", "1"],
     ])
     def test_out_of_range_option_exits_two(self, capsys, argv):
         code, out, err = _run(capsys, argv)
@@ -212,6 +216,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "exact gaussian-side reference" in err and "beta = 1e-100" in err
+
+    def test_sample_count_checked_before_reference(self, capsys, monkeypatch):
+        # --samples 1 is rejected while parsing, before the exact reference
+        # sweeps its 20000 levels.
+        def no_reference(*args, **kwargs):
+            raise AssertionError("computed the reference before checking --samples")
+
+        monkeypatch.setattr(montecarlo, "mc_reference", no_reference)
+        code, out, err = _run(capsys, [
+            "mc", "--side", "alpha", "--p", "2:2", "--q", "2:2", "--beta", "1",
+            "--n-trunc", "20000", "--samples", "1", "--seed", "1",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
 
     def test_count_size_guard_exits_two(self, capsys):
         code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])

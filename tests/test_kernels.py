@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 from exp_series_oracle import exp_series, exp_series_partition_sum
+from gap_oracle import x_series_truncated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from verblunsky.opuc import (
     measure_density,
     reversed_polynomial,
     trig_moments,
-    x_series_truncated,
 )
 
 # The kernel implementations under test.  The explicit id is the one these
@@ -102,14 +102,19 @@ class TestSzegoLow:
     @pytest.mark.parametrize("name,szego,_e,_l", IMPLS)
     @pytest.mark.parametrize("N,K", [(12, 5), (5, 5), (3, 6), (25, 4)])
     def test_against_scalar(self, name, szego, _e, _l, N, K):
-        # N > K: the low/top tracking against the full recursion, which the
-        # property test checks against the gap-sequence sum; N <= K: that sum.
+        # N > K: tracking K+1 coefficients must give bit for bit the low rows
+        # of tracking all N+1, since rows <= K depend only on rows <= K; the
+        # property test checks the latter against the gap-sequence sum.
+        # N <= K: that sum itself.
         rng = np.random.default_rng(50)
         alphas = _rand_alphas(rng, 20, N)
         out = szego(alphas, K)
         assert out.shape == (20, K + 1)
-        expect = szego(alphas, N)[:, : K + 1] if N > K else _gap_sum(alphas, K)
-        np.testing.assert_allclose(out, expect, atol=1e-13)
+        if N > K:
+            expect = szego(alphas, N)[:, : K + 1]
+            assert np.array_equal(out.view(np.float64), expect.view(np.float64))
+        else:
+            np.testing.assert_allclose(out, _gap_sum(alphas, K), atol=1e-13)
 
     @PROPERTY
     @given(alphas=_disk_rows(3, 6, 0.99), K=st.integers(0, 7))
@@ -130,15 +135,14 @@ class TestSzegoLow:
         assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
     def test_backends_agree(self):
-        # The Monte Carlo path (N > K: low/top tracking) and the scalar OPUC
-        # entry point (the full recursion) must give the same low coefficients.
+        # The Monte Carlo path (a batch, K < N) and the scalar OPUC entry
+        # point (one row, K = N) must give bit for bit the same low
+        # coefficients.
         rng = np.random.default_rng(51)
         alphas = _rand_alphas(rng, 64, 40)
-        np.testing.assert_allclose(
-            kernels.szego_low_coefficients(alphas, 7),
-            np.array([reversed_polynomial(row)[:8] for row in alphas]),
-            atol=1e-13,
-        )
+        out = kernels.szego_low_coefficients(alphas, 7)
+        expect = np.array([reversed_polynomial(row)[:8] for row in alphas])
+        assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
     def test_dispatcher_validates_shape(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from exp_series_oracle import exp_series, exp_series_partition_sum
+from gap_oracle import disk_nonvanishing, x_series_truncated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verblunsky.combinatorics import gap_sequences
 from verblunsky.opuc import (
     NotPositiveDefiniteError,
-    disk_nonvanishing,
     jacobian_determinant,
     jacobian_determinant_exact,
     log_series,
@@ -21,7 +21,6 @@ from verblunsky.opuc import (
     szego_identity_gap,
     trig_moments,
     verblunsky_from_moments,
-    x_series_truncated,
     _reversed_exact,
 )
 

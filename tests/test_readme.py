@@ -1,11 +1,13 @@
-"""The README's Python examples run as written against the current API."""
+"""The README's Python examples run as written against the current API, and
+its Kernels section names every test oracle module."""
 
 import pathlib
 import re
 
 import pytest
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
 
 
@@ -21,3 +23,9 @@ def test_python_block_runs(capsys, index):
     assert out
     if "report.passed" in BLOCKS[index]:
         assert out[-1] == "True"
+
+
+def test_kernels_section_names_every_test_oracle():
+    kernels = re.search(r"^## Kernels\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+    named = set(re.findall(r"`(\w+_oracle\.py)`", kernels))
+    assert named == {path.name for path in TESTS.glob("*_oracle.py")}
