@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=_multi_index, required=True)
     s.add_argument("--beta", type=_rational, required=True)
     s.add_argument("--samples", type=_int_at_least(2), required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_int_at_least(0), required=True)
     s.add_argument("--n-trunc", type=int, default=200)
     s.add_argument("--dump-csv", metavar="PATH", help="write raw samples as CSV")
     s.set_defaults(func=_cmd_mc)
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--modes", type=int, required=True)
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--samples", type=_int_at_least(2), required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_int_at_least(0), required=True)
     s.add_argument("--max-alpha", type=int, default=4)
     s.set_defaults(func=_cmd_pushforward)
 

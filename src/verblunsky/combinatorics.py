@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator, Mapping
 
 
@@ -176,31 +176,21 @@ class GapSequence:
 def partitions(d: int) -> tuple[MultiIndex, ...]:
     """All densities L with deg(L) = d, in descending lexicographic density order.
 
-    The order pins e.g. ``partitions(3)`` to ({1:3}, {1:1,2:1}, {3:1}).
+    The order pins e.g. ``partitions(3)`` to ({1:3}, {1:1,2:1}, {3:1}).  It is
+    the generation order: part sizes u = 1, 2, ... in turn, L(u) largest first.
     """
     if d < 0:
         raise ValueError("partitions of a negative integer")
 
-    out: list[MultiIndex] = []
+    def densities(u: int, left: int) -> Iterator[dict[int, int]]:
+        if left == 0:
+            yield {}
+        elif u <= left:
+            for c in range(left // u, -1, -1):
+                for rest in densities(u + 1, left - c * u):
+                    yield {u: c, **rest}
 
-    def rec(remaining: int, max_part: int, acc: dict[int, int]) -> None:
-        if remaining == 0:
-            out.append(MultiIndex(acc))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            acc[part] = acc.get(part, 0) + 1
-            rec(remaining - part, part, acc)
-            acc[part] -= 1
-            if not acc[part]:
-                del acc[part]
-
-    rec(d, d, {})
-
-    def density_key(L: MultiIndex) -> tuple[int, ...]:
-        return tuple(L.get(u) for u in range(1, d + 1))
-
-    out.sort(key=density_key, reverse=True)
-    return tuple(out)
+    return tuple(MultiIndex(L) for L in densities(1, d))
 
 
 def haar_weight(L: MultiIndex) -> Fraction:
@@ -218,38 +208,25 @@ def f_weight(p: MultiIndex, L: MultiIndex) -> int:
     Sums, over all families (J_part) indexed by the labeled parts of p with
     deg(J_part) = part degree and sum of parts = L, the multinomial
     prod_u L(u)! / prod_parts J_part(u)!.  Zero when deg(L) != deg(p).
+    Recurses on the smallest part n of p: each partition J of n takes
+    prod_u comb(L(u), J(u)) of the multinomial, and the rest of p decomposes
+    what J leaves of L.
     """
     if p.deg != L.deg:
         return 0
-    parts = p.slots()
-
-    @lru_cache(maxsize=None)
-    def rec(idx: int, rem: tuple[tuple[int, int], ...]) -> int:
-        if idx == len(parts):
-            return 1 if not rem else 0
-        rem_map = dict(rem)
-        total = 0
-        for J in partitions(parts[idx]):
-            mult = 1
+    if not p:
+        return 1
+    n, c = p.items()[0]
+    rest = MultiIndex({**dict(p.items()), n: c - 1})
+    total = 0
+    for J in partitions(n):
+        mult = prod(comb(L[u], ju) for u, ju in J.items())
+        if mult:
+            left = dict(L.items())
             for u, ju in J.items():
-                ru = rem_map.get(u, 0)
-                if ju > ru:
-                    mult = 0
-                    break
-                mult *= comb(ru, ju)
-            if not mult:
-                continue
-            nxt = dict(rem_map)
-            for u, ju in J.items():
-                nxt[u] -= ju
-                if not nxt[u]:
-                    del nxt[u]
-            total += mult * rec(idx + 1, tuple(sorted(nxt.items())))
-        return total
-
-    result = rec(0, L.items())
-    rec.cache_clear()
-    return result
+                left[u] -= ju
+            total += mult * f_weight(rest, MultiIndex(left))
+    return total
 
 
 def gap_sequences(n: int, max_index: int) -> list[GapSequence]:

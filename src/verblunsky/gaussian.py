@@ -100,7 +100,7 @@ def gaussian_x_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
     cut = min(p.max_support, q.max_support)
     out: dict[int, Fraction] = {}
     for L in partitions(d):
-        if L.max_support > cut and d > 0:
+        if L.max_support > cut:
             continue
         w = f_weight(p, L) * f_weight(q, L)
         if w:

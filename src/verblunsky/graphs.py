@@ -53,62 +53,47 @@ def enumerate_m_graphs(m: MultiplicityVector, d: int) -> list[MCondGraph]:
 
     Enumerated as nonnegative integer matrices with equal row and column
     margins m and zero diagonal, one matrix per graph (the edge multiset
-    determines and is determined by the matrix).  Cell (r, c) costs
-    take * |v_c - v_r| of its side's budget d, which bounds take; a leaf is
-    kept when the up side spent exactly d.  The down side needs no leaf check
-    of its own: a balanced graph splits into cycles, and each cycle climbs as
-    far as it falls.  Guarded to |m| <= 12.
+    determines and is determined by the matrix).  The off-diagonal cells are
+    filled in row-major order, each from its largest feasible take down to 0,
+    and the last cell of a row takes what that row has left.  Cell (r, c)
+    costs take * |v_c - v_r| of its side's budget d, which bounds take; a leaf
+    is kept when the up side spent exactly d and every column is full.  The
+    down side needs no leaf check of its own: a balanced graph splits into
+    cycles, and each cycle climbs as far as it falls.  Guarded to |m| <= 12.
     """
     if m.size > 12:
         raise ValueError("m-graph enumeration guarded to |m| <= 12")
-    verts = list(m.support())
+    verts = m.support()
     k = len(verts)
-    margins = [m.get(v) for v in verts]
-    if k == 0:
-        return [MCondGraph(())] if d == 0 else []
+    row_left = [m[v] for v in verts]
+    col_left = row_left[:]
+    cells = [(r, c) for r in range(k) for c in range(k) if c != r]
+    takes = [0] * len(cells)
     graphs: list[MCondGraph] = []
-    col_left = list(margins)
 
-    rows: list[list[int]] = []
-
-    def fill_row(r: int, c: int, left: int, row: list[int], up: int, down: int) -> None:
-        if c == k:
-            if left == 0:
-                rows.append(row[:])
-                for j in range(k):
-                    col_left[j] -= row[j]
-                next_row(r + 1, up, down)
-                for j in range(k):
-                    col_left[j] += row[j]
-                rows.pop()
+    def fill(i: int, up: int, down: int) -> None:
+        if i == len(cells):
+            if up == d and not any(col_left):
+                edges = ((verts[r], verts[c]) for (r, c), t in zip(cells, takes) for _ in range(t))
+                graphs.append(MCondGraph(tuple(edges)))
             return
-        if c == r:
-            row[c] = 0
-            fill_row(r, c + 1, left, row, up, down)
-            return
+        r, c = cells[i]
         w = abs(verts[c] - verts[r])
-        is_up = c > r
-        hi = min(left, col_left[c], (d - (up if is_up else down)) // w)
-        for take in range(hi, -1, -1):
-            row[c] = take
-            if is_up:
-                fill_row(r, c + 1, left - take, row, up + take * w, down)
+        left = row_left[r]
+        hi = min(left, col_left[c], (d - (up if c > r else down)) // w)
+        row_ends = i + 1 == len(cells) or cells[i + 1][0] != r
+        for take in range(hi, left - 1 if row_ends else -1, -1):
+            takes[i] = take
+            row_left[r] = left - take
+            col_left[c] -= take
+            if c > r:
+                fill(i + 1, up + take * w, down)
             else:
-                fill_row(r, c + 1, left - take, row, up, down + take * w)
-        row[c] = 0
+                fill(i + 1, up, down + take * w)
+            col_left[c] += take
+        row_left[r] = left
 
-    def next_row(r: int, up: int, down: int) -> None:
-        if r == k:
-            if up == d and all(c == 0 for c in col_left):
-                edges = []
-                for i, row in enumerate(rows):
-                    for j, cnt in enumerate(row):
-                        edges.extend([(verts[i], verts[j])] * cnt)
-                graphs.append(MCondGraph(tuple(sorted(edges))))
-            return
-        fill_row(r, 0, margins[r], [0] * k, up, down)
-
-    next_row(0, 0, 0)
+    fill(0, 0, 0)
     return graphs
 
 

@@ -67,7 +67,7 @@ def measure_density(alpha, grid: int) -> np.ndarray:
     if r.size > grid:
         raise ValueError("grid too coarse for the polynomial degree")
     vals = np.fft.ifft(r, n=grid) * grid
-    norm = float(np.prod(1.0 - np.abs(a) ** 2)) if a.size else 1.0
+    norm = float(np.prod(1.0 - np.abs(a) ** 2))
     return norm / np.abs(vals) ** 2
 
 
@@ -135,7 +135,7 @@ def szego_identity_gap(alpha, M: int) -> float:
     f = log_series(padded)
     m = np.arange(M + 1)
     lhs = float(np.exp(-np.sum(m * np.abs(f) ** 2)))
-    rhs = float(np.prod((1.0 - np.abs(a) ** 2) ** np.arange(1, a.size + 1))) if a.size else 1.0
+    rhs = float(np.prod((1.0 - np.abs(a) ** 2) ** np.arange(1, a.size + 1)))
     return abs(lhs - rhs)
 
 

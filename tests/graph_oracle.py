@@ -2,7 +2,9 @@
 
 This is the full zero-diagonal matrix fill that ``graphs.enumerate_m_graphs``
 used before it took a weight budget.  It visits every m-graph whatever its
-weights, so the tests compare the pruned sets and counts against it.
+weights, so the tests compare the pruned sets and counts against it.  It
+keeps the row-by-row fill, while the pruned enumerator fills one cell at a
+time, so the two share no code structure.
 """
 
 from __future__ import annotations

@@ -195,6 +195,10 @@ class TestExitCodes:
          "--samples", "1", "--seed", "1"],
         ["pushforward", "--beta", "1", "--modes", "4", "--radius", "0.5",
          "--samples", "1", "--seed", "1"],
+        ["mc", "--side", "alpha", "--p", "2:2", "--q", "2:2", "--beta", "1",
+         "--n-trunc", "20000", "--samples", "2", "--seed", "-1"],
+        ["pushforward", "--beta", "1", "--modes", "4", "--radius", "0.5",
+         "--samples", "10", "--seed", "-1"],
     ])
     def test_out_of_range_option_exits_two(self, capsys, argv):
         code, out, err = _run(capsys, argv)
@@ -232,6 +236,26 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--samples" in err
+
+    @pytest.mark.parametrize("command", [
+        ["mc", "--side", "alpha", "--p", "2:2", "--q", "2:2", "--beta", "1",
+         "--n-trunc", "20000", "--samples", "2"],
+        ["pushforward", "--beta", "1", "--modes", "4", "--radius", "0.5", "--samples", "10"],
+    ])
+    def test_negative_seed_checked_before_sampling(self, capsys, monkeypatch, command):
+        # A negative --seed is rejected while parsing, by a message that names
+        # it, before the exact reference or any draw.
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before checking --seed")
+
+        monkeypatch.setattr(montecarlo, "mc_reference", no_work)
+        monkeypatch.setattr(montecarlo, "pushforward_experiment", no_work)
+        code, out, err = _run(capsys, [*command, "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"verblunsky {command[0]}: error: argument --seed: need an integer >= 0, got '-1'"
+        ]
 
     def test_count_size_guard_exits_two(self, capsys):
         code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])

@@ -2,12 +2,13 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from verblunsky import gaussian
 from verblunsky.combinatorics import (
     GapSequence,
     MultiIndex,
@@ -124,7 +125,7 @@ class TestPartitions:
             {3: 1},
         ]
         # descending lexicographic on the density vector (L(1), L(2), ...)
-        for d in range(1, 9):
+        for d in range(13):
             keys = [
                 tuple(L.get(u) for u in range(1, d + 1)) for L in partitions(d)
             ]
@@ -177,6 +178,16 @@ class TestFWeight:
         # parts (1, 2) into {1:3}: choose the singleton (3 ways), rest forced
         assert f_weight(MultiIndex({1: 1, 2: 1}), MultiIndex({1: 3})) == 3
         assert f_weight(MultiIndex({1: 1, 2: 1}), MultiIndex({1: 1, 2: 1})) == 1
+
+    def test_equals_scaled_decomposition_sums(self):
+        # the raw engine's sums of 1/prod J! over families, times L!
+        for dp in range(7):
+            for p in partitions(dp):
+                sums = gaussian._decomposition_sums(p)
+                for dl in range(7):
+                    for L in partitions(dl):
+                        l_fact = prod(factorial(c) for _, c in L.items())
+                        assert f_weight(p, L) == l_fact * sums.get(L, 0), (p, L)
 
 
 def _brute_gap_sequences(n, max_index):
