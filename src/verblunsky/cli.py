@@ -6,6 +6,8 @@ offending token, values out of floating-point range, and files that cannot
 be read or written).  Alpha lists are
 given either inline as comma-separated complex literals ("0.3", "0.3+0.4i",
 "-1/4i") or as a path to a JSON file holding an array of [re, im] pairs.
+Each handler returns (results, status, diagnostics); ``run`` builds the
+report and echoes every parsed option under ``params`` through ``_echo``.
 """
 
 from __future__ import annotations
@@ -30,18 +32,16 @@ from .report import EXPERIMENTAL, FAIL, PASS, Report, complex_pair, poly_map, ra
 # -- argument parsing helpers ----------------------------------------------
 
 
-def _multi_index(text: str) -> MultiIndex:
-    try:
-        return MultiIndex.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _from_string(cls):
+    """argparse type for ``cls.from_string`` (MultiIndex, MultiplicityVector)."""
 
+    def parse(text: str):
+        try:
+            return cls.from_string(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _multiplicity(text: str) -> MultiplicityVector:
-    try:
-        return MultiplicityVector.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -112,14 +112,17 @@ def _alpha_exact(text: str) -> list[tuple[Fraction, Fraction]]:
         if os.path.exists(text):
             with open(text) as fh:
                 data = json.load(fh)
-            return [(Fraction(str(re)), Fraction(str(im))) for re, im in data]
-        pairs = []
-        for tok in text.split(","):
-            re_s, im_s = _split_complex(tok)
-            pairs.append((Fraction(re_s), Fraction(im_s)))
-        return pairs
+            pairs = [(Fraction(str(re)), Fraction(str(im))) for re, im in data]
+        else:
+            pairs = []
+            for tok in text.split(","):
+                re_s, im_s = _split_complex(tok)
+                pairs.append((Fraction(re_s), Fraction(im_s)))
     except (ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
+    if not pairs:
+        raise argparse.ArgumentTypeError("empty alpha list")
+    return pairs
 
 
 def _alpha_floats(text: str) -> np.ndarray:
@@ -128,46 +131,25 @@ def _alpha_floats(text: str) -> np.ndarray:
         vals = [complex(float(re), float(im)) for re, im in pairs]
     except OverflowError as exc:
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
-    if not vals:
-        raise argparse.ArgumentTypeError("empty alpha list")
     return np.array(vals, dtype=np.complex128)
 
 
 # -- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_gaussian_moment(args) -> Report:
-    engine = "decomposition-sum" if args.raw else "partition"
-    fn = gaussian_x_moment_raw if args.raw else gaussian_x_moment
+def _cmd_gaussian_moment(args):
+    fn = gaussian_x_moment_raw if args.engine == "decomposition-sum" else gaussian_x_moment
     moment = fn(args.p, args.q)
-    return Report(
-        command="gaussian-moment",
-        params={"p": args.p.to_string(), "q": args.q.to_string(), "engine": engine},
-        results={"moment": poly_map(moment.to_map())},
-        status=PASS,
-    )
+    return {"moment": poly_map(moment.to_map())}, PASS, {}
 
 
-def _cmd_alpha_moment(args) -> Report:
+def _cmd_alpha_moment(args):
     res = alpha_x_moment(args.p, args.q, args.beta, args.max_index)
-    return Report(
-        command="alpha-moment",
-        params={
-            "p": args.p.to_string(),
-            "q": args.q.to_string(),
-            "beta": rat_str(args.beta),
-            "max_index": args.max_index,
-        },
-        results={"value": rat_str(res.value)},
-        status=PASS,
-        diagnostics={
-            "last_shell": rat_str(res.last_shell),
-            "tail": rat_str(res.tail_estimate),
-        },
-    )
+    diagnostics = {"last_shell": rat_str(res.last_shell), "tail": rat_str(res.tail_estimate)}
+    return {"value": rat_str(res.value)}, PASS, diagnostics
 
 
-def _cmd_identity(args) -> Report:
+def _cmd_identity(args):
     rep = verify_cn_identity(args.p, args.q, args.beta, args.max_index)
     checks = [
         {
@@ -184,150 +166,84 @@ def _cmd_identity(args) -> Report:
         tail = rat_str(rep.checks[0].tail_estimate)
     else:
         tail = {rat_str(c.beta): rat_str(c.tail_estimate) for c in rep.checks}
-    return Report(
-        command="identity",
-        params={
-            "p": args.p.to_string(),
-            "q": args.q.to_string(),
-            "beta": [rat_str(b) for b in args.beta],
-            "max_index": args.max_index,
-        },
-        results={"checks": checks},
-        status=PASS if rep.passed else FAIL,
-        diagnostics={"tail": tail},
-    )
+    return {"checks": checks}, PASS if rep.passed else FAIL, {"tail": tail}
 
 
-def _cmd_nice_identity(args) -> Report:
+def _cmd_nice_identity(args):
     c = nice_identity_check(args.n, args.beta, args.max_index)
-    return Report(
-        command="nice-identity",
-        params={"n": args.n, "beta": rat_str(args.beta), "max_index": args.max_index},
-        results={"lhs": rat_str(c.alpha_value), "rhs": rat_str(c.gaussian_value)},
-        status=PASS if c.passed else FAIL,
-        diagnostics={"difference": rat_str(-c.difference), "tail": rat_str(c.tail_estimate)},
+    return (
+        {"lhs": rat_str(c.alpha_value), "rhs": rat_str(c.gaussian_value)},
+        PASS if c.passed else FAIL,
+        {"difference": rat_str(-c.difference), "tail": rat_str(c.tail_estimate)},
     )
 
 
-def _cmd_variance(args) -> Report:
+def _cmd_variance(args):
     pmf = variance_pmf(args.n)
-    return Report(
-        command="variance",
-        params={"n": args.n},
-        results={"polynomial": poly_map(pmf.to_map())},
-        status=PASS,
-    )
+    return {"polynomial": poly_map(pmf.to_map())}, PASS, {}
 
 
-def _cmd_count(args) -> Report:
+def _cmd_count(args):
     tuples = count_tuples(args.p, args.q, args.m)
     graphs = c_via_graphs(args.p, args.q, args.m)
-    return Report(
-        command="count",
-        params={"p": args.p.to_string(), "q": args.q.to_string(), "m": args.m.to_string()},
-        results={"tuples": tuples, "graphs": graphs},
-        status=PASS if tuples == graphs else FAIL,
-        diagnostics={"max_index": args.m.max_support},
-    )
+    status = PASS if tuples == graphs else FAIL
+    return {"tuples": tuples, "graphs": graphs}, status, {"max_index": args.m.max_support}
 
 
-def _cmd_jacobian(args) -> Report:
-    if args.exact:
+def _cmd_jacobian(args):
+    if args.mode == "exact":
+        args.tol = None  # compared by equality, so no tolerance is reported
         pairs = _alpha_exact(args.alpha)
         det, prod = opuc.jacobian_determinant_exact(pairs)
-        return Report(
-            command="jacobian",
-            params={"alpha": args.alpha, "mode": "exact"},
-            results={"determinant": rat_str(det), "product": rat_str(prod)},
-            status=PASS if det == prod else FAIL,
-        )
+        status = PASS if det == prod else FAIL
+        return {"determinant": rat_str(det), "product": rat_str(prod)}, status, {}
     a = _alpha_floats(args.alpha)
     det, prod = opuc.jacobian_determinant(a)
     rel = abs(det - prod) / max(abs(prod), 1e-300)
-    return Report(
-        command="jacobian",
-        params={"alpha": args.alpha, "mode": "finite-difference", "tol": args.tol},
-        results={"determinant": det, "product": prod},
-        status=PASS if rel <= args.tol else FAIL,
-        diagnostics={"relative_gap": rel},
-    )
+    status = PASS if rel <= args.tol else FAIL
+    return {"determinant": det, "product": prod}, status, {"relative_gap": rel}
 
 
-def _cmd_szego_check(args) -> Report:
+def _cmd_szego_check(args):
     a = _alpha_floats(args.alpha)
     gap = opuc.szego_identity_gap(a, args.order)
-    return Report(
-        command="szego-check",
-        params={"alpha": args.alpha, "order": args.order, "tol": args.tol},
-        results={"gap": gap},
-        status=PASS if gap <= args.tol else FAIL,
-    )
+    return {"gap": gap}, PASS if gap <= args.tol else FAIL, {}
 
 
-def _cmd_roundtrip(args) -> Report:
+def _cmd_roundtrip(args):
     a = _alpha_floats(args.alpha)
     rho = opuc.measure_density(a, args.grid)
     c = opuc.trig_moments(rho, a.size)
     rec = opuc.verblunsky_from_moments(c)
     err = float(np.abs(rec - a).max())
-    return Report(
-        command="roundtrip",
-        params={"alpha": args.alpha, "grid": args.grid, "tol": args.tol},
-        results={"max_error": err},
-        status=PASS if err <= args.tol else FAIL,
-    )
+    return {"max_error": err}, PASS if err <= args.tol else FAIL, {}
 
 
-def _cmd_mc(args) -> Report:
+def _cmd_mc(args):
     ref = montecarlo.mc_reference(args.side, args.p, args.q, args.beta, args.n_trunc)
     stats = montecarlo.mc_x_moment(
-        args.side,
-        args.p,
-        args.q,
-        float(args.beta),
-        args.n_trunc,
-        args.samples,
-        args.seed,
-        workers=args.threads,
-        dump_csv=args.dump_csv,
+        args.side, args.p, args.q, float(args.beta), args.n_trunc, args.samples, args.seed,
+        workers=args.threads, dump_csv=args.dump_csv
     )
     err = abs(stats.mean - ref)
     passed = err <= 4.0 * stats.stderr + 1e-12
-    params = {
-        "side": args.side,
-        "p": args.p.to_string(),
-        "q": args.q.to_string(),
-        "beta": rat_str(args.beta),
-        "n_trunc": args.n_trunc,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    if args.dump_csv:
-        params["dump_csv"] = args.dump_csv
-    return Report(
-        command="mc",
-        params=params,
-        results={
+    return (
+        {
             "mean": complex_pair(stats.mean),
             "stderr": stats.stderr,
             "count": stats.count,
             "reference": ref,
         },
-        status=PASS if passed else FAIL,
-        diagnostics={"abs_error": err, "rng": montecarlo.RNG_ALGORITHM},
+        PASS if passed else FAIL,
+        {"abs_error": err, "rng": montecarlo.RNG_ALGORITHM},
     )
 
 
-def _cmd_pushforward(args) -> Report:
+def _cmd_pushforward(args):
     beta = float(args.beta)
     stats = montecarlo.pushforward_experiment(
-        beta,
-        args.modes,
-        args.radius,
-        args.samples,
-        args.max_alpha,
-        args.seed,
-        workers=args.threads,
+        beta, args.modes, args.radius, args.samples, args.max_alpha, args.seed,
+        workers=args.threads
     )
     rows = [
         {
@@ -338,22 +254,10 @@ def _cmd_pushforward(args) -> Report:
         }
         for i, s in enumerate(stats)
     ]
-    return Report(
-        command="pushforward",
-        params={
-            "beta": rat_str(args.beta),
-            "modes": args.modes,
-            "radius": args.radius,
-            "samples": args.samples,
-            "max_alpha": args.max_alpha,
-            "seed": args.seed,
-        },
-        results={"moments": rows},
-        status=EXPERIMENTAL,
-        diagnostics={
-            "grid": montecarlo.pushforward_grid(args.modes),
-            "rng": montecarlo.RNG_ALGORITHM,
-        },
+    return (
+        {"moments": rows},
+        EXPERIMENTAL,
+        {"grid": montecarlo.pushforward_grid(args.modes), "rng": montecarlo.RNG_ALGORITHM},
     )
 
 
@@ -375,21 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("gaussian-moment", help="exact moment polynomial in 1/beta")
-    s.add_argument("--p", type=_multi_index, required=True)
-    s.add_argument("--q", type=_multi_index, required=True)
-    s.add_argument("--raw", action="store_true", help="use the decomposition-sum engine")
+    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--raw", dest="engine", action="store_const", const="decomposition-sum",
+                   default="partition", help="use the decomposition-sum engine")
     s.set_defaults(func=_cmd_gaussian_moment)
 
     s = sub.add_parser("alpha-moment", help="exact truncated alpha-side moment sum")
-    s.add_argument("--p", type=_multi_index, required=True)
-    s.add_argument("--q", type=_multi_index, required=True)
+    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
     s.add_argument("--beta", type=_rational, required=True)
     s.add_argument("--max-index", type=int, required=True)
     s.set_defaults(func=_cmd_alpha_moment)
 
     s = sub.add_parser("identity", help="compare both moment engines at rational beta")
-    s.add_argument("--p", type=_multi_index, required=True)
-    s.add_argument("--q", type=_multi_index, required=True)
+    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
     s.add_argument("--beta", type=_rational_list, required=True, metavar="RAT[,RAT...]")
     s.add_argument("--max-index", type=int, required=True)
     s.set_defaults(func=_cmd_identity)
@@ -405,14 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_variance)
 
     s = sub.add_parser("count", help="tuple-family count against the graph-coloring count")
-    s.add_argument("--p", type=_multi_index, required=True)
-    s.add_argument("--q", type=_multi_index, required=True)
-    s.add_argument("--m", type=_multiplicity, required=True)
+    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--m", type=_from_string(MultiplicityVector), required=True)
     s.set_defaults(func=_cmd_count)
 
     s = sub.add_parser("jacobian", help="volume identity for the coefficient map")
     s.add_argument("--alpha", required=True, metavar="FILE|LIST")
-    s.add_argument("--exact", action="store_true", help="exact arithmetic (rational alpha)")
+    s.add_argument("--exact", dest="mode", action="store_const", const="exact",
+                   default="finite-difference", help="exact arithmetic (rational alpha)")
     s.add_argument("--tol", type=_tolerance, default=1e-6)
     s.set_defaults(func=_cmd_jacobian)
 
@@ -430,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("mc", help="Monte Carlo x-moment against the exact engines")
     s.add_argument("--side", choices=("gaussian", "alpha"), required=True)
-    s.add_argument("--p", type=_multi_index, required=True)
-    s.add_argument("--q", type=_multi_index, required=True)
+    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
+    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
     s.add_argument("--beta", type=_rational, required=True)
     s.add_argument("--samples", type=_int_at_least(2), required=True)
     s.add_argument("--seed", type=_int_at_least(0), required=True)
@@ -451,6 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _echo(value):
+    """How a parsed option appears under a report's ``params``."""
+    if isinstance(value, (MultiIndex, MultiplicityVector)):
+        return value.to_string()
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return value
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -459,11 +376,13 @@ def run(argv) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        report = args.func(args)
+        results, status, diagnostics = args.func(args)
     except (ValueError, OverflowError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.params["threads"] = args.threads
+    params = {k: _echo(v) for k, v in vars(args).items()
+              if v is not None and k not in ("command", "func")}
+    report = Report(args.command, params, results, status, diagnostics)
     sys.stdout.write(report.to_json())
     return report.exit_code
 

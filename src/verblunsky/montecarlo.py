@@ -5,7 +5,8 @@ Determinism contract
 All sampling is driven by numpy's PCG64.  A run is parameterized by
 ``(seed, workers)``: ``SeedSequence(seed).spawn(workers)`` derives one
 independent substream per worker, worker ``w`` handles a contiguous chunk of
-samples (the first ``samples % workers`` chunks are one larger), and inside a
+samples (the first ``samples % workers`` chunks are one larger; workers past
+the ``samples``-th draw nothing and get no substream), and inside a
 worker the draws happen in fixed blocks of :data:`BLOCK_SIZE` samples.
 Results are reduced in worker order, so identical ``(seed, workers)`` gives
 bit-identical streams and statistics; changing ``workers`` changes the
@@ -57,10 +58,11 @@ class SampleStats:
 
 
 def _worker_chunks(samples: int, workers: int) -> list[int]:
+    """The non-empty chunk sizes, one per drawing worker: at most ``samples``."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     base, extra = divmod(samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    return [base + (1 if w < extra else 0) for w in range(min(workers, samples))]
 
 
 def _draw_blocks(samples: int, seed: int, workers: int):
@@ -72,7 +74,9 @@ def _draw_blocks(samples: int, seed: int, workers: int):
     :data:`BLOCK_SIZE`.  This is the one place the stream is split.
     """
     chunks = _worker_chunks(samples, workers)
-    children = np.random.SeedSequence(seed).spawn(workers)
+    # A child's spawn key is (w,) whatever the count, so workers past the
+    # last non-empty chunk, which would draw nothing, are never spawned.
+    children = np.random.SeedSequence(seed).spawn(len(chunks))
     start = 0
     for child, chunk in zip(children, chunks):
         rng = np.random.Generator(np.random.PCG64(child))

@@ -75,6 +75,41 @@ class TestReportShape:
         _, out, _ = _run(capsys, ["--threads", "2", "variance", "--n", "2"])
         assert json.loads(out)["params"]["threads"] == 2
 
+    # Reports that no golden file covers: every parsed option is echoed,
+    # rationals as "num/den", --exact as mode, and an unset --dump-csv not at all.
+    @pytest.mark.parametrize("argv, params", [
+        (["szego-check", "--alpha", "0.3,0.2+0.1i", "--order", "200"],
+         {"alpha": "0.3,0.2+0.1i", "order": 200, "tol": 1e-8, "threads": 1}),
+        (["roundtrip", "--alpha", "0.4,0.1-0.2i,0.25i", "--grid", "4096"],
+         {"alpha": "0.4,0.1-0.2i,0.25i", "grid": 4096, "tol": 1e-9, "threads": 1}),
+        (["jacobian", "--alpha", "0.3+0.1i,0.2"],
+         {"alpha": "0.3+0.1i,0.2", "mode": "finite-difference", "tol": 1e-6, "threads": 1}),
+        (["jacobian", "--exact", "--alpha", "1/4+1/4i,1/8", "--tol", "0.5"],
+         {"alpha": "1/4+1/4i,1/8", "mode": "exact", "threads": 1}),
+        (["--threads", "2", "mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1/2",
+          "--samples", "30", "--seed", "1", "--n-trunc", "8"],
+         {"side": "alpha", "p": "1:1", "q": "1:1", "beta": "1/2", "n_trunc": 8, "samples": 30,
+          "seed": 1, "threads": 2}),
+        (["pushforward", "--beta", "3/2", "--modes", "16", "--radius", "0.9", "--samples", "40",
+          "--seed", "2", "--max-alpha", "2"],
+         {"beta": "3/2", "modes": 16, "radius": 0.9, "samples": 40, "max_alpha": 2, "seed": 2,
+          "threads": 1}),
+    ])
+    def test_params_pinned(self, capsys, argv, params):
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["params"] == params
+
+    def test_mc_params_with_dump_csv(self, capsys, tmp_path):
+        path = str(tmp_path / "mc.csv")
+        _, out, _ = _run(capsys, ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta",
+                                  "1", "--samples", "30", "--seed", "1", "--n-trunc", "8",
+                                  "--dump-csv", path])
+        assert json.loads(out)["params"] == {
+            "side": "alpha", "p": "1:1", "q": "1:1", "beta": "1/1", "n_trunc": 8, "samples": 30,
+            "seed": 1, "dump_csv": path, "threads": 1,
+        }
+
     def test_multiple_beta_tail_map(self, capsys):
         _, out, _ = _run(
             capsys,
@@ -310,6 +345,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_empty_alpha_file_exits_two(self, capsys, tmp_path, exact):
+        # Every --alpha reader rejects an empty list, the exact one included.
+        path = tmp_path / "alpha.json"
+        path.write_text("[]")
+        code, out, err = _run(capsys, ["jacobian", *exact, "--alpha", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty alpha list\n"
 
     @pytest.mark.parametrize("alpha", ["2,1/2", "1", "1/4,3/5+4/5i"])
     def test_exact_jacobian_rejects_alpha_outside_disk(self, capsys, alpha):

@@ -97,8 +97,35 @@ class TestDeterminism:
         assert _worker_chunks(10, 3) == [4, 3, 3]
         assert _worker_chunks(4, 4) == [1, 1, 1, 1]
         assert sum(_worker_chunks(100001, 7)) == 100001
+        # Independent of the worker count; kept at 10**6 so that an O(workers)
+        # regression fails in milliseconds instead of allocating a huge list.
+        assert _worker_chunks(3, 10**6) == [1, 1, 1]
         with pytest.raises(ValueError):
             _worker_chunks(5, 0)
+
+    def test_idle_workers_get_no_generator(self, monkeypatch):
+        # With more workers than samples only the first `samples` workers
+        # draw; the idle ones are never spawned, and the draws are those of
+        # workers == samples.
+        spawned, made = [], []
+        pcg64 = np.random.PCG64
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n):
+                spawned.append(n)
+                return super().spawn(n)
+
+        def counting(seed):
+            made.append(seed)
+            return pcg64(seed)
+
+        want = sample_f_batch(1.0, 3, 5, seed=4, workers=5)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        got = sample_f_batch(1.0, 3, 5, seed=4, workers=10_000)
+        assert spawned == [5]
+        assert len(made) == 5
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMcXMoment:
