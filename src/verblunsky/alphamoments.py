@@ -9,15 +9,15 @@ Materializing those tuples is hopeless at the max_index scales the identity
 checks need (~1e14 tuples at degree 4, max_index 1e4), so
 :func:`alpha_x_moment` runs an exact level-by-level transfer sweep instead:
 one state per assignment of (open/closed, remaining gap budget) to the slots,
-up to permuting one side's slots, amplitudes carrying the exact rational
-weights.  The moves out of a state do not depend on the level t, so they are
-tabulated once and shared by all levels, betas and calls.  Reading the
-all-closed amplitude after level t yields every partial sum S(t) along the
-way, which gives the last-shell truncation diagnostics for free.
+up to permuting one side's slots.  The moves out of a state do not depend on
+the level t, so :func:`_transfer` numbers the states and tabulates their
+moves once for all levels, betas and calls.  Each level of
+:func:`_level_sweep` is one sparse matrix-vector product on integer
+numerators, and the all-closed entry after level t is the partial sum S(t).
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
-:func:`_transitions` table: integer amplitudes, keyed also by the
+:func:`_transfer` table: integer amplitudes, keyed by state number and the
 multiplicities read so far.  Those counts times :func:`term_value`
 cross-check the sweep in tests.  The counts' independent references are the
 literal product ``tests/tuple_oracle.literal_count`` and the graph-coloring
@@ -28,9 +28,7 @@ Each comparison of the CN identity's two sides is one :class:`CnCheck` from
 is written.  :func:`verify_cn_identity` makes one check per beta;
 :func:`nice_identity_check` makes the one at p = q = delta_n, E|x_n|**2,
 whose Gaussian value is :func:`~verblunsky.gaussian.variance_pmf`.  All
-arithmetic is exact: inside the sweep, amplitudes are integer numerators over
-one common denominator reduced once per level, and values cross the API as
-``fractions.Fraction``.
+arithmetic is exact, and values cross the API as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from .gaussian import gaussian_x_moment, variance_pmf
 
 #: The type of the exact values the sweep returns (``perfbench`` reports it).
 _mpq = Fraction
+_DONE = 1  # the all-closed state's number in every _Transfer table
 
 
 def term_value(m: MultiplicityVector, beta: Fraction) -> Fraction:
@@ -93,7 +92,6 @@ def _canonical(slots, n_p: int) -> tuple[int, ...]:
     return (*sorted(slots[:n_p]), *sorted(slots[n_p:]))
 
 
-@lru_cache(maxsize=None)
 def _transitions(state: tuple[int, ...], n_p: int) -> tuple:
     """One level's moves out of a state: ((mt, ((next, multiplicity), ...)), ...).
 
@@ -120,13 +118,45 @@ def _initial_state(p: MultiIndex, q: MultiIndex) -> tuple[int, ...]:
     return _canonical([2 * d for d in (*p.slots(), *q.slots())], p.size)
 
 
+class _Transfer(dict):
+    """The level transfer matrix on the slot states reachable from ``init``.
+
+    A state is a tuple of slot codes, remaining budget * 2 + open flag, the
+    first ``n_p`` on the p side; there are 3 to 40 for the x-moment pairs of
+    degree <= 4.  States are numbered as first reached: ``init`` is 0, and the
+    all-closed state, which deg p = deg q >= 1 reaches, is :data:`_DONE`.
+    ``table[s]`` is state s's row of moves ``(mt, dst, mult)`` from
+    :func:`_transitions`, tabulated on first use, so a walk that keeps only
+    some moves (:func:`count_tuples`) tabulates only the states it reaches.
+    """
+
+    def __init__(self, init: tuple[int, ...], n_p: int):
+        self.n_p, self.states = n_p, [init, (0,) * len(init)]
+        self.number = {state: s for s, state in enumerate(self.states)}
+
+    def __missing__(self, s: int) -> tuple:
+        row = []
+        for mt, targets in _transitions(self.states[s], self.n_p):
+            for nxt, mult in targets:
+                dst = self.number.setdefault(nxt, len(self.states))
+                if dst == len(self.states):
+                    self.states.append(nxt)
+                row.append((mt, dst, mult))
+        self[s] = row = tuple(row)
+        return row
+
+
+#: The one table per start, shared by all levels, betas and calls.
+_transfer = lru_cache(maxsize=None)(_Transfer)
+
+
 def _tuple_counts(
     p: MultiIndex, q: MultiIndex, max_index: int, m: MultiplicityVector | None = None
 ) -> dict[MultiplicityVector, int]:
     """Nonzero balanced-tuple counts with indices <= max_index, keyed by m.
 
-    Walks the :func:`_transitions` table over levels 0..max_index with
-    integer amplitudes keyed by (state, ((t, mt), ...) read so far): level t
+    Walks the :func:`_transfer` table over levels 0..max_index with integer
+    amplitudes keyed by (state number, ((t, mt), ...) read so far): level t
     is index t, and a move's mt (p-side tops + q-side bottoms at t) is m(t).
     With ``m`` given, only the moves with mt = m(t) are kept.  The families
     are the walks that end all closed.
@@ -135,29 +165,30 @@ def _tuple_counts(
         return {}
     if p.deg == 0:
         return {MultiplicityVector(): 1}
-    init, n_p = _initial_state(p, q), p.size
-    amps = {(init, ()): 1}
+    table = _transfer(_initial_state(p, q), p.size)
+    amps = {(0, ()): 1}
     for t in range(max_index + 1):
         want = None if m is None else m[t]
         new_amps: dict[tuple, int] = {}
-        for (state, read), amp in amps.items():
-            for mt, targets in _transitions(state, n_p):
+        for (src, read), amp in amps.items():
+            for mt, dst, mult in table[src]:
                 if want is not None and mt != want:
                     continue
                 now = read + ((t, mt),) if mt else read
-                for nxt, mult in targets:
-                    new_amps[nxt, now] = new_amps.get((nxt, now), 0) + amp * mult
+                new_amps[dst, now] = new_amps.get((dst, now), 0) + amp * mult
         amps = new_amps
-    done = (0,) * len(init)
-    return {MultiplicityVector(dict(read)): c for (s, read), c in amps.items() if s == done}
+    return {MultiplicityVector(dict(read)): c for (s, read), c in amps.items() if s == _DONE}
 
 
 def count_tuples(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:
     """Exact number of balanced tuple families with multiplicity vector m.
 
     Every index of such a family lies in the support of m, so the walk stops
-    at its largest index.
+    at its largest index.  Each slot's gap sequence has a pair, and each pair
+    puts one index into m, so |m| < p.size + q.size counts 0 without a walk.
     """
+    if p.size + q.size > m.size:
+        return 0
     return _tuple_counts(p, q, m.max_support, m).get(m, 0)
 
 
@@ -168,66 +199,42 @@ def tuple_counts_all_m(
     return _tuple_counts(p, q, max_index)
 
 
-def _level_sweep(
-    init: tuple[int, ...], n_p: int, beta: Fraction, max_index: int
-) -> tuple[Fraction, Fraction]:
-    """Exact transfer sweep over levels 0..max_index.
+def _level_sweep(init: tuple[int, ...], n_p: int, beta: Fraction):
+    """Exact transfer sweep: after each level t = 0, 1, ... yield (den, amps).
 
-    A state is a tuple of slot codes, remaining budget * 2 + open flag, the
-    first ``n_p`` on the p side.  One level's moves out of a state are
-    :func:`_transitions`; they do not depend on the level, so they are
-    tabulated once for the states reachable from ``init``: 3 to 40 for the
-    x-moment pairs of degree <= 4, and 2n + 1 for (delta_n, delta_n), whose
-    two slots open and close in lockstep.
-    Amplitudes are integer numerators over one shared denominator D.  With
-    beta = bu / bv, level t's factor for mt, mt! / ((t beta + 1)...(t beta + mt)),
-    is w[mt] / P_t with integers P_t = prod_{s=1..top_mt} (t bu + s bv) and
-    w[mt] = mt! bv**mt prod_{s>mt} (t bu + s bv).  Each level multiplies a
-    state's numerator once per mt by w[mt] and adds it, times the
-    multiplicity, to each next state; then D *= P_t, and D and every
-    numerator are divided by their common gcd, which keeps them from growing
-    by a factor P_t per level.  Returns (S(max_index), S(max_index - 1)), the
-    all-closed amplitudes after the last two levels, as ``Fraction``s.
+    ``amps[s] / den`` is the amplitude of :func:`_transfer` state s, in a
+    fresh list per level.  With beta = bu / bv, level t's factor for mt,
+    mt! / ((t beta + 1)...(t beta + mt)), is w[mt] / P_t with integers
+    P_t = prod_{s=1..top_mt} (t bu + s bv) and w[mt] = mt! bv**mt
+    prod_{s>mt} (t bu + s bv).  A level adds amps[src] * w[mt] * mult to
+    new[dst] over the rows of the nonzero sources; then den *= P_t, and den
+    and every numerator are divided by their gcd, which keeps them from
+    growing by P_t per level.
     """
+    table = _transfer(init, n_p)
+    rows = [table[s] for s, _ in enumerate(table.states)]  # states grows meanwhile
+    top_mt = max(mt for row in rows for mt, _, _ in row)
     bu, bv = beta.numerator, beta.denominator
-    done = (0,) * len(init)
-    table = {}
-    todo = [init]
-    while todo:
-        state = todo.pop()
-        if state not in table:
-            table[state] = row = _transitions(state, n_p)
-            todo.extend(nxt for _, targets in row for nxt, _ in targets)
-    top_mt = max(mt for row in table.values() for mt, _ in row)
     head = [factorial(mt) * bv**mt for mt in range(top_mt + 1)]
-    amps = {init: 1}
+    amps = [1] + [0] * (len(rows) - 1)
     den = 1
-    done_prev = done_now = (0, 1)
-    for t in range(max_index + 1):
+    for t in itertools.count():
         suffix = [1] * (top_mt + 1)
         for s in range(top_mt, 0, -1):
             suffix[s - 1] = suffix[s] * (t * bu + s * bv)
         w = [h * x for h, x in zip(head, suffix)]
-        new_amps: dict[tuple[int, ...], int] = {}
-        get = new_amps.get
-        for state, amp in amps.items():
-            for mt, targets in table[state]:
-                val = amp * w[mt]
-                for nxt, mult in targets:
-                    add = val * mult if mult > 1 else val
-                    old = get(nxt)
-                    new_amps[nxt] = add if old is None else old + add
+        new = [0] * len(rows)
+        for src, amp in enumerate(amps):
+            if amp:
+                for mt, dst, mult in rows[src]:
+                    new[dst] += amp * (w[mt] * mult)
         den *= suffix[0]
-        g = gcd(den, *new_amps.values())
+        g = gcd(den, *new)
         if g > 1:
             den //= g
-            new_amps = {state: amp // g for state, amp in new_amps.items()}
-        amps = new_amps
-        if t == max_index - 1:
-            done_prev = (amps.get(done, 0), den)
-        elif t == max_index:
-            done_now = (amps.get(done, 0), den)
-    return Fraction(*done_now), Fraction(*done_prev)
+            new = [amp // g for amp in new]
+        amps = new
+        yield den, amps
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:
@@ -255,8 +262,12 @@ def alpha_x_moment(
         return TruncatedSumResult(zero, zero, zero)
     if p.deg == 0:
         return TruncatedSumResult(Fraction(1), zero, zero)
-    s_now, s_prev = _level_sweep(_initial_state(p, q), p.size, beta, max_index)
-    shell = s_now - s_prev
+    prev = now = (0, 1)
+    sweep = _level_sweep(_initial_state(p, q), p.size, beta)
+    for den, amps in itertools.islice(sweep, max_index + 1):
+        prev, now = now, (amps[_DONE], den)
+    s_now = Fraction(*now)
+    shell = s_now - Fraction(*prev)
     return TruncatedSumResult(s_now, shell, shell * max_index)
 
 

@@ -23,8 +23,10 @@ climbs as far as it falls.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .combinatorics import MultiIndex, MultiplicityVector
 
@@ -35,17 +37,19 @@ class MCondGraph:
 
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted({v for e in self.edges for v in e}))
-
     def up_edges(self) -> tuple[tuple[int, int], ...]:
         """(lo, hi) intervals for edges oriented upward (source < target)."""
-        return tuple(sorted((a, b) for a, b in self.edges if a < b))
+        return self._intervals[0]
 
     def down_edges(self) -> tuple[tuple[int, int], ...]:
         """(lo, hi) intervals for edges oriented downward (source > target)."""
-        return tuple(sorted((b, a) for a, b in self.edges if a > b))
+        return self._intervals[1]
+
+    @cached_property
+    def _intervals(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Both sides' sorted intervals, computed once per graph."""
+        up = sorted((a, b) for a, b in self.edges if a < b)
+        return tuple(up), tuple(sorted((b, a) for a, b in self.edges if a > b))
 
 
 def enumerate_m_graphs(m: MultiplicityVector, d: int) -> list[MCondGraph]:
@@ -112,18 +116,10 @@ def _count_side(intervals: tuple[tuple[int, int], ...], budgets: tuple[int, ...]
     tuple families it encodes do not order identical intervals, and a color
     repeated on coincident intervals would violate disjointness anyway.
     """
-    from itertools import combinations
-
     if sum(hi - lo for lo, hi in intervals) != sum(budgets):
         return 0
 
-    distinct: list[tuple[tuple[int, int], int]] = []
-    for iv in intervals:
-        if distinct and distinct[-1][0] == iv:
-            distinct[-1] = (iv, distinct[-1][1] + 1)
-        else:
-            distinct.append((iv, 1))
-
+    distinct = list(Counter(intervals).items())  # in sorted order, as intervals are
     remaining = list(budgets)
     classes: list[list[tuple[int, int]]] = [[] for _ in budgets]
 

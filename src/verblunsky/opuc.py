@@ -146,7 +146,10 @@ def _unit_probes(pairs: list) -> list[list]:
     term of x_n reads alpha_k or conj(alpha_k) at most once (the flattened
     indices strictly decrease), so x_n is affine in each alpha_k and
     x(probe) - x(alpha) is the exact derivative along that unit direction.
+    Both Jacobians share its bound N <= 8.
     """
+    if len(pairs) > 8:
+        raise ValueError("Jacobian supported for N <= 8")
     rows = [list(pairs)]
     for k, (re, im) in enumerate(pairs):
         for dre, dim in ((1, 0), (0, 1)):
@@ -174,17 +177,15 @@ def jacobian_determinant(alpha) -> tuple[float, float]:
     """
     a = _check_alpha(alpha)
     N = a.size
-    if N > 8:
-        raise ValueError("finite-difference Jacobian supported for N <= 8")
+    pairs = [(float(z.real), float(z.imag)) for z in a]
+    # The unchecked kernel is right here, since probes leave the unit disk.
+    probes = np.array([[complex(*z) for z in row] for row in _unit_probes(pairs)])
     if N and np.min(1.0 - np.abs(a) ** 2) < 1e-6:
         warnings.warn(
             "alpha within 1e-6 of the unit circle: Jacobian is ill-conditioned",
             RuntimeWarning,
             stacklevel=2,
         )
-    pairs = [(float(z.real), float(z.imag)) for z in a]
-    # The unchecked kernel is right here, since probes leave the unit disk.
-    probes = np.array([[complex(*z) for z in row] for row in _unit_probes(pairs)])
     x = szego_low_coefficients(probes, N)[:, 1:]
     d = x[1:] - x[0]  # one row per direction: J transposed, same |det|
     J = np.stack([d.real, d.imag], axis=-1).reshape(2 * N, 2 * N)
@@ -230,8 +231,6 @@ def jacobian_determinant_exact(
     recursion in Fraction arithmetic, with a real Fraction determinant.
     """
     a = [(Fraction(re), Fraction(im)) for re, im in alpha]
-    if len(a) > 4:
-        raise ValueError("exact Jacobian supported for N <= 4")
     if any(re * re + im * im >= 1 for re, im in a):
         raise ValueError("need |alpha_n| < 1 for every coefficient")
     base, *moved = [_reversed_exact(row) for row in _unit_probes(a)]

@@ -10,9 +10,11 @@ from tuple_oracle import literal_count
 
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
+    _DONE,
     _canonical,
     _initial_state,
     _level_sweep,
+    _transfer,
     _transitions,
     alpha_joint_moment,
     alpha_x_moment,
@@ -101,11 +103,19 @@ def _reference_level_sweep(p_deg, q_deg, beta, max_index):
     return done_now, done_prev
 
 
-def _sweep(p_deg, q_deg, beta, max_index):
-    """:func:`alphamoments._level_sweep` from the canonical start of p_deg | q_deg."""
+def _partial_sums(p_deg, q_deg, beta, max_index):
+    """S(0..max_index), the all-closed values of :func:`alphamoments._level_sweep`'s
+    stream from the canonical start of p_deg | q_deg."""
     n_p = len(p_deg)
     init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
-    return _level_sweep(init, n_p, beta, max_index)
+    stream = itertools.islice(_level_sweep(init, n_p, beta), max_index + 1)
+    return [Fraction(amps[_DONE], den) for den, amps in stream]
+
+
+def _sweep(p_deg, q_deg, beta, max_index):
+    """(S(max_index), S(max_index - 1)) as the frozen enumeration returns them."""
+    sums = [Fraction(0), *_partial_sums(p_deg, q_deg, beta, max_index)]
+    return sums[-1], sums[-2]
 
 
 # Every equal-degree pair of degree <= 3, plus the degree-4 pairs the
@@ -269,10 +279,43 @@ class TestLevelSweepOracle:
     def test_memoised_table_reused_across_betas(self):
         p_deg, q_deg = [1, 2], [1, 2]
         _sweep(p_deg, q_deg, Fraction(1, 3), 9)
-        hits = _transitions.cache_info().hits
+        hits = _transfer.cache_info().hits
         got = _sweep(p_deg, q_deg, Fraction(5, 7), 9)
-        assert _transitions.cache_info().hits > hits
+        assert _transfer.cache_info().hits > hits
         assert got == _reference_level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
+
+    @pytest.mark.parametrize("pq", [("1:1", "1:1"), ("1:2", "2:1"), ("1:1,2:1", "3:1"),
+                                    ("2:2", "1:1,3:1")])
+    def test_stream_is_every_partial_sum(self, pq):
+        # The stream's all-closed values are S(0), S(1), ...: nondecreasing,
+        # since every term is positive, and each one alpha_x_moment's value.
+        p, q = (MultiIndex.from_string(x) for x in pq)
+        for beta in (Fraction(1, 3), Fraction(2)):
+            sums = _partial_sums(p.slots(), q.slots(), beta, 30)
+            assert sums == sorted(sums)
+            assert sums[-1] > sums[0]
+            for t, s in enumerate(sums):
+                assert s == alpha_x_moment(p, q, beta, t).value, (beta, t)
+
+    def test_count_tabulates_only_the_states_it_reaches(self):
+        # All 886 states of 2:6|2:6 take seconds to tabulate; m = 0:6,2:6
+        # pins every level's move and needs three rows.
+        _transfer.cache_clear()
+        p = MultiIndex.from_string("2:6")
+        assert count_tuples(p, p, MultiplicityVector.from_string("0:6,2:6")) == 1
+        assert len(_transfer(_initial_state(p, p), p.size)) == 3
+
+    def test_sweep_completes_a_partial_table(self):
+        # A count walk numbers 2:2|2:2's states in its own order and leaves
+        # some untabulated; a later sweep tabulates the rest.
+        _transfer.cache_clear()
+        p = MultiIndex.from_string("2:2")
+        assert count_tuples(p, p, MultiplicityVector.from_string("0:2,2:2")) == 1
+        table = _transfer(_initial_state(p, p), p.size)
+        assert len(table) < len(table.states)
+        for beta in (Fraction(1, 3), Fraction(3, 2)):
+            assert _sweep([2, 2], [2, 2], beta, 17) == _reference_level_sweep([2, 2], [2, 2], beta, 17)
+        assert len(table) == len(table.states) == 21
 
     def test_transitions_grouped_by_mt(self):
         # 1:2|2:1 from the start: both p-slots closed with budget 1, the

@@ -10,6 +10,7 @@ operations.
 
 import importlib
 import importlib.util
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,13 @@ def _resolve(module: str, attr: str):
 )
 def test_traced_binding_resolves(module, attr):
     assert callable(_resolve(module, attr))
+
+
+def test_sweep_level_count_reads_max_index():
+    # spans._levels counts a sweep's levels from max_index, keyword or 4th positional.
+    for module in ("alphamoments", "cli", "montecarlo"):
+        params = list(inspect.signature(_resolve(module, "alpha_x_moment")).parameters)
+        assert params[3] == "max_index", module
 
 
 def test_run_report_names_resolve():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verblunsky import cli, montecarlo
+from verblunsky import alphamoments, cli, montecarlo
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -294,6 +294,29 @@ class TestExitCodes:
 
     def test_count_size_guard_exits_two(self, capsys):
         code, out, err = _run(capsys, ["count", "--p", "1:1", "--q", "1:1", "--m", "0:13"])
+        assert code == 2
+        assert out == ""
+        assert "guarded to |m| <= 12" in err
+
+    def _no_table(self, monkeypatch):
+        def no_table(init, n_p):
+            raise AssertionError("count walked the transfer table")
+
+        monkeypatch.setattr(alphamoments, "_transfer", no_table)
+
+    def test_count_more_slots_than_indices_is_zero_without_walk(self, capsys, monkeypatch):
+        # 26 slots cannot fill 12 indices; the walk would start with 2**26 flips.
+        self._no_table(monkeypatch)
+        code, out, _ = _run(capsys, ["count", "--p", "1:13", "--q", "1:13", "--m", "0:12"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["results"] == {"tuples": 0, "graphs": 0}
+        assert rep["status"] == "PASS"
+
+    @pytest.mark.parametrize("pq", ["1:13", "1:1"])
+    def test_count_size_guard_before_tuples(self, capsys, monkeypatch, pq):
+        self._no_table(monkeypatch)
+        code, out, err = _run(capsys, ["count", "--p", pq, "--q", pq, "--m", "0:13"])
         assert code == 2
         assert out == ""
         assert "guarded to |m| <= 12" in err

@@ -233,9 +233,21 @@ class TestJacobian:
         det_fd, _ = jacobian_determinant(arr)
         assert det_fd == pytest.approx(float(det_exact), rel=1e-7)
 
+    def test_exact_identity_up_to_eight(self):
+        # The same N <= 8 bound as the finite-difference Jacobian.
+        pool = [(Fraction(1, 3), Fraction(-1, 4)), (Fraction(-2, 5), Fraction(0)),
+                (Fraction(0), Fraction(3, 7)), (Fraction(1, 6), Fraction(1, 2)),
+                (Fraction(-1, 2), Fraction(-1, 9)), (Fraction(2, 7), Fraction(1, 5)),
+                (Fraction(-3, 8), Fraction(1, 3)), (Fraction(1, 9), Fraction(-2, 3))]
+        for N in range(5, 9):
+            det, prod = jacobian_determinant_exact(pool[:N])
+            assert det == prod
+            assert prod == jacobian_determinant_exact(pool[:N - 1])[1] * (
+                1 - pool[N - 1][0] ** 2 - pool[N - 1][1] ** 2) ** (N - 1)
+
     def test_exact_size_guard(self):
-        with pytest.raises(ValueError):
-            jacobian_determinant_exact([(Fraction(1, 10), Fraction(0))] * 5)
+        with pytest.raises(ValueError, match="N <= 8"):
+            jacobian_determinant_exact([(Fraction(1, 10), Fraction(0))] * 9)
 
     def test_matches_product_to_rounding(self):
         # Unit-step differences carry no truncation error, only rounding.
