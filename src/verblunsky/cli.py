@@ -2,8 +2,8 @@
 
 Exit status: 0 for PASS or EXPERIMENTAL, 1 for FAIL, 2 for usage errors
 (including malformed multi-index strings, which are reported with the
-offending token, values out of floating-point range, and files that cannot
-be read or written).  Alpha lists are
+offending token, values out of floating-point range, inputs too large for
+memory, and files that cannot be read or written).  Alpha lists are
 given either inline as comma-separated complex literals ("0.3", "0.3+0.4i",
 "-1/4i") or as a path to a JSON file holding an array of [re, im] pairs.
 Each handler returns (results, status, diagnostics); ``run`` builds the
@@ -13,6 +13,7 @@ report and echoes every parsed option under ``params`` through ``_echo``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -264,7 +265,9 @@ def _cmd_pushforward(args):
 # -- parser wiring ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="verblunsky",
         description="Exact and Monte Carlo moment computations for random "
@@ -369,16 +372,23 @@ def _echo(value):
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one command and print its report; returns the exit status.
+
+    One parser serves the whole process: :func:`build_parser` builds it on
+    the first call, and each ``parse_args`` returns a fresh namespace, so no
+    state carries over between calls.  Handlers and argparse ``type=``
+    functions are bound when the parser is first built, so a test that wants
+    a different handler must patch what the handler calls, not the handler.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
         results, status, diagnostics = args.func(args)
-    except (ValueError, OverflowError, argparse.ArgumentTypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError, argparse.ArgumentTypeError, OSError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     params = {k: _echo(v) for k, v in vars(args).items()
               if v is not None and k not in ("command", "func")}

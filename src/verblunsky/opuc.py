@@ -18,6 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -102,20 +103,28 @@ def verblunsky_from_moments(c) -> np.ndarray:
 def log_series(x) -> np.ndarray:
     """f with exp(-f) = x, i.e. f = -log(x) as a formal power series.
 
-    Standard coefficient recursion for log; requires x_0 = 1.  Note the sign:
-    f_1 = -x_1, f_2 = -x_2 + x_1^2 / 2.
+    Standard coefficient recursion for log, g_k = x_k - sum_j (j/k) g_j
+    x_{k-j} with f = -g; requires x_0 = 1.  Note the sign: f_1 = -x_1,
+    f_2 = -x_2 + x_1^2 / 2.  The sum runs over the nonzero x_{k-j} only, in
+    Python complex arithmetic, so the cost is O(len(x) * nonzero terms): the
+    Szego-padded r_N has N + 1 of them.  Terms are taken in j ascending order,
+    as in the full O(len(x)^2) loop, so the result is bitwise equal to the
+    loop's whenever every partial g is finite, except that a zero coefficient
+    may differ in sign.  A skipped term is a signed zero then; with an infinite
+    g the loop's inf * 0 would be NaN.
     """
     xc = np.asarray(x, dtype=np.complex128)
     if xc.size == 0 or abs(xc[0] - 1.0) > 1e-9:
         raise ValueError("log_series needs leading coefficient 1")
-    n = xc.size
-    g = np.zeros(n, dtype=np.complex128)
-    for k in range(1, n):
-        acc = xc[k]
-        for j in range(1, k):
-            acc -= (j / k) * g[j] * xc[k - j]
+    xs = xc.tolist()
+    nz = [i for i in range(1, len(xs)) if xs[i]]
+    g = [0j] * len(xs)
+    for k in range(1, len(xs)):
+        acc = xs[k]
+        for i in reversed(nz[: bisect_left(nz, k)]):  # j = k - i ascending
+            acc -= (k - i) / k * g[k - i] * xs[i]
         g[k] = acc
-    return -g
+    return -np.array(g)
 
 
 def szego_identity_gap(alpha, M: int) -> float:

@@ -11,6 +11,7 @@ from tuple_oracle import literal_count
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
     _DONE,
+    CnCheck,
     _canonical,
     _initial_state,
     _level_sweep,
@@ -464,3 +465,26 @@ class TestVerifyCnIdentity:
         q = MultiIndex({3: 1})
         rep = verify_cn_identity(p, q, [Fraction(1)], 3000)
         assert rep.passed
+
+
+class TestGatePower:
+    """The identity gate rejects the paper's heuristic law.
+
+    Szego's identity turns the Gaussian density into prod (1 - |alpha_n|^2)^{n beta},
+    and the volume factor of criterion 08 adds the power n - 1, so the heuristic
+    law is |alpha_n|^2 ~ Beta(1, n (beta + 1)): the alpha side at beta + 1.
+    """
+
+    CASES = [(MultiIndex({n: 1}), MultiIndex({n: 1})) for n in range(1, 5)] + [
+        (MultiIndex({1: 1, 2: 1}), MultiIndex({3: 1})),
+        (MultiIndex({1: 2}), MultiIndex({2: 1})),
+    ]  # criterion 06
+
+    @pytest.mark.parametrize("p, q", CASES)
+    def test_heuristic_law_fails_every_criterion_06_case(self, p, q):
+        N = 10**4
+        gpoly = gaussian_x_moment(p, q)
+        for beta in BETAS:
+            res = alpha_x_moment(p, q, beta + 1, N)
+            check = CnCheck(beta, gpoly.evaluate(beta), res.value, res.tail_estimate)
+            assert not check.passed, (p, q, beta)

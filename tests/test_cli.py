@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verblunsky import alphamoments, cli, montecarlo
+from verblunsky import alphamoments, cli, montecarlo, opuc
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -42,6 +42,22 @@ class TestGoldenReports:
         code, out, _ = _run(capsys, GOLDEN_CASES[name])
         assert code == 0
         assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+    def test_parser_reused_across_runs(self, capsys):
+        # One parser serves the process; a usage error, and the exact
+        # Jacobian clearing its namespace's tol, must leave no trace.
+        assert cli.build_parser() is cli.build_parser()
+        for round_ in range(2):
+            for name, argv in sorted(GOLDEN_CASES.items()):
+                code, out, _ = _run(capsys, argv)
+                assert code == 0
+                assert out == (GOLDEN_DIR / f"{name}.json").read_text(), (round_, name)
+            if round_ == 0:
+                assert _run(capsys, ["variance", "--n", "x"])[0] == 2
+                exact = ["jacobian", "--exact", "--alpha", "1/4", "--tol", "0.5"]
+                assert _run(capsys, exact)[0] == 0
+                _, out, _ = _run(capsys, ["jacobian", "--alpha", "0.3+0.1i,0.2"])
+                assert json.loads(out)["params"]["tol"] == 1e-6
 
     def test_variance_pinned_polynomial(self, capsys):
         _, out, _ = _run(capsys, ["variance", "--n", "3"])
@@ -392,6 +408,23 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: order must be at least the number of coefficients (2), got {order}\n"
+
+    @pytest.mark.parametrize("argv, target", [
+        (["szego-check", "--alpha=0.3", "--order", "1000000000000"], "szego_identity_gap"),
+        (["roundtrip", "--alpha=0.3", "--grid", "1000000000000"], "measure_density"),
+    ])
+    @pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB", ""])
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch, argv, target, message):
+        # Exit 1 means FAIL, so an input too large for memory is a usage error.
+        # The allocation is simulated: the test never asks for the memory.
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(opuc, target, no_memory)
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message or 'MemoryError'}\n"
 
     def test_bad_rational(self, capsys):
         code, _, err = _run(

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from exp_series_oracle import exp_series, exp_series_partition_sum
+from exp_series_oracle import exp_series, exp_series_partition_sum, log_series_loop
 from gap_oracle import disk_nonvanishing, x_series_truncated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verblunsky import opuc
 from verblunsky.combinatorics import gap_sequences
 from verblunsky.opuc import (
     NotPositiveDefiniteError,
@@ -163,6 +164,36 @@ class TestLogExpSeries:
             log_series([0.9, 0.1])
         with pytest.raises(ValueError):
             exp_series([0.5])
+
+
+class TestLogSeriesMatchesLoop:
+    """The sparse recursion against the frozen full loop, by exact equality."""
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_padded_reversed_polynomials(self, N):
+        rng = np.random.default_rng(100 + N)
+        for a in (_random_alpha(rng, N, max_mod=0.9), _random_alpha(rng, N).real):
+            r = reversed_polynomial(a)
+            for order in (N, 50, 300):
+                x = np.zeros(order + 1, complex)
+                x[: r.size] = r
+                assert np.array_equal(log_series(x), log_series_loop(x)), (N, order)
+
+    def test_dense_series(self):
+        rng = np.random.default_rng(109)
+        for n in (2, 9, 40, 120):
+            f = np.zeros(n, complex)
+            z = rng.standard_normal((2, n - 1))
+            f[1:] = (z[0] + 1j * z[1]) / np.arange(1, n)
+            x = exp_series(f)
+            assert np.array_equal(log_series(x), log_series_loop(x)), n
+
+    def test_szego_gap_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(110)
+        alphas = [_random_alpha(rng, N, max_mod=0.9) for N in (1, 2, 3, 4) for _ in range(3)]
+        gaps = [szego_identity_gap(a, 300) for a in alphas]
+        monkeypatch.setattr(opuc, "log_series", log_series_loop)
+        assert gaps == [szego_identity_gap(a, 300) for a in alphas]
 
 
 class TestSzegoIdentity:
