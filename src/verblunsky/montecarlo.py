@@ -16,8 +16,11 @@ Per-block draw layout (documented so streams are reproducible from the
 description alone):
 
 * alpha sampler: one ``(block, N)`` uniform array ``u`` for the moduli, then
-  one ``(block, N)`` uniform array for the phases; ``alpha_n = sqrt(1 -
-  u**(1/(n beta))) * exp(2 pi i phase)``;
+  one ``(block, N, 2)`` standard-normal array ``z`` for the directions, read
+  as complex ``z[..., 0] + i z[..., 1]``; ``alpha_n = (sqrt(1 -
+  u**(1/(n beta))) / |z|) * z``, and ``alpha_n = 0`` where ``|z| = 0``
+  (probability about 2**-104).  ``z/|z|`` is uniform on the circle (Muller
+  1959), so the phase is uniform without a complex exponential;
 * f sampler: one ``(block, N, 2)`` standard-normal array ``z``, last axis
   holding the real and imaginary parts; ``f_n = (z[..., 0] + i z[..., 1]) *
   sqrt(1 / (2 n beta))``.
@@ -97,10 +100,16 @@ def _check_beta(beta: float) -> None:
 def _alpha_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
     """(count, N) independent draws; |alpha_n|^2 ~ Beta(1, n beta), uniform phase."""
     n = np.arange(1, N + 1, dtype=np.float64)
-    u = rng.random((count, N))
-    amp = np.sqrt(1.0 - u ** (1.0 / (n * beta)))
-    phase = rng.random((count, N))
-    return amp * np.exp(2j * np.pi * phase)
+    amp = rng.random((count, N))
+    np.power(amp, 1.0 / (n * beta), out=amp)
+    np.subtract(1.0, amp, out=amp)
+    np.sqrt(amp, out=amp)
+    z = rng.standard_normal((count, N, 2)).view(np.complex128).reshape(count, N)
+    r = np.abs(z)
+    # A zero direction keeps its finite amp, so alpha = amp * 0 = 0, not NaN.
+    np.divide(amp, r, out=amp, where=r > 0)
+    z *= amp
+    return z
 
 
 def _f_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
@@ -263,6 +272,14 @@ def pushforward_experiment(
     radius 0.995, 2,000 samples, seed 120) E|alpha_1|^2 missed 1/(beta + 1) by
     11.2, 9.1, 7.7, 6.7 and 5.3 % at beta = 0.5, 1, 1.5, 2 and 3.  Densities
     too peaked to invert fail the Levinson positive-definiteness check.
+
+    Both transforms are real FFTs.  With c_k = f_k r**k on the half spectrum
+    k = 0..grid//2, ``irfft(c, grid) * grid`` is 2 Re sum_{0<k<grid/2}
+    c_k e^{i k theta_j} plus the real parts of c_0 and of the Nyquist term
+    c_{grid/2}; both vanish because f_0 = 0 and modes <= grid/4 < grid/2, so
+    it is exactly 2 Re f_+(r e^{i theta_j}).  The density is real and
+    max_alpha < grid//2, so its moments c_0..c_max_alpha are the first
+    entries of ``rfft(dens) / grid``.
     """
     _check_beta(beta)
     if modes < 0:
@@ -280,12 +297,13 @@ def pushforward_experiment(
     absq = np.empty((samples, max_alpha))
     for rng, rows in _draw_blocks(samples, seed, workers):
         b = rows.stop - rows.start
-        field = np.zeros((b, grid), np.complex128)
-        field[:, : modes + 1] = _f_block(rng, beta, modes, b) * decay
-        vals = np.fft.ifft(field, axis=1) * grid
-        dens = np.exp(2.0 * vals.real)
+        half = np.zeros((b, grid // 2 + 1), np.complex128)
+        half[:, : modes + 1] = _f_block(rng, beta, modes, b) * decay
+        dens = np.fft.irfft(half, grid, axis=1)
+        dens *= grid
+        np.exp(dens, out=dens)
         dens /= dens.mean(axis=1, keepdims=True)
-        c = np.fft.fft(dens, axis=1)[:, : max_alpha + 1] / grid
+        c = np.fft.rfft(dens, axis=1)[:, : max_alpha + 1] / grid
         al, ok = levinson_batch(c, max_alpha)
         if not ok.all():
             bad = int((~ok).sum())

@@ -15,6 +15,7 @@ from verblunsky import (
     mc_x_moment,
     pushforward_experiment,
 )
+from verblunsky.kernels import levinson_batch
 from verblunsky.montecarlo import (
     BLOCK_SIZE,
     _worker_chunks,
@@ -51,6 +52,34 @@ class TestAlphaSampler:
         a = sample_alpha_batch(0.5, 2, 40000, seed=8)
         m = a.mean(axis=0)
         assert np.all(np.abs(m) < 0.02)
+        # Under a uniform phase E[u^k] = E[|alpha|^2 u^k] = 0 for u = alpha/|alpha|
+        # and k = 1..4; a wrong complex view or real-only normals break some.
+        u = a / np.abs(a)
+        for k in range(1, 5):
+            for v in (u**k, np.abs(a) ** 2 * u**k):
+                for col in v.T:
+                    st = montecarlo._stats(col)
+                    assert abs(st.mean) <= 5 * st.stderr, (k, st)
+
+    def test_zero_direction_gives_zero_alpha(self):
+        # A zero normal pair has no direction; the draw is alpha = 0, not NaN,
+        # and nothing warns on the way.
+        class ZeroNormals:
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+
+            def random(self, shape):
+                return self.rng.random(shape)
+
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = montecarlo._alpha_block(ZeroNormals(), 1.0, 5, 7)
+        assert a.shape == (7, 5)
+        assert np.all(np.isfinite(a))
+        assert np.all(a == 0)
 
     def test_inside_unit_disk(self):
         a = sample_alpha_batch(2.0, 4, 5000, seed=9)
@@ -150,16 +179,18 @@ class TestMcXMoment:
         "p,q,beta,n_trunc,samples,seed,workers,mean,stderr",
         [
             ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 1,
-             0.9687401832797616 - 0.007011516255775057j, 0.01649204541894402),
+             0.9365012690100768 - 0.005967574389000982j, 0.016475928906190627),
             ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 3,
-             0.9558786582055858 - 0.003761973086421408j, 0.017238005776801454),
+             0.946663320705661 + 0.003907135683224494j, 0.016467518983745176),
             ({2: 1}, {2: 1}, 0.5, 12, 9000, 5, 2,
-             2.2028646357454518 + 1.6742745800569068e-18j, 0.03900772189942266),
+             2.1506604993498573 + 7.894313037415096e-20j, 0.037236876581065226),
         ],
+        # Ids name the inputs only, so re-recording the values keeps the names.
+        ids=["p0-q0-1.0-40-20000-2024-1", "p1-q1-1.0-40-20000-2024-3", "p2-q2-0.5-12-9000-5-2"],
     )
     def test_alpha_side_pinned(self, p, q, beta, n_trunc, samples, seed, workers, mean, stderr):
-        # Recorded from the samples-first Szego kernel: the alpha-side stream
-        # and statistics must not move when the kernel's internals change.
+        # Recorded from the normalised-Gaussian phase layout: the alpha-side
+        # stream and statistics must not move when the kernel's internals change.
         stats = mc_x_moment(
             "alpha", MultiIndex(p), MultiIndex(q), beta, n_trunc, samples, seed,
             workers=workers,
@@ -193,6 +224,25 @@ class TestMcXMoment:
         got = np.array([complex(float(r), float(i)) for _, r, i in rows])
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
         assert stats.count == samples
+
+    def test_alpha_side_follows_documented_layout(self):
+        # Per block: random((block, N)) for the moduli, then
+        # standard_normal((block, N, 2)) for the directions; two workers, two
+        # blocks in each worker's chunk, the last one partial.
+        beta, N, samples, seed, workers = 0.75, 5, 2 * BLOCK_SIZE + 600, 37, 2
+        got = sample_alpha_batch(beta, N, samples, seed, workers=workers)
+        n = np.arange(1, N + 1)
+        expect = []
+        children = np.random.SeedSequence(seed).spawn(workers)
+        for child, chunk in zip(children, (samples // 2, samples // 2)):
+            rng = np.random.Generator(np.random.PCG64(child))
+            for b in (BLOCK_SIZE, chunk - BLOCK_SIZE):
+                u = rng.random((b, N))
+                z = rng.standard_normal((b, N, 2))
+                z = z[:, :, 0] + 1j * z[:, :, 1]
+                amp = np.sqrt(1.0 - u ** (1.0 / (n * beta)))
+                expect.append((amp / np.abs(z)) * z)
+        assert np.array_equal(got, np.concatenate(expect))
 
     def test_csv_dump(self, tmp_path):
         out = tmp_path / "samples.csv"
@@ -303,3 +353,60 @@ class TestPushforward:
         a = pushforward_experiment(1.0, 16, 0.9, 40, 2, seed=23)
         b = pushforward_experiment(1.0, 16, 0.9, 40, 2, seed=23)
         assert a == b
+
+    @staticmethod
+    def _complex_fft_absq(beta, modes, radius, samples, max_alpha, seed, workers):
+        """Frozen complex-FFT pushforward: per-sample |alpha_n|^2, (samples, max_alpha)."""
+        grid = pushforward_grid(modes)
+        decay = radius ** np.arange(modes + 1)
+        absq = np.empty((samples, max_alpha))
+        for rng, rows in montecarlo._draw_blocks(samples, seed, workers):
+            b = rows.stop - rows.start
+            field = np.zeros((b, grid), np.complex128)
+            field[:, : modes + 1] = montecarlo._f_block(rng, beta, modes, b) * decay
+            vals = np.fft.ifft(field, axis=1) * grid
+            dens = np.exp(2.0 * vals.real)
+            dens /= dens.mean(axis=1, keepdims=True)
+            c = np.fft.fft(dens, axis=1)[:, : max_alpha + 1] / grid
+            al, ok = levinson_batch(c, max_alpha)
+            assert ok.all()
+            absq[rows] = np.abs(al) ** 2
+        return absq
+
+    @pytest.mark.parametrize("modes", [0, 1, 64, 256, 300])
+    @pytest.mark.parametrize("max_alpha", [1, 4, "top"])
+    def test_real_ffts_match_complex_ffts(self, modes, max_alpha, monkeypatch):
+        # The real-FFT path gives the same per-sample |alpha_n|^2 as full
+        # complex FFTs; "top" is grid//2 - 1, the largest max_alpha allowed,
+        # at a small radius so the Levinson inversion stays well conditioned.
+        grid = pushforward_grid(modes)
+        max_alpha, radius = (grid // 2 - 1, 0.3) if max_alpha == "top" else (max_alpha, 0.9)
+        args = (1.0, modes, radius, 24, max_alpha, 5)
+        columns = []
+        stats = montecarlo._stats
+
+        def recording(values):
+            columns.append(values.copy())
+            return stats(values)
+
+        monkeypatch.setattr(montecarlo, "_stats", recording)
+        pushforward_experiment(*args, workers=2)
+        got = np.column_stack(columns)
+        expect = self._complex_fft_absq(*args, workers=2)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
+
+
+class TestMcGatePower:
+    """Criterion 11's 4-sigma gate rejects the paper's heuristic law.
+
+    The heuristic law is the alpha side at beta + 1 (README "Tests"); its
+    x_n moments converge to the Gaussian value at beta + 1, not at beta.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_heuristic_law_fails_the_mc_gate(self, n, beta):
+        p = MultiIndex({n: 1})
+        st = mc_x_moment("alpha", p, p, beta + 1, 200, 2 * 10**4, seed=112)
+        ref = mc_reference("gaussian", p, p, beta, 200)
+        assert abs(st.mean - ref) > 4 * st.stderr, (n, beta, st)
