@@ -2,21 +2,14 @@
 orthogonal polynomials on the unit circle."""
 
 from .alphamoments import (
-    alpha_joint_moment,
     alpha_x_moment,
     count_tuples,
     nice_identity_check,
     tuple_counts_all_m,
     verify_cn_identity,
 )
-from .combinatorics import GapSequence, MultiIndex, MultiplicityVector, gap_sequences
-from .gaussian import (
-    MomentPolynomial,
-    gaussian_x_moment,
-    gaussian_x_moment_raw,
-    multiplicity_free_moment,
-    variance_pmf,
-)
+from .combinatorics import MultiIndex, MultiplicityVector
+from .gaussian import MomentPolynomial, gaussian_x_moment, gaussian_x_moment_raw, variance_pmf
 from .graphs import MCondGraph, c_via_graphs, count_colorings, enumerate_m_graphs
 from .montecarlo import (
     SampleStats,
@@ -38,26 +31,22 @@ from .opuc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GapSequence",
     "MCondGraph",
     "MomentPolynomial",
     "MultiIndex",
     "MultiplicityVector",
     "NotPositiveDefiniteError",
     "SampleStats",
-    "alpha_joint_moment",
     "alpha_x_moment",
     "c_via_graphs",
     "count_colorings",
     "count_tuples",
     "enumerate_m_graphs",
-    "gap_sequences",
     "gaussian_x_moment",
     "gaussian_x_moment_raw",
     "jacobian_determinant",
     "mc_x_moment",
     "measure_density",
-    "multiplicity_free_moment",
     "nice_identity_check",
     "pushforward_experiment",
     "reversed_polynomial",

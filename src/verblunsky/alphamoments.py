@@ -18,10 +18,10 @@ numerators, and the all-closed entry after level t is the partial sum S(t).
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
 :func:`_transfer` table: integer amplitudes, keyed by state number and the
-multiplicities read so far.  Those counts times :func:`term_value`
-cross-check the sweep in tests.  The counts' independent references are the
-literal product ``tests/tuple_oracle.literal_count`` and the graph-coloring
-counts; neither reads the table.
+multiplicities read so far.  In ``tests/tuple_oracle.py``, ``term_value``
+weights those counts to cross-check the sweep, and ``literal_count`` and the
+graph-coloring counts are the counts' independent references; neither
+reads the table.
 
 Each comparison of the CN identity's two sides is one :class:`CnCheck` from
 :func:`_cn_check`, and ``CnCheck.passed`` is the one place its PASS/FAIL rule
@@ -49,33 +49,6 @@ from .gaussian import gaussian_x_moment, variance_pmf
 #: The type of the exact values the sweep returns (``perfbench`` reports it).
 _mpq = Fraction
 _DONE = 1  # the all-closed state's number in every _Transfer table
-
-
-def term_value(m: MultiplicityVector, beta: Fraction) -> Fraction:
-    """The level-factor product prod_{N>=1} m(N)! / ((N beta+1)...(N beta+m(N))).
-
-    The N = 0 factor is 1: read literally it would be m(0)! / (1 * 2 * ... *
-    m(0)), which already cancels.
-    """
-    beta = Fraction(beta)
-    val = Fraction(1)
-    for N, c in m.items():
-        if N == 0:
-            continue
-        val *= factorial(c)
-        for s in range(1, c + 1):
-            val /= N * beta + s
-    return val
-
-
-def alpha_joint_moment(p: MultiIndex, q: MultiIndex, beta: Fraction) -> Fraction:
-    """E of alpha**p (alpha**q)* under the rotation-invariant alpha law.
-
-    Zero off the diagonal; for p = q it is
-    prod_n p(n)! / ((n beta + 1) ... (n beta + p(n))), the level factor
-    :func:`term_value` of p.
-    """
-    return term_value(p, beta) if p == q else Fraction(0)
 
 
 @dataclass(frozen=True)

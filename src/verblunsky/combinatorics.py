@@ -23,8 +23,7 @@ from typing import Iterator, Mapping
 class MultiIndex:
     """Finite map from positive index to positive count, immutable and hashable.
 
-    ``deg`` is ``sum(n * count)``, ``size`` is ``sum(count)`` and ``length``
-    the number of distinct indices.
+    ``deg`` is ``sum(n * count)`` and ``size`` is ``sum(count)``.
     """
 
     __slots__ = ("_items",)
@@ -110,10 +109,6 @@ class MultiIndex:
     @property
     def size(self) -> int:
         return sum(c for _, c in self._items)
-
-    @property
-    def length(self) -> int:
-        return len(self._items)
 
     def __bool__(self) -> bool:
         return bool(self._items)

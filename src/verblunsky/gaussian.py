@@ -6,7 +6,7 @@ rational coefficients (:class:`MomentPolynomial`).  The main engine
 weights; :func:`gaussian_x_moment_raw` recomputes the same moment by brute
 enumeration of decomposition families and exists purely as an oracle.  The
 diagonal moment at p = q = delta_n is the closed-form Bernoulli product
-:func:`variance_pmf`, whose coefficients :func:`a_coefficients` lists.
+:func:`variance_pmf`.
 """
 
 from __future__ import annotations
@@ -41,26 +41,6 @@ class MomentPolynomial:
     def one(cls) -> MomentPolynomial:
         return cls.from_terms({0: 1})
 
-    def coeff(self, k: int) -> Fraction:
-        for e, c in self.terms:
-            if e == k:
-                return c
-        return Fraction(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def max_exponent(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-    def __add__(self, other: MomentPolynomial) -> MomentPolynomial:
-        out = dict(self.terms)
-        for k, c in other.terms:
-            out[k] = out.get(k, Fraction(0)) + c
-        return MomentPolynomial.from_terms(out)
-
     def __mul__(self, other: MomentPolynomial) -> MomentPolynomial:
         out: dict[int, Fraction] = {}
         for k1, c1 in self.terms:
@@ -68,10 +48,6 @@ class MomentPolynomial:
                 k = k1 + k2
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return MomentPolynomial.from_terms(out)
-
-    def scale(self, c: Fraction | int) -> MomentPolynomial:
-        c = Fraction(c)
-        return MomentPolynomial.from_terms({k: c * v for k, v in self.terms})
 
     def evaluate(self, beta: Fraction | int) -> Fraction:
         beta = Fraction(beta)
@@ -166,25 +142,3 @@ def variance_pmf(n: int) -> MomentPolynomial:
     for k in range(1, n + 1):
         out = out * MomentPolynomial.from_terms({1: Fraction(1, k), 0: Fraction(k - 1, k)})
     return out
-
-
-def multiplicity_free_moment(p: MultiIndex) -> MomentPolynomial:
-    """prod_n variance_pmf(n)**p(n); equals the (p, delta_d) cross moment."""
-    out = MomentPolynomial.one()
-    for n, c in p.items():
-        base = variance_pmf(n)
-        for _ in range(c):
-            out = out * base
-    return out
-
-
-def a_coefficients(n: int) -> list[Fraction]:
-    """Coefficients (a_1, ..., a_n) of variance_pmf(n) in beta**-1.
-
-    Equivalently the conjugacy-class weights of partitions of n summed by
-    length, and e_{n-k}(0, 1, ..., n-1) / n!; tests compare those forms.
-    """
-    if not 1 <= n <= 20:
-        raise ValueError("a_coefficients supported for 1 <= n <= 20")
-    pmf = variance_pmf(n)
-    return [pmf.coeff(k) for k in range(1, n + 1)]

@@ -44,6 +44,7 @@ from .alphamoments import alpha_x_moment
 from .combinatorics import MultiIndex
 from .gaussian import gaussian_x_moment
 from .kernels import exp_neg_series, levinson_batch, szego_low_coefficients
+from .opuc import trig_moments
 
 RNG_ALGORITHM = (
     "numpy.random PCG64; per-worker substreams from SeedSequence(seed).spawn(workers)"
@@ -122,24 +123,23 @@ def _f_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.nd
     return out
 
 
-def sample_alpha_batch(
-    beta: float, N: int, count: int, seed: int, *, workers: int = 1
-) -> np.ndarray:
+def _sample(block, width: int, beta: float, N: int, count: int, seed: int, workers: int):
+    """(count, width) rows of ``block(rng, beta, N, b)``, one call per draw block."""
     _check_beta(beta)
-    out = np.empty((count, N), np.complex128)
+    out = np.empty((count, width), np.complex128)
     for rng, rows in _draw_blocks(count, seed, workers):
-        out[rows] = _alpha_block(rng, beta, N, rows.stop - rows.start)
+        out[rows] = block(rng, beta, N, rows.stop - rows.start)
     return out
 
 
-def sample_f_batch(
-    beta: float, N: int, count: int, seed: int, *, workers: int = 1
-) -> np.ndarray:
-    _check_beta(beta)
-    out = np.empty((count, N + 1), np.complex128)
-    for rng, rows in _draw_blocks(count, seed, workers):
-        out[rows] = _f_block(rng, beta, N, rows.stop - rows.start)
-    return out
+def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
+    """(count, N) draws of alpha_1..alpha_N, in the alpha layout documented above."""
+    return _sample(_alpha_block, N, beta, N, count, seed, workers)
+
+
+def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
+    """(count, N + 1) draws of f_0 = 0, f_1..f_N, in the f layout documented above."""
+    return _sample(_f_block, N + 1, beta, N, count, seed, workers)
 
 
 def _stats(values: np.ndarray) -> SampleStats:
@@ -277,9 +277,8 @@ def pushforward_experiment(
     k = 0..grid//2, ``irfft(c, grid) * grid`` is 2 Re sum_{0<k<grid/2}
     c_k e^{i k theta_j} plus the real parts of c_0 and of the Nyquist term
     c_{grid/2}; both vanish because f_0 = 0 and modes <= grid/4 < grid/2, so
-    it is exactly 2 Re f_+(r e^{i theta_j}).  The density is real and
-    max_alpha < grid//2, so its moments c_0..c_max_alpha are the first
-    entries of ``rfft(dens) / grid``.
+    it is exactly 2 Re f_+(r e^{i theta_j}), and ``opuc.trig_moments`` of the
+    density's rows gives its moments c_0..c_max_alpha (max_alpha < grid//2).
     """
     _check_beta(beta)
     if modes < 0:
@@ -303,8 +302,7 @@ def pushforward_experiment(
         dens *= grid
         np.exp(dens, out=dens)
         dens /= dens.mean(axis=1, keepdims=True)
-        c = np.fft.rfft(dens, axis=1)[:, : max_alpha + 1] / grid
-        al, ok = levinson_batch(c, max_alpha)
+        al, ok = levinson_batch(trig_moments(dens, max_alpha), max_alpha)
         if not ok.all():
             bad = int((~ok).sum())
             raise ValueError(

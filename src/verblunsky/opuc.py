@@ -73,12 +73,15 @@ def measure_density(alpha, grid: int) -> np.ndarray:
 
 
 def trig_moments(density, K: int) -> np.ndarray:
-    """Moments c_0..c_K, c_k = integral of e^{-ik theta} d mu, by discrete sum."""
+    """Moments c_0..c_K, c_k = integral of e^{-ik theta} d mu, by discrete sum.
+
+    The sum runs along the last axis: one row of moments per row of ``density``.
+    """
     rho = np.asarray(density, dtype=np.float64)
-    grid = rho.size
+    grid = rho.shape[-1]
     if K >= grid // 2:
         raise ValueError("K must be below grid/2 for trustworthy quadrature")
-    return np.fft.fft(rho)[: K + 1] / grid
+    return np.fft.rfft(rho, axis=-1)[..., : K + 1] / grid
 
 
 def verblunsky_from_moments(c) -> np.ndarray:

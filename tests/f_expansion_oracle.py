@@ -16,6 +16,20 @@ from verblunsky.combinatorics import MultiIndex, partitions
 from verblunsky.gaussian import MomentPolynomial
 
 
+def add(a: MomentPolynomial, b: MomentPolynomial) -> MomentPolynomial:
+    """The sum of two polynomials in beta**-1, coefficient by coefficient."""
+    out = a.to_map()
+    for k, c in b.terms:
+        out[k] = out.get(k, Fraction(0)) + c
+    return MomentPolynomial.from_terms(out)
+
+
+def scale(a: MomentPolynomial, c: Fraction | int) -> MomentPolynomial:
+    """Every coefficient of a times the constant c."""
+    c = Fraction(c)
+    return MomentPolynomial.from_terms({k: c * v for k, v in a.terms})
+
+
 def gaussian_f_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
     """E of f**p (f**q)* for the independent complex Gaussians f_n.
 
@@ -74,5 +88,5 @@ def gaussian_x_moment_via_f_expansion(p: MultiIndex, q: MultiIndex) -> MomentPol
         cb = poly_q.get(A)
         if cb is None:
             continue
-        out = out + gaussian_f_moment(A, A).scale(ca * cb)
+        out = add(out, scale(gaussian_f_moment(A, A), ca * cb))
     return out

@@ -19,6 +19,7 @@ from math import factorial
 import numpy as np
 import pytest
 from graph_oracle import unpruned_count
+from variance_oracle import a_coefficients, multiplicity_free_moment
 
 from verblunsky import (
     MultiIndex,
@@ -31,7 +32,6 @@ from verblunsky import (
     jacobian_determinant,
     mc_x_moment,
     measure_density,
-    multiplicity_free_moment,
     pushforward_experiment,
     sample_alpha_batch,
     sample_f_batch,
@@ -43,7 +43,7 @@ from verblunsky import (
     verify_cn_identity,
 )
 from verblunsky.combinatorics import partitions
-from verblunsky.gaussian import MomentPolynomial, a_coefficients
+from verblunsky.gaussian import MomentPolynomial
 from verblunsky.kernels import exp_neg_series, szego_low_coefficients
 from verblunsky.montecarlo import _stats, mc_reference
 from verblunsky.opuc import jacobian_determinant_exact

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from tuple_oracle import literal_count
+from tuple_oracle import alpha_joint_moment, literal_count, term_value
 
 from verblunsky import alphamoments
 from verblunsky.alphamoments import (
@@ -17,11 +17,9 @@ from verblunsky.alphamoments import (
     _level_sweep,
     _transfer,
     _transitions,
-    alpha_joint_moment,
     alpha_x_moment,
     count_tuples,
     nice_identity_check,
-    term_value,
     tuple_counts_all_m,
     verify_cn_identity,
 )

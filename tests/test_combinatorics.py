@@ -32,7 +32,6 @@ class TestMultiIndex:
         assert p.items() == ((1, 3), (2, 1))
         assert p.deg == 5
         assert p.size == 4
-        assert p.length == 2
         assert p.max_support == 2
         assert p.support() == (1, 2)
         assert p.slots() == (1, 1, 1, 2)

@@ -132,6 +132,31 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             _worker_chunks(5, 0)
 
+    @pytest.mark.parametrize("kind", ["alpha", "f"])
+    def test_batch_samplers_follow_documented_layout(self, kind):
+        # Rebuilt from raw PCG64 draws by the module's layout: two workers,
+        # the first spanning two blocks and ending on a one-row block, the
+        # second one full block.
+        beta, N, samples, seed, workers = 0.75, 3, 2 * BLOCK_SIZE + 1, 41, 2
+        n = np.arange(1, N + 1)
+        expect = []
+        children = np.random.SeedSequence(seed).spawn(workers)
+        for child, blocks in zip(children, ((BLOCK_SIZE, 1), (BLOCK_SIZE,))):
+            rng = np.random.Generator(np.random.PCG64(child))
+            for b in blocks:
+                if kind == "alpha":
+                    u = rng.random((b, N))
+                    z = rng.standard_normal((b, N, 2))
+                    z = z[:, :, 0] + 1j * z[:, :, 1]
+                    expect.append((np.sqrt(1.0 - u ** (1.0 / (n * beta))) / np.abs(z)) * z)
+                else:
+                    z = rng.standard_normal((b, N, 2))
+                    f = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(1.0 / (2.0 * n * beta))
+                    expect.append(np.column_stack([np.zeros(b), f]))
+        sampler = sample_alpha_batch if kind == "alpha" else sample_f_batch
+        got = sampler(beta, N, samples, seed, workers=workers)
+        assert np.array_equal(got, np.concatenate(expect))
+
     def test_idle_workers_get_no_generator(self, monkeypatch):
         # With more workers than samples only the first `samples` workers
         # draw; the idle ones are never spawned, and the draws are those of

@@ -114,6 +114,20 @@ class TestMeasureRoundTrip:
             rec = verblunsky_from_moments(c)
             np.testing.assert_allclose(rec, a, atol=1e-9)
 
+    @pytest.mark.parametrize("grid", [16, 17, 1000, 4096])
+    def test_moments_along_last_axis(self, grid):
+        # c_k = (1/grid) sum_j rho_j e^{-ik theta_j} on the real FFT: a 2-D
+        # call equals the row-wise 1-D calls bit for bit, and each row
+        # matches the full complex FFT.
+        rng = np.random.default_rng(grid)
+        rho = np.exp(rng.standard_normal((5, grid)))
+        K = grid // 2 - 1
+        rows = trig_moments(rho, K)
+        assert rows.shape == (5, K + 1)
+        for r, c in zip(rho, rows):
+            assert np.array_equal(trig_moments(r, K), c)
+            np.testing.assert_allclose(c, np.fft.fft(r)[: K + 1] / grid, rtol=0, atol=1e-15)
+
     def test_grid_guards(self):
         with pytest.raises(ValueError):
             measure_density([0.1], 8)

@@ -1,17 +1,49 @@
-"""Literal balanced-tuple count: the reference for the tuple counter.
+"""Literal balanced-tuple count and level-factor product: references for the sweep.
 
-This is the product over both sides' gap sequences.  It builds every tuple
-family and compares its two index vectors against m, without the transfer
-table that ``alphamoments.count_tuples`` walks, so the tests compare the
-counter against it.
+:func:`literal_count` is the product over both sides' gap sequences.  It
+builds every tuple family and compares its two index vectors against m,
+without the transfer table that ``alphamoments.count_tuples`` walks, so the
+tests compare the counter against it.  :func:`term_value` is the closed-form
+weight of one multiplicity vector; counts times it must reproduce the exact
+sweep's partial sums.  :func:`alpha_joint_moment` is the same product read as
+a moment of the alpha law.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
+from math import factorial
 
 from verblunsky.combinatorics import MultiIndex, MultiplicityVector, gap_sequences_over
+
+
+def term_value(m: MultiplicityVector, beta: Fraction) -> Fraction:
+    """The level-factor product prod_{N>=1} m(N)! / ((N beta+1)...(N beta+m(N))).
+
+    The N = 0 factor is 1: read literally it would be m(0)! / (1 * 2 * ... *
+    m(0)), which already cancels.
+    """
+    beta = Fraction(beta)
+    val = Fraction(1)
+    for N, c in m.items():
+        if N == 0:
+            continue
+        val *= factorial(c)
+        for s in range(1, c + 1):
+            val /= N * beta + s
+    return val
+
+
+def alpha_joint_moment(p: MultiIndex, q: MultiIndex, beta: Fraction) -> Fraction:
+    """E of alpha**p (alpha**q)* under the rotation-invariant alpha law.
+
+    Zero off the diagonal; for p = q it is
+    prod_n p(n)! / ((n beta + 1) ... (n beta + p(n))), the level factor
+    :func:`term_value` of p.
+    """
+    return term_value(p, beta) if p == q else Fraction(0)
 
 
 def _slot_degrees(p: MultiIndex) -> list[int]:
