@@ -29,11 +29,29 @@ description alone):
 ``pushforward_experiment`` uses N = ``modes``.  ``mc_x_moment`` uses
 N = ``n_trunc`` on the alpha side, but N = K, the largest index occurring in
 (p, q), on the Gaussian side: it draws only the modes the monomial reads.
+
+Block pipeline
+--------------
+Every sampler runs one block loop, :func:`_pipeline`.  The calling thread
+makes all PCG64 calls, block after block in the order above; the arithmetic
+of each block (the power, sqrt and direction of alpha, the f scaling, the
+Szego, ``exp(-f)``, FFT and Levinson kernels, the monomial and the CSV rows)
+runs on one helper thread while the next block is drawn.  It runs in
+sub-blocks of 1024 rows, each writing its rows of the block's result, so
+its temporaries do not grow with the block; only the Levinson step takes
+the whole block at once, because its last bits depend on the row count.
+Blocks are finished one at a time and in block order, so values,
+statistics and ``--dump-csv`` bytes do not depend on thread timing and
+equal those of a serial loop.  At most two blocks of draws are alive at
+once, so the draws take memory bounded by the block size; the per-sample
+results still grow with the sample count.  ``workers`` only picks the
+substreams; it starts no threads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +68,8 @@ RNG_ALGORITHM = (
     "numpy.random PCG64; per-worker substreams from SeedSequence(seed).spawn(workers)"
 )
 BLOCK_SIZE = 8192
+# Rows per step of a block's arithmetic: bounds its temporaries, not the streams.
+_SUB_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -98,14 +118,22 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
 
 
-def _alpha_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
-    """(count, N) independent draws; |alpha_n|^2 ~ Beta(1, n beta), uniform phase."""
-    n = np.arange(1, N + 1, dtype=np.float64)
-    amp = rng.random((count, N))
+def _alpha_draw(rng: np.random.Generator, b: int, N: int):
+    """One alpha block's PCG64 calls in layout order: moduli, then directions."""
+    return rng.random((b, N)), rng.standard_normal((b, N, 2))
+
+
+def _alpha_rows(drawn, sub: slice, beta: float) -> np.ndarray:
+    """alpha for rows ``sub`` of an alpha block's draws; |alpha_n|^2 ~ Beta(1, n beta).
+
+    Works in place on those rows of the draws.
+    """
+    amp, z = drawn[0][sub], drawn[1][sub]
+    n = np.arange(1, amp.shape[1] + 1, dtype=np.float64)
     np.power(amp, 1.0 / (n * beta), out=amp)
     np.subtract(1.0, amp, out=amp)
     np.sqrt(amp, out=amp)
-    z = rng.standard_normal((count, N, 2)).view(np.complex128).reshape(count, N)
+    z = z.view(np.complex128).reshape(amp.shape)
     r = np.abs(z)
     # A zero direction keeps its finite amp, so alpha = amp * 0 = 0, not NaN.
     np.divide(amp, r, out=amp, where=r > 0)
@@ -113,33 +141,100 @@ def _alpha_block(rng: np.random.Generator, beta: float, N: int, count: int) -> n
     return z
 
 
-def _f_block(rng: np.random.Generator, beta: float, N: int, count: int) -> np.ndarray:
-    """(count, N + 1) complex Gaussian modes, column 0 fixed to zero."""
-    z = rng.standard_normal((count, N, 2))
-    n = np.arange(1, N + 1, dtype=np.float64)
+def _f_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
+    """One f block's PCG64 call."""
+    return rng.standard_normal((b, N, 2))
+
+
+def _f_rows(z: np.ndarray, sub: slice, beta: float) -> np.ndarray:
+    """(rows, N + 1) complex Gaussian modes for rows ``sub`` of an f block's draws, f_0 = 0."""
+    z = z[sub]
+    n = np.arange(1, z.shape[1] + 1, dtype=np.float64)
     scale = np.sqrt(1.0 / (2.0 * n * beta))
-    out = np.zeros((count, N + 1), np.complex128)
+    out = np.zeros((z.shape[0], z.shape[1] + 1), np.complex128)
     out[:, 1:] = (z[:, :, 0] + 1j * z[:, :, 1]) * scale
     return out
 
 
-def _sample(block, width: int, beta: float, N: int, count: int, seed: int, workers: int):
-    """(count, width) rows of ``block(rng, beta, N, b)``, one call per draw block."""
+def _sub_blocks(b: int):
+    """Row slices of a b-row block, :data:`_SUB_BLOCK` rows each, the last one shorter."""
+    return (slice(lo, min(lo + _SUB_BLOCK, b)) for lo in range(0, b, _SUB_BLOCK))
+
+
+class _Finisher(threading.Thread):
+    """Runs ``finish(rows, drawn)`` on a helper thread; :meth:`wait` re-raises its error."""
+
+    def __init__(self, finish, rows: slice, drawn):
+        super().__init__(name="verblunsky-finish")
+        self._job = (finish, rows, drawn)
+        self._error = None
+
+    def run(self) -> None:
+        finish, rows, drawn = self._job
+        self._job = None
+        try:
+            finish(rows, drawn)
+        except BaseException as exc:  # handed to the calling thread by wait()
+            self._error = exc
+
+    def wait(self) -> None:
+        self.join()
+        if self._error is not None:
+            raise self._error
+
+
+def _pipeline(samples: int, seed: int, workers: int, draw, N: int, finish) -> None:
+    """``finish(rows, draw(rng, b, N))`` for every draw block of :func:`_draw_blocks`.
+
+    ``draw`` makes all of a block's PCG64 calls and runs on the calling
+    thread, in block order, so the streams are those of a serial loop.
+    ``finish`` holds the block's arithmetic and runs on one helper thread
+    while the calling thread draws the next block.  Block k + 1 is handed
+    over only after block k's finish has returned, so finishes run one at a
+    time and in block order, and results do not depend on thread timing.  At
+    most two blocks of draws are alive at once: the one being finished and
+    the one being drawn.  An error in ``finish`` is raised here, and no
+    helper thread outlives the call.
+    """
+    helper = None
+    try:
+        for rng, rows in _draw_blocks(samples, seed, workers):
+            drawn = draw(rng, rows.stop - rows.start, N)
+            if helper is not None:
+                helper.wait()
+            helper = _Finisher(finish, rows, drawn)
+            del drawn
+            helper.start()
+        if helper is not None:
+            helper.wait()
+    finally:
+        if helper is not None:
+            helper.join()
+
+
+def _sample(draw, rows_of, width: int, beta: float, N: int, count: int, seed: int,
+            workers: int) -> np.ndarray:
+    """(count, width) rows of ``rows_of`` over the draw blocks of ``draw``."""
     _check_beta(beta)
     out = np.empty((count, width), np.complex128)
-    for rng, rows in _draw_blocks(count, seed, workers):
-        out[rows] = block(rng, beta, N, rows.stop - rows.start)
+
+    def finish(rows, drawn):
+        block = out[rows]
+        for sub in _sub_blocks(len(block)):
+            block[sub] = rows_of(drawn, sub, beta)
+
+    _pipeline(count, seed, workers, draw, N, finish)
     return out
 
 
 def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
     """(count, N) draws of alpha_1..alpha_N, in the alpha layout documented above."""
-    return _sample(_alpha_block, N, beta, N, count, seed, workers)
+    return _sample(_alpha_draw, _alpha_rows, N, beta, N, count, seed, workers)
 
 
 def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
     """(count, N + 1) draws of f_0 = 0, f_1..f_N, in the f layout documented above."""
-    return _sample(_f_block, N + 1, beta, N, count, seed, workers)
+    return _sample(_f_draw, _f_rows, N + 1, beta, N, count, seed, workers)
 
 
 def _stats(values: np.ndarray) -> SampleStats:
@@ -200,6 +295,17 @@ def mc_x_moment(
     if samples < 2:
         raise ValueError("need at least two samples")
     K = max([0, *p.support(), *q.support()])
+    if side == "gaussian":
+        draw, N = _f_draw, K
+
+        def x_rows(drawn, sub):
+            return exp_neg_series(_f_rows(drawn, sub, beta))
+    else:
+        draw, N = _alpha_draw, n_trunc
+
+        def x_rows(drawn, sub):
+            return szego_low_coefficients(_alpha_rows(drawn, sub, beta), K)
+
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
     dump = open(dump_csv, "w", newline="") if dump_csv is not None else nullcontext()
@@ -207,18 +313,18 @@ def mc_x_moment(
         if fh is not None:
             fh.write("# raw x-monomial samples, one row per sample\n")
             fh.write("# columns: index, real, imag\n")
-        for rng, rows in _draw_blocks(samples, seed, workers):
-            b = rows.stop - rows.start
-            if side == "gaussian":
-                x = exp_neg_series(_f_block(rng, beta, K, b))
-            else:
-                alphas = _alpha_block(rng, beta, n_trunc, b)
-                x = szego_low_coefficients(alphas, K)
+
+        def finish(rows, drawn):
+            x = np.empty((rows.stop - rows.start, K + 1), np.complex128)
+            for sub in _sub_blocks(len(x)):
+                x[sub] = x_rows(drawn, sub)
             mono = _monomial(x, p, q)
             vals[rows] = mono
             if fh is not None:
                 lines = zip(range(rows.start, rows.stop), mono.real.tolist(), mono.imag.tolist())
                 fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
+
+        _pipeline(samples, seed, workers, draw, N, finish)
     return _stats(vals)
 
 
@@ -294,15 +400,20 @@ def pushforward_experiment(
         raise ValueError("quadrature grid too coarse relative to max_alpha")
     decay = radius ** np.arange(modes + 1)
     absq = np.empty((samples, max_alpha))
-    for rng, rows in _draw_blocks(samples, seed, workers):
-        b = rows.stop - rows.start
-        half = np.zeros((b, grid // 2 + 1), np.complex128)
-        half[:, : modes + 1] = _f_block(rng, beta, modes, b) * decay
-        dens = np.fft.irfft(half, grid, axis=1)
-        dens *= grid
-        np.exp(dens, out=dens)
-        dens /= dens.mean(axis=1, keepdims=True)
-        al, ok = levinson_batch(trig_moments(dens, max_alpha), max_alpha)
+
+    def finish(rows, z):
+        c = np.empty((rows.stop - rows.start, max_alpha + 1), np.complex128)
+        for sub in _sub_blocks(len(c)):
+            f = _f_rows(z, sub, beta)
+            half = np.zeros((len(f), grid // 2 + 1), np.complex128)
+            half[:, : modes + 1] = f * decay
+            dens = np.fft.irfft(half, grid, axis=1)
+            dens *= grid
+            np.exp(dens, out=dens)
+            dens /= dens.mean(axis=1, keepdims=True)
+            c[sub] = trig_moments(dens, max_alpha)
+        # One Levinson call per block: its last bits depend on the batch's row count.
+        al, ok = levinson_batch(c, max_alpha)
         if not ok.all():
             bad = int((~ok).sum())
             raise ValueError(
@@ -310,4 +421,6 @@ def pushforward_experiment(
                 "the density is too peaked, lower radius or max_alpha"
             )
         absq[rows] = np.abs(al) ** 2
+
+    _pipeline(samples, seed, workers, _f_draw, modes, finish)
     return [_stats(absq[:, n]) for n in range(max_alpha)]

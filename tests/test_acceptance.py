@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-import pytest
 from graph_oracle import unpruned_count
 from variance_oracle import a_coefficients, multiplicity_free_moment
 
@@ -44,7 +43,6 @@ from verblunsky import (
 )
 from verblunsky.combinatorics import partitions
 from verblunsky.gaussian import MomentPolynomial
-from verblunsky.kernels import exp_neg_series, szego_low_coefficients
 from verblunsky.montecarlo import _stats, mc_reference
 from verblunsky.opuc import jacobian_determinant_exact
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import pathlib
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -263,7 +264,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before computing the reference")
 
-        monkeypatch.setattr(montecarlo, "_f_block", no_draws)
+        monkeypatch.setattr(montecarlo, "_f_draw", no_draws)
         code, out, err = _run(capsys, [
             "mc", "--side", "gaussian", "--p", "2:2", "--q", "2:2", "--beta", "1e-100",
             "--samples", "100000", "--seed", "1",
@@ -368,8 +369,9 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before opening the dump file")
 
-        monkeypatch.setattr(montecarlo, "_alpha_block", no_draws)
+        monkeypatch.setattr(montecarlo, "_alpha_draw", no_draws)
         path = tmp_path / "missing" / "x.csv"
+        before = threading.active_count()
         code, out, err = _run(
             capsys,
             ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
@@ -378,6 +380,7 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
+        assert threading.active_count() == before
 
     def test_alpha_path_is_directory_exits_two(self, capsys, tmp_path):
         code, out, err = _run(capsys, ["jacobian", "--alpha", str(tmp_path)])

@@ -3,14 +3,19 @@
 import csv
 import io
 import math
+import threading
+import time
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import serial_blocks
 
 from verblunsky import (
     MultiIndex,
+    cli,
     montecarlo,
     mc_x_moment,
     pushforward_experiment,
@@ -76,7 +81,8 @@ class TestAlphaSampler:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a = montecarlo._alpha_block(ZeroNormals(), 1.0, 5, 7)
+            drawn = montecarlo._alpha_draw(ZeroNormals(), 7, 5)
+            a = montecarlo._alpha_rows(drawn, slice(0, 7), 1.0)
         assert a.shape == (7, 5)
         assert np.all(np.isfinite(a))
         assert np.all(a == 0)
@@ -385,10 +391,10 @@ class TestPushforward:
         grid = pushforward_grid(modes)
         decay = radius ** np.arange(modes + 1)
         absq = np.empty((samples, max_alpha))
-        for rng, rows in montecarlo._draw_blocks(samples, seed, workers):
+        for rng, rows in serial_blocks._draw_blocks(samples, seed, workers):
             b = rows.stop - rows.start
             field = np.zeros((b, grid), np.complex128)
-            field[:, : modes + 1] = montecarlo._f_block(rng, beta, modes, b) * decay
+            field[:, : modes + 1] = serial_blocks._f_block(rng, beta, modes, b) * decay
             vals = np.fft.ifft(field, axis=1) * grid
             dens = np.exp(2.0 * vals.real)
             dens /= dens.mean(axis=1, keepdims=True)
@@ -435,3 +441,180 @@ class TestMcGatePower:
         st = mc_x_moment("alpha", p, p, beta + 1, 200, 2 * 10**4, seed=112)
         ref = mc_reference("gaussian", p, p, beta, 200)
         assert abs(st.mean - ref) > 4 * st.stderr, (n, beta, st)
+
+
+class TestPipeline:
+    """Draws on the calling thread, arithmetic on a helper thread: same results.
+
+    ``serial_blocks`` is the serial loop the pipeline replaced; every sampler
+    must give exactly its values, CSV bytes and errors.
+    """
+
+    P, Q = MultiIndex({2: 1}), MultiIndex({1: 2})
+    # pushforward_experiment(beta, modes, radius, samples, max_alpha, seed):
+    # at this beta and radius the moments stay positive definite.
+    PUSH = (1.0, 8, 0.7)
+    # The first 8192-sample block inverts; the second has one sample whose
+    # moments are not positive definite (found with the serial loop).
+    PEAKED = ["pushforward", "--beta", "1/10", "--modes", "32", "--radius", "0.9",
+              "--samples", str(2 * BLOCK_SIZE), "--seed", "3", "--max-alpha", "30"]
+
+    def _check_all(self, count, workers, tmp_path, monkeypatch):
+        seed = 1000 + count + workers
+        assert np.array_equal(
+            sample_alpha_batch(0.75, 6, count, seed, workers=workers),
+            serial_blocks.sample_alpha_batch(0.75, 6, count, seed, workers),
+        )
+        assert np.array_equal(
+            sample_f_batch(0.75, 6, count, seed, workers=workers),
+            serial_blocks.sample_f_batch(0.75, 6, count, seed, workers),
+        )
+        averaged = []
+        stats = montecarlo._stats
+
+        def recording(values):
+            averaged.append(values.copy())
+            return stats(values)
+
+        monkeypatch.setattr(montecarlo, "_stats", recording)
+        for side in ("gaussian", "alpha"):
+            got, want = tmp_path / f"{side}-got.csv", tmp_path / f"{side}-want.csv"
+            mc_x_moment(side, self.P, self.Q, 0.75, 12, count, seed, workers=workers,
+                        dump_csv=str(got))
+            vals = serial_blocks.mc_values(side, self.P, self.Q, 0.75, 12, count, seed, workers,
+                                           dump_csv=str(want))
+            assert np.array_equal(averaged.pop(), vals)
+            assert got.read_bytes() == want.read_bytes()
+        pushforward_experiment(*self.PUSH, count, 3, seed, workers=workers)
+        absq = serial_blocks.pushforward_absq(*self.PUSH, count, 3, seed, workers)
+        assert np.array_equal(np.column_stack(averaged), absq)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [2, 1023, 1025, BLOCK_SIZE, 2 * BLOCK_SIZE + 600])
+    def test_matches_serial_loop(self, count, workers, tmp_path, monkeypatch):
+        self._check_all(count, workers, tmp_path, monkeypatch)
+
+    def test_inline_finish_matches_serial_loop(self, tmp_path, monkeypatch):
+        # Each block finished on the calling thread as soon as it is handed
+        # over: no helper thread, the serial order, the same results.
+        class Inline:
+            def __init__(self, finish, rows, drawn):
+                finish(rows, drawn)
+
+            def start(self):
+                pass
+
+            wait = join = start
+
+        def no_threads(self):
+            raise AssertionError("started a thread")
+
+        monkeypatch.setattr(montecarlo, "_Finisher", Inline)
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        self._check_all(2 * BLOCK_SIZE + 600, 2, tmp_path, monkeypatch)
+
+    def test_levinson_failure_in_helper(self, capsys):
+        before = threading.active_count()
+        finishers = []
+        finish = montecarlo._Finisher.run
+
+        def recording(self):
+            finishers.append(threading.current_thread())
+            finish(self)
+
+        args = (0.1, 32, 0.9, 2 * BLOCK_SIZE, 30, 3, 1)
+        with pytest.raises(ValueError) as want:
+            serial_blocks.pushforward_absq(*args)
+        assert str(want.value).startswith("1 sample(s) gave non-positive-definite moments")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo._Finisher, "run", recording)
+            with pytest.raises(ValueError) as got:
+                pushforward_experiment(*args[:-1], workers=1)
+        assert str(got.value) == str(want.value)
+        assert len(finishers) == 2
+        assert threading.main_thread() not in finishers
+        assert threading.active_count() == before
+        assert cli.run(self.PEAKED) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {want.value}\n"
+        assert threading.active_count() == before
+
+    def test_memory_error_in_finish_exits_two(self, capsys, monkeypatch):
+        # The allocation failure is simulated on the second block's Szego
+        # call, which runs on the helper thread.
+        calls = []
+        szego = montecarlo.szego_low_coefficients
+
+        def no_memory(alphas, K):
+            calls.append(threading.current_thread())
+            if len(calls) > BLOCK_SIZE // montecarlo._SUB_BLOCK:
+                raise MemoryError
+            return szego(alphas, K)
+
+        monkeypatch.setattr(montecarlo, "szego_low_coefficients", no_memory)
+        before = threading.active_count()
+        code = cli.run(["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
+                        "--samples", str(3 * BLOCK_SIZE), "--seed", "0", "--n-trunc", "8"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+        assert calls[-1] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_error_while_drawing_joins_the_helper(self, monkeypatch):
+        # The second draw fails while the helper still finishes the first
+        # block; the call waits for it before raising.
+        draw, szego = montecarlo._alpha_draw, montecarlo.szego_low_coefficients
+        draws = []
+
+        def failing(rng, b, N):
+            draws.append(b)
+            if len(draws) == 2:
+                raise MemoryError
+            return draw(rng, b, N)
+
+        def slow(alphas, K):
+            time.sleep(0.05)
+            return szego(alphas, K)
+
+        monkeypatch.setattr(montecarlo, "_alpha_draw", failing)
+        monkeypatch.setattr(montecarlo, "szego_low_coefficients", slow)
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            mc_x_moment("alpha", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 0)
+        assert threading.active_count() == before
+
+    def test_threads_end_with_each_call(self):
+        before = threading.active_count()
+        sample_alpha_batch(1.0, 3, 3 * BLOCK_SIZE, 5, workers=2)
+        mc_x_moment("gaussian", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 5)
+        pushforward_experiment(*self.PUSH, 2 * BLOCK_SIZE, 3, 5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["alpha", "f"])
+    def test_at_most_two_blocks_of_draws_alive(self, kind, monkeypatch):
+        # Before each draw, at most one earlier block's draws is still alive:
+        # the one the helper thread is finishing.
+        name = f"_{kind}_draw"
+        draw = getattr(montecarlo, name)
+        alive = []
+        before_draw = []
+
+        def tracking(rng, b, N):
+            before_draw.append(sum(ref() is not None for ref in alive))
+            drawn = draw(rng, b, N)
+            alive.append(weakref.ref(drawn[0] if kind == "alpha" else drawn))
+            return drawn
+
+        monkeypatch.setattr(montecarlo, name, tracking)
+        samples = 5 * BLOCK_SIZE
+        if kind == "alpha":
+            sample_alpha_batch(1.0, 4, samples, 8, workers=2)
+            mc_x_moment("alpha", P1, P1, 1.0, 8, samples, 8)
+        else:
+            sample_f_batch(1.0, 4, samples, 8, workers=2)
+            mc_x_moment("gaussian", P1, P1, 1.0, 8, samples, 8)
+            pushforward_experiment(*self.PUSH, samples, 3, 8)
+        assert len(before_draw) >= 10
+        assert max(before_draw) <= 1
+        assert all(ref() is None for ref in alive)
