@@ -14,7 +14,11 @@ Kernels:
   ``low`` and ``conj(top)`` as ``(K+1, S)`` arrays updated in place on
   contiguous rows, and is transposed back to ``(S, K+1)`` once at the end.
   Its output is bitwise equal to the same recursion run with samples on the
-  first axis.
+  first axis.  The loop itself is ``_szego_low_levels``, which reads the
+  coefficients level-major, ``(N, S)`` with row n - 1 holding alpha_n of every
+  sample; ``szego_low_coefficients`` transposes its ``(S, N)`` input once and
+  calls it, and the alpha sampler, which draws level-major, calls it
+  directly, so no ``(S, N)`` copy of its draws is made.
 * ``exp_neg_series`` — x = exp(-f) series coefficients for a batch of f rows.
 * ``levinson_batch`` — Verblunsky coefficients from trigonometric moments for
   a batch of moment rows, with per-sample positive-definiteness flags.
@@ -35,21 +39,27 @@ def backend_name() -> str:
 
 def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
     """(S, K+1) low coefficients of r_N per sample row of alphas (S, N)."""
-    alphas = np.ascontiguousarray(alphas, dtype=np.complex128)
+    alphas = np.asarray(alphas, dtype=np.complex128)
     if alphas.ndim != 2:
         raise ValueError("alphas must be a (samples, N) array")
-    S, N = alphas.shape
+    return _szego_low_levels(np.ascontiguousarray(alphas.T), K)
+
+
+def _szego_low_levels(a_levels: np.ndarray, K: int) -> np.ndarray:
+    """(S, K+1) low coefficients of r_N for level-major alphas (N, S).
+
+    Row n - 1 of ``a_levels`` holds alpha_n of every sample.
+    """
+    N, S = a_levels.shape
     # Samples-last state: row k holds coefficient k of every sample.  low[j] =
     # r_n[j] and ctop[i] = conj(r_n[n - i]), zero past degree n; as conj(a) *
     # low = conj(a * conj(low)), each value is bitwise the recursion on r_n.
-    a_t = np.ascontiguousarray(alphas.T)
     low = np.zeros((K + 1, S), np.complex128)
     low[0] = 1.0
     ctop = low.copy()
     nxt = np.empty_like(ctop)
     tmp = np.empty((K, S), np.complex128)
-    for n in range(1, N + 1):
-        a = a_t[n - 1]
+    for a in a_levels:
         np.multiply(np.conj(a), low, out=nxt)
         nxt[1:] += ctop[:-1]
         np.multiply(a, ctop[:-1], out=tmp)

@@ -15,12 +15,15 @@ stream but not the distribution.
 Per-block draw layout (documented so streams are reproducible from the
 description alone):
 
-* alpha sampler: one ``(block, N)`` uniform array ``u`` for the moduli, then
-  one ``(block, N, 2)`` standard-normal array ``z`` for the directions, read
-  as complex ``z[..., 0] + i z[..., 1]``; ``alpha_n = (sqrt(1 -
-  u**(1/(n beta))) / |z|) * z``, and ``alpha_n = 0`` where ``|z| = 0``
-  (probability about 2**-104).  ``z/|z|`` is uniform on the circle (Muller
-  1959), so the phase is uniform without a complex exponential;
+* alpha sampler: one ``(N, block, 2)`` standard-normal array ``z``,
+  level-major: row n - 1 holds alpha_n of every sample in the block, read as
+  complex ``z_n = z[n - 1, :, 0] + i z[n - 1, :, 1]``; ``alpha_n = z_n *
+  sqrt(-expm1(-|z_n|**2 / (2 n beta)) / |z_n|**2)``, and ``alpha_n = 0``
+  where ``|z_n| = 0`` (probability about 2**-104).  |z|**2 / 2 is Exp(1)
+  and independent of ``z/|z|``, which is uniform on the circle (Muller
+  1959), so ``exp(-|z|**2 / 2)`` is a uniform the direction already carries
+  and |alpha_n|**2 = 1 - exp(-|z|**2 / (2 n beta)) is Beta(1, n beta): one
+  draw per coefficient serves both modulus and phase;
 * f sampler: one ``(block, N, 2)`` standard-normal array ``z``, last axis
   holding the real and imaginary parts; ``f_n = (z[..., 0] + i z[..., 1]) *
   sqrt(1 / (2 n beta))``.
@@ -34,18 +37,21 @@ Block pipeline
 --------------
 Every sampler runs one block loop, :func:`_pipeline`.  The calling thread
 makes all PCG64 calls, block after block in the order above; the arithmetic
-of each block (the power, sqrt and direction of alpha, the f scaling, the
-Szego, ``exp(-f)``, FFT and Levinson kernels, the monomial and the CSV rows)
-runs on one helper thread while the next block is drawn.  It runs in
-sub-blocks of 1024 rows, each writing its rows of the block's result, so
-its temporaries do not grow with the block; only the Levinson step takes
-the whole block at once, because its last bits depend on the row count.
-Blocks are finished one at a time and in block order, so values,
-statistics and ``--dump-csv`` bytes do not depend on thread timing and
-equal those of a serial loop.  At most two blocks of draws are alive at
-once, so the draws take memory bounded by the block size; the per-sample
-results still grow with the sample count.  ``workers`` only picks the
-substreams; it starts no threads.
+of each block (the alpha transform, the f scaling, the Szego, ``exp(-f)``,
+FFT and Levinson kernels, the monomial and the CSV rows) runs on one helper
+thread while the next block is drawn.  Its temporaries do not grow with the
+block: the alpha transform runs in place on the draws, a few whole levels
+(at most 2**15 values) at a time, and the f side runs in sub-blocks of 1024
+rows, each writing its rows of the block's result.  The Szego recursion
+takes the whole level-major alpha block in one call, as its state is only
+(K + 1, block), and the Levinson step takes the whole block at once, because
+its last bits depend on the row count.  Blocks are finished one at a time
+and in block order, so values, statistics and ``--dump-csv`` bytes do not
+depend on thread timing and equal those of a serial loop.  At most two
+blocks of draws are alive at once, so the draws take memory bounded by the
+block size (16 bytes per sample and coefficient or mode: 26 MB for an
+8192-sample block at N = 200); the per-sample results still grow with the
+sample count.  ``workers`` only picks the substreams; it starts no threads.
 """
 
 from __future__ import annotations
@@ -61,7 +67,10 @@ import numpy as np
 from .alphamoments import alpha_x_moment
 from .combinatorics import MultiIndex
 from .gaussian import gaussian_x_moment
-from .kernels import exp_neg_series, levinson_batch, szego_low_coefficients
+from .kernels import _szego_low_levels, exp_neg_series, levinson_batch
+
+# Unused here: perfbench's span bindings look this name up on this module.
+from .kernels import szego_low_coefficients  # noqa: F401
 from .opuc import trig_moments
 
 RNG_ALGORITHM = (
@@ -70,6 +79,8 @@ RNG_ALGORITHM = (
 BLOCK_SIZE = 8192
 # Rows per step of a block's arithmetic: bounds its temporaries, not the streams.
 _SUB_BLOCK = 1024
+# Values per step of the alpha transform, in whole levels: the same bound.
+_LEVEL_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,27 +129,33 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
 
 
-def _alpha_draw(rng: np.random.Generator, b: int, N: int):
-    """One alpha block's PCG64 calls in layout order: moduli, then directions."""
-    return rng.random((b, N)), rng.standard_normal((b, N, 2))
+def _alpha_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
+    """One alpha block's PCG64 call: level-major normals, row n - 1 for alpha_n."""
+    return rng.standard_normal((N, b, 2))
 
 
-def _alpha_rows(drawn, sub: slice, beta: float) -> np.ndarray:
-    """alpha for rows ``sub`` of an alpha block's draws; |alpha_n|^2 ~ Beta(1, n beta).
+def _alpha_levels(z: np.ndarray, beta: float) -> np.ndarray:
+    """Level-major (N, b) alpha of an alpha block's draws; |alpha_n|^2 ~ Beta(1, n beta).
 
-    Works in place on those rows of the draws.
+    Works in place on the draws, a few whole levels at a time; expm1 gives
+    |alpha_n|^2 = 1 - exp(-|z_n|^2 / (2 n beta)) without cancellation.
     """
-    amp, z = drawn[0][sub], drawn[1][sub]
-    n = np.arange(1, amp.shape[1] + 1, dtype=np.float64)
-    np.power(amp, 1.0 / (n * beta), out=amp)
-    np.subtract(1.0, amp, out=amp)
-    np.sqrt(amp, out=amp)
-    z = z.view(np.complex128).reshape(amp.shape)
-    r = np.abs(z)
-    # A zero direction keeps its finite amp, so alpha = amp * 0 = 0, not NaN.
-    np.divide(amp, r, out=amp, where=r > 0)
-    z *= amp
-    return z
+    a = z.view(np.complex128)[..., 0]
+    N, b = a.shape
+    div = np.arange(1, N + 1, dtype=np.float64)[:, None] * (-2.0 * beta)
+    step = max(1, _LEVEL_VALUES // b)
+    for lo in range(0, N, step):
+        w = a[lo : lo + step]
+        sq = np.square(w.real)
+        sq += np.square(w.imag)
+        amp = np.divide(sq, div[lo : lo + step])
+        np.expm1(amp, out=amp)
+        # A zero direction keeps amp = -0.0, so alpha = z * 0 = 0, not NaN.
+        np.divide(amp, sq, out=amp, where=sq > 0)
+        np.negative(amp, out=amp)
+        np.sqrt(amp, out=amp)
+        w *= amp
+    return a
 
 
 def _f_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
@@ -148,11 +165,11 @@ def _f_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
 
 def _f_rows(z: np.ndarray, sub: slice, beta: float) -> np.ndarray:
     """(rows, N + 1) complex Gaussian modes for rows ``sub`` of an f block's draws, f_0 = 0."""
-    z = z[sub]
+    z = z[sub].view(np.complex128)[..., 0]
     n = np.arange(1, z.shape[1] + 1, dtype=np.float64)
     scale = np.sqrt(1.0 / (2.0 * n * beta))
     out = np.zeros((z.shape[0], z.shape[1] + 1), np.complex128)
-    out[:, 1:] = (z[:, :, 0] + 1j * z[:, :, 1]) * scale
+    np.multiply(z, scale, out=out[:, 1:])
     return out
 
 
@@ -212,29 +229,30 @@ def _pipeline(samples: int, seed: int, workers: int, draw, N: int, finish) -> No
             helper.join()
 
 
-def _sample(draw, rows_of, width: int, beta: float, N: int, count: int, seed: int,
-            workers: int) -> np.ndarray:
-    """(count, width) rows of ``rows_of`` over the draw blocks of ``draw``."""
-    _check_beta(beta)
-    out = np.empty((count, width), np.complex128)
-
-    def finish(rows, drawn):
-        block = out[rows]
-        for sub in _sub_blocks(len(block)):
-            block[sub] = rows_of(drawn, sub, beta)
-
-    _pipeline(count, seed, workers, draw, N, finish)
-    return out
-
-
 def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
     """(count, N) draws of alpha_1..alpha_N, in the alpha layout documented above."""
-    return _sample(_alpha_draw, _alpha_rows, N, beta, N, count, seed, workers)
+    _check_beta(beta)
+    out = np.empty((count, N), np.complex128)
+
+    def finish(rows, z):
+        out[rows] = _alpha_levels(z, beta).T
+
+    _pipeline(count, seed, workers, _alpha_draw, N, finish)
+    return out
 
 
 def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
     """(count, N + 1) draws of f_0 = 0, f_1..f_N, in the f layout documented above."""
-    return _sample(_f_draw, _f_rows, N + 1, beta, N, count, seed, workers)
+    _check_beta(beta)
+    out = np.empty((count, N + 1), np.complex128)
+
+    def finish(rows, z):
+        block = out[rows]
+        for sub in _sub_blocks(len(block)):
+            block[sub] = _f_rows(z, sub, beta)
+
+    _pipeline(count, seed, workers, _f_draw, N, finish)
+    return out
 
 
 def _stats(values: np.ndarray) -> SampleStats:
@@ -298,13 +316,17 @@ def mc_x_moment(
     if side == "gaussian":
         draw, N = _f_draw, K
 
-        def x_rows(drawn, sub):
-            return exp_neg_series(_f_rows(drawn, sub, beta))
+        def x_block(drawn):
+            x = np.empty((len(drawn), K + 1), np.complex128)
+            for sub in _sub_blocks(len(x)):
+                x[sub] = exp_neg_series(_f_rows(drawn, sub, beta))
+            return x
     else:
         draw, N = _alpha_draw, n_trunc
 
-        def x_rows(drawn, sub):
-            return szego_low_coefficients(_alpha_rows(drawn, sub, beta), K)
+        def x_block(drawn):
+            # One recursion over the whole level-major block: its state is (K+1, b).
+            return _szego_low_levels(_alpha_levels(drawn, beta), K)
 
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
@@ -315,10 +337,7 @@ def mc_x_moment(
             fh.write("# columns: index, real, imag\n")
 
         def finish(rows, drawn):
-            x = np.empty((rows.stop - rows.start, K + 1), np.complex128)
-            for sub in _sub_blocks(len(x)):
-                x[sub] = x_rows(drawn, sub)
-            mono = _monomial(x, p, q)
+            mono = _monomial(x_block(drawn), p, q)
             vals[rows] = mono
             if fh is not None:
                 lines = zip(range(rows.start, rows.stop), mono.real.tolist(), mono.imag.tolist())

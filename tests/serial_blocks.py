@@ -3,10 +3,10 @@
 ``verblunsky.montecarlo`` draws each block on the calling thread and does its
 arithmetic on a helper thread, in sub-blocks, while the next block is drawn.
 This module is the loop it replaced: every block is drawn and then transformed
-in full on one thread.  The pipelined samplers must return exactly these
-values, CSV bytes and errors.  The kernels (Szego, ``exp(-f)``, Levinson and
-the trigonometric moments) are the package's own; only the block loop is
-frozen here.
+in full on one thread, and alpha blocks go to the Szego kernel samples-first.
+The pipelined samplers must return exactly these values, CSV bytes and errors.
+The kernels (Szego, ``exp(-f)``, Levinson and the trigonometric moments) are
+the package's own; only the block loop is frozen here.
 """
 
 from __future__ import annotations
@@ -34,16 +34,17 @@ def _draw_blocks(samples, seed, workers):
 
 
 def _alpha_block(rng, beta, N, count):
-    n = np.arange(1, N + 1, dtype=np.float64)
-    amp = rng.random((count, N))
-    np.power(amp, 1.0 / (n * beta), out=amp)
-    np.subtract(1.0, amp, out=amp)
+    z = rng.standard_normal((N, count, 2)).view(np.complex128)[..., 0]
+    n = np.arange(1, N + 1, dtype=np.float64)[:, None]
+    sq = np.square(z.real)
+    sq += np.square(z.imag)
+    amp = np.divide(sq, n * (-2.0 * beta))
+    np.expm1(amp, out=amp)
+    np.divide(amp, sq, out=amp, where=sq > 0)
+    np.negative(amp, out=amp)
     np.sqrt(amp, out=amp)
-    z = rng.standard_normal((count, N, 2)).view(np.complex128).reshape(count, N)
-    r = np.abs(z)
-    np.divide(amp, r, out=amp, where=r > 0)
     z *= amp
-    return z
+    return z.T
 
 
 def _f_block(rng, beta, N, count):

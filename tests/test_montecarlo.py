@@ -1,6 +1,7 @@
 """Sampler laws, the determinism contract, and the MC estimator wrapper."""
 
 import csv
+import decimal
 import io
 import math
 import threading
@@ -39,6 +40,25 @@ def _band(observed, expected, stderr, sigmas=5.0):
     )
 
 
+def _alpha_from_normals(z, beta):
+    """(b, N) alpha of one block's level-major normals z (N, b, 2), by the documented formula."""
+    z = z[..., 0] + 1j * z[..., 1]
+    n = np.arange(1, len(z) + 1)[:, None]
+    sq = z.real**2 + z.imag**2
+    return (z * np.sqrt(-np.expm1(-sq / (2.0 * n * beta)) / sq)).T
+
+
+class FixedNormals:
+    """A generator stand-in whose normals are the given array."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, shape):
+        assert shape == self.values.shape
+        return self.values.copy()
+
+
 class TestAlphaSampler:
     def test_moments_match_beta_law(self):
         beta, N, count = 1.0, 3, 40000
@@ -69,23 +89,57 @@ class TestAlphaSampler:
     def test_zero_direction_gives_zero_alpha(self):
         # A zero normal pair has no direction; the draw is alpha = 0, not NaN,
         # and nothing warns on the way.
-        class ZeroNormals:
-            def __init__(self):
-                self.rng = np.random.default_rng(3)
-
-            def random(self, shape):
-                return self.rng.random(shape)
-
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            drawn = montecarlo._alpha_draw(ZeroNormals(), 7, 5)
-            a = montecarlo._alpha_rows(drawn, slice(0, 7), 1.0)
-        assert a.shape == (7, 5)
+            drawn = montecarlo._alpha_draw(FixedNormals(np.zeros((5, 7, 2))), 7, 5)
+            a = montecarlo._alpha_levels(drawn, 1.0)
+        assert a.shape == (5, 7)
         assert np.all(np.isfinite(a))
         assert np.all(a == 0)
+
+    @pytest.mark.parametrize("beta", [1 / 3, 2 / 3, 3.0])
+    def test_modulus_matches_decimal_reference(self, beta):
+        # |alpha_n|^2 = 1 - exp(-|z_n|^2 / (2 n beta)) to a relative 1e-14,
+        # against 50 digits, up to n = 10**4 and for small |z| too, where
+        # |alpha_n|^2 is tiny.  The earlier 1 - u**(1/(n beta)) of a uniform
+        # u (here u = exp(-|z|^2 / 2), rounded) misses that bound at n = 200.
+        N, levels = 10**4, [1, 2, 3, 10, 200, 1000, 5000, 10**4]
+        z = np.random.default_rng(60).standard_normal((N, 6, 2))
+        z[:, 3] = (1e-3, -2e-3)
+        z[:, 4] = (3e-8, 1e-8)
+        z[:, 5] = (-6.0, 5.5)
+        a = montecarlo._alpha_levels(montecarlo._alpha_draw(FixedNormals(z), 6, N), beta)
+        ctx = decimal.Context(prec=50)
+        D = decimal.Decimal
+        old_err = 0.0
+        for n in levels:
+            nb = ctx.multiply(n, D(beta))
+            for (x, y), got in zip(z[n - 1], a[n - 1]):
+                sq = ctx.add(ctx.multiply(D(x), D(x)), ctx.multiply(D(y), D(y)))
+                ref = float(ctx.subtract(1, ctx.exp(ctx.minus(ctx.divide(sq, 2 * nb)))))
+                assert abs(got.real**2 + got.imag**2 - ref) <= 1e-14 * ref, (n, x, y)
+                if n != 200:
+                    continue
+                # The old formula's error for the uniform u it would have drawn;
+                # u rounds to 1 where |z| is tiny, and is then skipped.
+                u = float(ctx.exp(ctx.minus(ctx.divide(sq, 2))))
+                if u < 1:
+                    old_ref = float(ctx.subtract(1, ctx.power(D(u), ctx.divide(1, nb))))
+                    old = 1.0 - u ** (1.0 / (n * beta))
+                    old_err = max(old_err, abs(old - old_ref) / old_ref)
+        assert old_err > 1e-14
+
+    def test_moments_at_workload_truncation(self):
+        # E|alpha_n|^2 = 1/(n beta + 1) and E|alpha_n|^4 = 2/((n beta + 1)(n beta + 2))
+        # at the first and last of n_trunc = 200 levels, beta = 2/3.
+        beta, N, count = 2 / 3, 200, 2 * BLOCK_SIZE
+        a = sample_alpha_batch(beta, N, count, seed=61)
+        for n in (1, N):
+            sq = np.abs(a[:, n - 1]) ** 2
+            nb = n * beta
+            for values, expect in ((sq, 1 / (nb + 1)), (sq**2, 2 / ((nb + 1) * (nb + 2)))):
+                st = montecarlo._stats(values)
+                _band(st.mean, expect, st.stderr, sigmas=4.0)
 
     def test_inside_unit_disk(self):
         a = sample_alpha_batch(2.0, 4, 5000, seed=9)
@@ -108,6 +162,24 @@ class TestFSampler:
         _band(q4.mean(), 2.0 / beta**2, q4.std(ddof=1) / math.sqrt(count))
         cross = f[:, 1] * np.conj(f[:, 2])
         _band(cross.mean(), 0.0, np.abs(cross).std(ddof=1) / math.sqrt(count))
+
+    @pytest.mark.parametrize("beta,r,modes", [(1.0, 0.9, 64), (0.5, 0.6, 8)])
+    def test_field_variance(self, beta, r, modes):
+        # X = 2 Re f_+(r) has variance sum_{n <= modes} 2 r^(2n) / (n beta),
+        # the covariance behind pushforward_experiment's gamma^2 = 2/beta.
+        # The band is 4 standard errors of the sample variance of a Gaussian,
+        # var * sqrt(2 / (count - 1)); the scale sqrt(1/(n beta)) fails it.
+        count = 20000
+        f = sample_f_batch(beta, modes, count, seed=62)
+        n = np.arange(1, modes + 1)
+        var = float(np.sum(2 * r ** (2 * n) / (n * beta)))
+
+        def sigmas_off(f):
+            x = 2 * (f[:, 1:] @ r**n).real
+            return abs(x.var(ddof=1) - var) / (var * math.sqrt(2 / (count - 1)))
+
+        assert sigmas_off(f) <= 4
+        assert sigmas_off(f * math.sqrt(2)) > 4
 
 
 class TestDeterminism:
@@ -151,10 +223,7 @@ class TestDeterminism:
             rng = np.random.Generator(np.random.PCG64(child))
             for b in blocks:
                 if kind == "alpha":
-                    u = rng.random((b, N))
-                    z = rng.standard_normal((b, N, 2))
-                    z = z[:, :, 0] + 1j * z[:, :, 1]
-                    expect.append((np.sqrt(1.0 - u ** (1.0 / (n * beta))) / np.abs(z)) * z)
+                    expect.append(_alpha_from_normals(rng.standard_normal((N, b, 2)), beta))
                 else:
                     z = rng.standard_normal((b, N, 2))
                     f = (z[:, :, 0] + 1j * z[:, :, 1]) * np.sqrt(1.0 / (2.0 * n * beta))
@@ -210,18 +279,19 @@ class TestMcXMoment:
         "p,q,beta,n_trunc,samples,seed,workers,mean,stderr",
         [
             ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 1,
-             0.9365012690100768 - 0.005967574389000982j, 0.016475928906190627),
+             0.9246574554158299 + 0.010241176512894998j, 0.015948629518286305),
             ({1: 2}, {2: 1}, 1.0, 40, 20000, 2024, 3,
-             0.946663320705661 + 0.003907135683224494j, 0.016467518983745176),
+             0.9291103613546599 + 0.0020082409940154066j, 0.016585371565408943),
             ({2: 1}, {2: 1}, 0.5, 12, 9000, 5, 2,
-             2.1506604993498573 + 7.894313037415096e-20j, 0.037236876581065226),
+             2.149803437174993 - 6.964937841790698e-19j, 0.03803480440291473),
         ],
         # Ids name the inputs only, so re-recording the values keeps the names.
         ids=["p0-q0-1.0-40-20000-2024-1", "p1-q1-1.0-40-20000-2024-3", "p2-q2-0.5-12-9000-5-2"],
     )
     def test_alpha_side_pinned(self, p, q, beta, n_trunc, samples, seed, workers, mean, stderr):
-        # Recorded from the normalised-Gaussian phase layout: the alpha-side
-        # stream and statistics must not move when the kernel's internals change.
+        # Recorded from the level-major layout, one complex normal per
+        # coefficient: the alpha-side stream and statistics must not move when
+        # the kernel's internals change.
         stats = mc_x_moment(
             "alpha", MultiIndex(p), MultiIndex(q), beta, n_trunc, samples, seed,
             workers=workers,
@@ -257,22 +327,16 @@ class TestMcXMoment:
         assert stats.count == samples
 
     def test_alpha_side_follows_documented_layout(self):
-        # Per block: random((block, N)) for the moduli, then
-        # standard_normal((block, N, 2)) for the directions; two workers, two
-        # blocks in each worker's chunk, the last one partial.
+        # Per block: one standard_normal((N, block, 2)), row n - 1 for alpha_n;
+        # two workers, two blocks in each worker's chunk, the last one partial.
         beta, N, samples, seed, workers = 0.75, 5, 2 * BLOCK_SIZE + 600, 37, 2
         got = sample_alpha_batch(beta, N, samples, seed, workers=workers)
-        n = np.arange(1, N + 1)
         expect = []
         children = np.random.SeedSequence(seed).spawn(workers)
         for child, chunk in zip(children, (samples // 2, samples // 2)):
             rng = np.random.Generator(np.random.PCG64(child))
             for b in (BLOCK_SIZE, chunk - BLOCK_SIZE):
-                u = rng.random((b, N))
-                z = rng.standard_normal((b, N, 2))
-                z = z[:, :, 0] + 1j * z[:, :, 1]
-                amp = np.sqrt(1.0 - u ** (1.0 / (n * beta)))
-                expect.append((amp / np.abs(z)) * z)
+                expect.append(_alpha_from_normals(rng.standard_normal((N, b, 2)), beta))
         assert np.array_equal(got, np.concatenate(expect))
 
     def test_csv_dump(self, tmp_path):
@@ -542,29 +606,30 @@ class TestPipeline:
 
     def test_memory_error_in_finish_exits_two(self, capsys, monkeypatch):
         # The allocation failure is simulated on the second block's Szego
-        # call, which runs on the helper thread.
+        # call, which runs on the helper thread; each block makes one.
         calls = []
-        szego = montecarlo.szego_low_coefficients
+        szego = montecarlo._szego_low_levels
 
         def no_memory(alphas, K):
             calls.append(threading.current_thread())
-            if len(calls) > BLOCK_SIZE // montecarlo._SUB_BLOCK:
+            if len(calls) > 1:
                 raise MemoryError
             return szego(alphas, K)
 
-        monkeypatch.setattr(montecarlo, "szego_low_coefficients", no_memory)
+        monkeypatch.setattr(montecarlo, "_szego_low_levels", no_memory)
         before = threading.active_count()
         code = cli.run(["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
                         "--samples", str(3 * BLOCK_SIZE), "--seed", "0", "--n-trunc", "8"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: MemoryError\n")
+        assert len(calls) == 2
         assert calls[-1] is not threading.main_thread()
         assert threading.active_count() == before
 
     def test_error_while_drawing_joins_the_helper(self, monkeypatch):
         # The second draw fails while the helper still finishes the first
         # block; the call waits for it before raising.
-        draw, szego = montecarlo._alpha_draw, montecarlo.szego_low_coefficients
+        draw, szego = montecarlo._alpha_draw, montecarlo._szego_low_levels
         draws = []
 
         def failing(rng, b, N):
@@ -578,7 +643,7 @@ class TestPipeline:
             return szego(alphas, K)
 
         monkeypatch.setattr(montecarlo, "_alpha_draw", failing)
-        monkeypatch.setattr(montecarlo, "szego_low_coefficients", slow)
+        monkeypatch.setattr(montecarlo, "_szego_low_levels", slow)
         before = threading.active_count()
         with pytest.raises(MemoryError):
             mc_x_moment("alpha", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 0)
@@ -603,7 +668,7 @@ class TestPipeline:
         def tracking(rng, b, N):
             before_draw.append(sum(ref() is not None for ref in alive))
             drawn = draw(rng, b, N)
-            alive.append(weakref.ref(drawn[0] if kind == "alpha" else drawn))
+            alive.append(weakref.ref(drawn))
             return drawn
 
         monkeypatch.setattr(montecarlo, name, tracking)
