@@ -40,18 +40,19 @@ makes all PCG64 calls, block after block in the order above; the arithmetic
 of each block (the alpha transform, the f scaling, the Szego, ``exp(-f)``,
 FFT and Levinson kernels, the monomial and the CSV rows) runs on one helper
 thread while the next block is drawn.  Its temporaries do not grow with the
-block: the alpha transform runs in place on the draws, a few whole levels
-(at most 2**15 values) at a time, and the f side runs in sub-blocks of 1024
-rows, each writing its rows of the block's result.  The Szego recursion
-takes the whole level-major alpha block in one call, as its state is only
-(K + 1, block), and the Levinson step takes the whole block at once, because
-its last bits depend on the row count.  Blocks are finished one at a time
-and in block order, so values, statistics and ``--dump-csv`` bytes do not
-depend on thread timing and equal those of a serial loop.  At most two
-blocks of draws are alive at once, so the draws take memory bounded by the
-block size (16 bytes per sample and coefficient or mode: 26 MB for an
-8192-sample block at N = 200); the per-sample results still grow with the
-sample count.  ``workers`` only picks the substreams; it starts no threads.
+block: the alpha transform runs in place on the draws and the f scaling
+writes straight into its output; only the pushforward's ``grid``-wide FFT
+rows outgrow the draws, so they step through the block.  Both steps take at
+most 2**15 values at a time, in whole levels or rows.  The Szego recursion
+(state (K + 1, block)), ``exp(-f)`` (K <= 4) and the Levinson step (whose
+last bits depend on the row count) each take a whole block.  Blocks are
+finished one at a time and in block order, so values, statistics and
+``--dump-csv`` bytes do not depend on thread timing and equal those of a
+serial loop.  At most two blocks of draws are alive at once, so the draws
+take memory bounded by the block size (16 bytes per sample and coefficient
+or mode: 26 MB for an 8192-sample block at N = 200); the per-sample results
+still grow with the sample count.  ``workers`` only picks the substreams; it
+starts no threads.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ RNG_ALGORITHM = (
     "numpy.random PCG64; per-worker substreams from SeedSequence(seed).spawn(workers)"
 )
 BLOCK_SIZE = 8192
-# Rows per step of a block's arithmetic: bounds its temporaries, not the streams.
-_SUB_BLOCK = 1024
-# Values per step of the alpha transform, in whole levels: the same bound.
-_LEVEL_VALUES = 1 << 15
+# Values per step of a block's arithmetic, in whole levels or rows: bounds its
+# temporaries, not the streams.
+_STEP_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _draw_blocks(samples: int, seed: int, workers: int):
 
 def _check_beta(beta: float) -> None:
     """The samplers scale by 1/(n beta), so 1/beta must be a finite float."""
-    if beta <= 0:
+    if not beta > 0:  # also rejects NaN
         raise ValueError("beta must be positive")
     if math.isinf(1 / beta):
         raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
@@ -143,7 +143,7 @@ def _alpha_levels(z: np.ndarray, beta: float) -> np.ndarray:
     a = z.view(np.complex128)[..., 0]
     N, b = a.shape
     div = np.arange(1, N + 1, dtype=np.float64)[:, None] * (-2.0 * beta)
-    step = max(1, _LEVEL_VALUES // b)
+    step = max(1, _STEP_VALUES // b)
     for lo in range(0, N, step):
         w = a[lo : lo + step]
         sq = np.square(w.real)
@@ -163,19 +163,13 @@ def _f_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
     return rng.standard_normal((b, N, 2))
 
 
-def _f_rows(z: np.ndarray, sub: slice, beta: float) -> np.ndarray:
-    """(rows, N + 1) complex Gaussian modes for rows ``sub`` of an f block's draws, f_0 = 0."""
-    z = z[sub].view(np.complex128)[..., 0]
+def _f_modes(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """Write f_0 = 0, f_1..f_N of an f block's draws (rows, N, 2) into out[:, :N + 1]."""
     n = np.arange(1, z.shape[1] + 1, dtype=np.float64)
-    scale = np.sqrt(1.0 / (2.0 * n * beta))
-    out = np.zeros((z.shape[0], z.shape[1] + 1), np.complex128)
-    np.multiply(z, scale, out=out[:, 1:])
+    out[:, 0] = 0
+    np.multiply(z.view(np.complex128)[..., 0], np.sqrt(1.0 / (2.0 * n * beta)),
+                out=out[:, 1 : len(n) + 1])
     return out
-
-
-def _sub_blocks(b: int):
-    """Row slices of a b-row block, :data:`_SUB_BLOCK` rows each, the last one shorter."""
-    return (slice(lo, min(lo + _SUB_BLOCK, b)) for lo in range(0, b, _SUB_BLOCK))
 
 
 class _Finisher(threading.Thread):
@@ -247,9 +241,7 @@ def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int =
     out = np.empty((count, N + 1), np.complex128)
 
     def finish(rows, z):
-        block = out[rows]
-        for sub in _sub_blocks(len(block)):
-            block[sub] = _f_rows(z, sub, beta)
+        _f_modes(z, beta, out[rows])
 
     _pipeline(count, seed, workers, _f_draw, N, finish)
     return out
@@ -257,9 +249,13 @@ def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int =
 
 def _stats(values: np.ndarray) -> SampleStats:
     count = values.size
-    mean = values.mean()
-    var = float(np.sum(np.abs(values - mean) ** 2)) / (count - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+        var = float(np.sum(np.abs(values - mean) ** 2)) / (count - 1)
     stderr = math.sqrt(var / count)
+    # An infinite stderr would pass any gate: at tiny beta the samples' squares overflow.
+    if not math.isfinite(stderr):
+        raise ValueError("sample mean or variance overflows a float: beta is too small")
     if values.dtype.kind != "c":
         return SampleStats(float(mean), stderr, count)
     return SampleStats(complex(mean), stderr, count)
@@ -317,10 +313,7 @@ def mc_x_moment(
         draw, N = _f_draw, K
 
         def x_block(drawn):
-            x = np.empty((len(drawn), K + 1), np.complex128)
-            for sub in _sub_blocks(len(x)):
-                x[sub] = exp_neg_series(_f_rows(drawn, sub, beta))
-            return x
+            return exp_neg_series(_f_modes(drawn, beta, np.empty((len(drawn), K + 1), complex)))
     else:
         draw, N = _alpha_draw, n_trunc
 
@@ -418,19 +411,25 @@ def pushforward_experiment(
     if max_alpha >= grid // 2:
         raise ValueError("quadrature grid too coarse relative to max_alpha")
     decay = radius ** np.arange(modes + 1)
+    # The FFT rows are grid wide, wider than the draws: step through the block.
+    step = max(1, _STEP_VALUES // grid)
     absq = np.empty((samples, max_alpha))
 
     def finish(rows, z):
-        c = np.empty((rows.stop - rows.start, max_alpha + 1), np.complex128)
-        for sub in _sub_blocks(len(c)):
-            f = _f_rows(z, sub, beta)
-            half = np.zeros((len(f), grid // 2 + 1), np.complex128)
-            half[:, : modes + 1] = f * decay
+        c = np.empty((len(z), max_alpha + 1), np.complex128)
+        # Columns past modes stay zero: each step rewrites only f_0..f_modes.
+        buf = np.zeros((min(step, len(z)), grid // 2 + 1), np.complex128)
+        for lo in range(0, len(z), step):
+            zs = z[lo : lo + step]
+            half = _f_modes(zs, beta, buf[: len(zs)])
+            half[:, : modes + 1] *= decay
             dens = np.fft.irfft(half, grid, axis=1)
             dens *= grid
-            np.exp(dens, out=dens)
-            dens /= dens.mean(axis=1, keepdims=True)
-            c[sub] = trig_moments(dens, max_alpha)
+            # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(dens, out=dens)
+                dens /= dens.mean(axis=1, keepdims=True)
+            c[lo : lo + step] = trig_moments(dens, max_alpha)
         # One Levinson call per block: its last bits depend on the batch's row count.
         al, ok = levinson_batch(c, max_alpha)
         if not ok.all():

@@ -5,11 +5,12 @@ import io
 import json
 import pathlib
 import threading
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verblunsky import alphamoments, cli, montecarlo, opuc
@@ -473,6 +474,110 @@ class TestExitCodes:
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# Tokens for the sampling commands' exit-contract test: per option, valid
+# values, then edge values.  Sizes keep every call in milliseconds.  "{dir}"
+# stands for the test's own directory; every --dump-csv value lies in it.
+JUNK = st.one_of(
+    st.sampled_from(["", "x", "--", "-", "1/0", "1:1", "0x10", "--bogus", "1,2"]),
+    st.text(alphabet="abz-_:/., ", max_size=5),
+)
+MULTI_INDEX = (["1:1", "2:1", "1:2", "1:1,2:1", "3:1", "2:2", "4:1"],
+               ["1:4", "1:5", "0:1", "1:0", "1:1,1:1", "-1:1"])
+SAMPLING_OPTIONS = {
+    "--threads": (["1", "2", "3"], ["0", "-1", "1000000"]),
+    "--beta": (["1", "1/2", "2/3", "3/2", "1/100"],
+               ["0", "-1", "1e-300", "1e-320", "1e400", "1e300", "nan", "inf"]),
+    "--samples": (["2", "3", "17"], ["0", "1", "-5"]),
+    "--seed": (["0", "1", "12345"], ["-1", str(2**64)]),
+}
+MC_OPTIONS = {
+    "--side": (["gaussian", "alpha"], ["Alpha", "exact"]),
+    "--p": MULTI_INDEX,
+    "--q": MULTI_INDEX,
+    "--n-trunc": (["8", "16"], ["0", "3", "4", "-1"]),
+    "--dump-csv": (["{dir}/d.csv"], ["{dir}", "{dir}/missing/d.csv"]),
+}
+PUSH_OPTIONS = {
+    "--modes": (["0", "1", "8", "32"], ["-1", "300"]),
+    "--radius": (["0.5", "0.9", "0.99"], ["0", "1", "-0.1", "1e-300", "nan", "inf"]),
+}
+
+
+@st.composite
+def _sampling_argv(draw):
+    """A pushforward or mc argv: valid values with up to two edge or junk ones,
+    options in any order, at most one left out, and sometimes a junk token inserted."""
+    command = draw(st.sampled_from(["mc", "pushforward"]))
+    options = {**SAMPLING_OPTIONS, **(MC_OPTIONS if command == "mc" else PUSH_OPTIONS)}
+    if command == "pushforward":
+        # --max-alpha at and around grid // 2 - 1, the largest the quadrature allows.
+        modes = int(draw(st.sampled_from(options["--modes"][0])))
+        half = montecarlo.pushforward_grid(modes) // 2
+        options["--modes"] = ([str(modes)], options["--modes"][1])
+        options["--max-alpha"] = (["1", "4", "30", str(half - 2), str(half - 1)],
+                                  [str(half), str(half + 1), "0", "-1"])
+    odd = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    values = {}
+    for opt, (valid, edge) in options.items():
+        junk = JUNK.map("{dir}/".__add__) if opt == "--dump-csv" else JUNK
+        values[opt] = draw(st.one_of(st.sampled_from(edge), junk) if opt in odd
+                           else st.sampled_from(valid))
+    names = draw(st.permutations([opt for opt in values if opt != "--threads"]))
+    dropped = draw(st.sets(st.sampled_from(names), max_size=1)) if draw(st.booleans()) else set()
+    argv = [command]
+    if draw(st.booleans()):
+        argv = ["--threads", values["--threads"], *argv]
+    for opt in names:
+        if opt not in dropped:
+            argv += [opt, values[opt]]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv
+
+
+# Peaked densities: the Levinson inversion fails on some sample, exit 2.
+PEAKED_PUSHFORWARD = ["pushforward", "--beta", "1/100", "--modes", "32", "--radius", "0.99",
+                      "--samples", "3", "--seed", "0", "--max-alpha", "30"]
+
+
+class TestSamplingExitContract:
+    """pushforward and mc: exit 0/1 with a report, or exit 2 with one error line."""
+
+    @staticmethod
+    def _check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert sum("error:" in line for line in err.splitlines()) == 1, err
+            return code, err
+        assert code in (0, 1), (code, out, err)
+        assert err == ""
+        report = json.loads(out)
+        assert (code == 1) == (report["status"] == "FAIL")
+        return code, report
+
+    def test_peaked_density_exits_two(self):
+        code, err = self._check(PEAKED_PUSHFORWARD)
+        assert code == 2
+        assert "non-positive-definite moments" in err
+
+    @settings(max_examples=300)
+    @given(argv=_sampling_argv())
+    # Fields too large for exp: exit 2, "too peaked", with no RuntimeWarning.
+    @example(argv=["pushforward", "--beta", "1e-300", "--modes", "8", "--radius", "0.9",
+                   "--samples", "3", "--seed", "0"])
+    # Samples whose squares overflow: exit 2, not a PASS on an infinite stderr.
+    @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
+                   "--samples", "3", "--seed", "0", "--n-trunc", "8"])
+    def test_every_argv_reports_or_exits_two(self, argv, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("dump")
+        self._check([tok.replace("{dir}", str(directory)) for tok in argv])
 
 
 class TestNiceIdentityIsDiagonalIdentity:

@@ -150,6 +150,19 @@ class TestAlphaSampler:
             sample_alpha_batch(0.0, 2, 10, seed=0)
 
 
+@pytest.mark.parametrize("sampler", [
+    lambda beta: sample_alpha_batch(beta, 2, 10, seed=0),
+    lambda beta: sample_f_batch(beta, 2, 10, seed=0),
+    lambda beta: mc_x_moment("gaussian", P1, P1, beta, 8, 10, 0),
+    lambda beta: pushforward_experiment(beta, 8, 0.5, 10, 2, seed=0),
+], ids=["alpha", "f", "mc", "pushforward"])
+def test_samplers_reject_nan_beta(sampler):
+    # NaN <= 0 is False and 1/NaN is not inf, so only "not beta > 0" stops it
+    # before it turns every draw into NaN.
+    with pytest.raises(ValueError, match="beta must be positive"):
+        sampler(math.nan)
+
+
 class TestFSampler:
     def test_moments(self):
         beta, N, count = 0.5, 3, 40000
@@ -180,6 +193,19 @@ class TestFSampler:
 
         assert sigmas_off(f) <= 4
         assert sigmas_off(f * math.sqrt(2)) > 4
+
+    def test_f_modes_writes_f0_and_leaves_later_columns(self):
+        # f_0 is written, not inherited from the output buffer, and columns
+        # past N are not touched (the pushforward reuses its zero tail).
+        beta, N = 0.75, 4
+        z = np.random.default_rng(63).standard_normal((5, N, 2))
+        out = np.full((5, N + 2), np.nan, np.complex128)
+        assert montecarlo._f_modes(z, beta, out) is out
+        n = np.arange(1, N + 1)
+        assert np.all(out[:, 0] == 0)
+        assert np.array_equal(out[:, 1 : N + 1],
+                              (z[..., 0] + 1j * z[..., 1]) * np.sqrt(1.0 / (2.0 * n * beta)))
+        assert np.all(np.isnan(out[:, N + 1]))
 
 
 class TestDeterminism:
@@ -369,6 +395,15 @@ class TestMcXMoment:
         with pytest.raises(ValueError, match="samples"):
             mc_x_moment("alpha", P1, P1, 1.0, 8, 1, 0)
 
+    def test_overflowing_samples_raise(self):
+        # At beta = 1e-200 the reference 1/beta is a float but the samples'
+        # squares are not; an infinite stderr would pass the 4-sigma gate.
+        assert mc_reference("gaussian", P1, P1, 1e-200, 8) == 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                mc_x_moment("gaussian", P1, P1, 1e-200, 8, 10, 0)
+
     def test_reference_values(self):
         assert mc_reference("gaussian", P1, P1, 1, 8) == 1.0
         n_trunc = 25
@@ -379,9 +414,8 @@ class TestMcXMoment:
 class TestCsvDump:
     SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e300, math.nan, math.inf, -math.inf, 1 / 3, 5e-324]
 
-    # The injected NaN and inf make the summary statistics warn; only the
-    # dumped bytes are checked here.
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # The injected NaN and inf leave no finite stderr, so the call raises once
+    # every row is dumped; the dumped bytes are checked here.
     @pytest.mark.parametrize("side", ["gaussian", "alpha"])
     def test_dump_bytes_match_csv_writer(self, side, tmp_path, monkeypatch):
         # Two workers with two blocks each, so rows are numbered across
@@ -399,7 +433,9 @@ class TestCsvDump:
         monkeypatch.setattr(montecarlo, "_monomial", recording)
         out = tmp_path / "x.csv"
         p, q = MultiIndex({2: 1}), MultiIndex({1: 2})
-        mc_x_moment(side, p, q, 0.75, 8, 2 * BLOCK_SIZE + 600, 17, workers=2, dump_csv=str(out))
+        with pytest.raises(ValueError, match="overflows a float"):
+            mc_x_moment(side, p, q, 0.75, 8, 2 * BLOCK_SIZE + 600, 17, workers=2,
+                        dump_csv=str(out))
         assert len(seen) == 4
         expect = io.StringIO()
         expect.write("# raw x-monomial samples, one row per sample\n")
@@ -655,6 +691,29 @@ class TestPipeline:
         mc_x_moment("gaussian", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 5)
         pushforward_experiment(*self.PUSH, 2 * BLOCK_SIZE, 3, 5)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("modes", [8, 300])
+    def test_fft_rows_stay_within_step_bound(self, modes, monkeypatch):
+        # The grid-wide FFT rows are the one temporary wider than the draws;
+        # at any block size they go through irfft at most
+        # max(1, _STEP_VALUES // grid) rows at a time, and every row once.
+        grid = montecarlo.pushforward_grid(modes)
+        step = max(1, montecarlo._STEP_VALUES // grid)
+        irfft = np.fft.irfft
+        shapes = []
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", recording)
+        for samples in (40, BLOCK_SIZE + 600):
+            shapes.clear()
+            pushforward_experiment(1.0, modes, 0.7, samples, 3, seed=9)
+            assert shapes
+            assert max(rows for rows, _ in shapes) <= step
+            assert sum(rows for rows, _ in shapes) == samples
+            assert {width for _, width in shapes} == {grid // 2 + 1}
 
     @pytest.mark.parametrize("kind", ["alpha", "f"])
     def test_at_most_two_blocks_of_draws_alive(self, kind, monkeypatch):
