@@ -380,8 +380,13 @@ def run(argv) -> int:
     functions are bound when the parser is first built, so a test that wants
     a different handler must patch what the handler calls, not the handler.
     """
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        # argparse drops an explicit "--" value ("--tol=--") and stores [] unconverted.
+        for name, value in vars(args).items():
+            if isinstance(value, list) and not value:
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

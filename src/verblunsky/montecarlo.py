@@ -38,28 +38,32 @@ Block pipeline
 Every sampler runs one block loop, :func:`_pipeline`.  The calling thread
 makes all PCG64 calls, block after block in the order above; the arithmetic
 of each block (the alpha transform, the f scaling, the Szego, ``exp(-f)``,
-FFT and Levinson kernels, the monomial and the CSV rows) runs on one helper
-thread while the next block is drawn.  Its temporaries do not grow with the
-block: the alpha transform runs in place on the draws and the f scaling
-writes straight into its output; only the pushforward's ``grid``-wide FFT
-rows outgrow the draws, so they step through the block.  Both steps take at
-most 2**15 values at a time, in whole levels or rows.  The Szego recursion
-(state (K + 1, block)), ``exp(-f)`` (K <= 4) and the Levinson step (whose
-last bits depend on the row count) each take a whole block.  Blocks are
-finished one at a time and in block order, so values, statistics and
-``--dump-csv`` bytes do not depend on thread timing and equal those of a
-serial loop.  At most two blocks of draws are alive at once, so the draws
-take memory bounded by the block size (16 bytes per sample and coefficient
-or mode: 26 MB for an 8192-sample block at N = 200); the per-sample results
-still grow with the sample count.  ``workers`` only picks the substreams; it
-starts no threads.
+FFT and Levinson kernels, the monomial and the CSV rows) runs on the call's
+one helper thread, a single-thread ``ThreadPoolExecutor`` that is shut down
+before the call returns, while the next block is drawn.  Its temporaries do
+not grow with the block: the alpha transform runs in place on the draws and
+the f scaling writes straight into its output; only the pushforward's
+``grid``-wide FFT rows outgrow the draws, so they step through the block.
+Both steps take at most 2**15 values at a time, in whole levels or rows.
+The Szego recursion (state (K + 1, block)), ``exp(-f)`` (K <= 4) and the
+Levinson step (whose last bits depend on the row count) each take a whole
+block.  Blocks are finished one at a time and in block order, so values,
+statistics and ``--dump-csv`` bytes do not depend on thread timing and equal
+those of a serial loop.  At most two blocks of draws are alive at once, so
+the draws take memory bounded by the block size (16 bytes per sample and
+coefficient or mode: 26 MB for an 8192-sample block at N = 200); the
+per-sample results still grow with the sample count.  ``workers`` only picks
+the substreams; it starts no threads: every call uses one helper thread
+whatever ``workers`` is.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import nullcontext
+import os
+import stat
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,55 +176,29 @@ def _f_modes(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Finisher(threading.Thread):
-    """Runs ``finish(rows, drawn)`` on a helper thread; :meth:`wait` re-raises its error."""
-
-    def __init__(self, finish, rows: slice, drawn):
-        super().__init__(name="verblunsky-finish")
-        self._job = (finish, rows, drawn)
-        self._error = None
-
-    def run(self) -> None:
-        finish, rows, drawn = self._job
-        self._job = None
-        try:
-            finish(rows, drawn)
-        except BaseException as exc:  # handed to the calling thread by wait()
-            self._error = exc
-
-    def wait(self) -> None:
-        self.join()
-        if self._error is not None:
-            raise self._error
-
-
 def _pipeline(samples: int, seed: int, workers: int, draw, N: int, finish) -> None:
     """``finish(rows, draw(rng, b, N))`` for every draw block of :func:`_draw_blocks`.
 
     ``draw`` makes all of a block's PCG64 calls and runs on the calling
     thread, in block order, so the streams are those of a serial loop.
-    ``finish`` holds the block's arithmetic and runs on one helper thread
-    while the calling thread draws the next block.  Block k + 1 is handed
-    over only after block k's finish has returned, so finishes run one at a
-    time and in block order, and results do not depend on thread timing.  At
-    most two blocks of draws are alive at once: the one being finished and
-    the one being drawn.  An error in ``finish`` is raised here, and no
-    helper thread outlives the call.
+    ``finish`` holds the block's arithmetic and runs on the call's one helper
+    thread while the calling thread draws the next block.  Block k + 1 is
+    submitted only after block k's finish has returned, so finishes run one
+    at a time and in block order, and results do not depend on thread
+    timing.  At most two blocks of draws are alive at once: the one being
+    finished and the one being drawn.  An error in ``finish`` is raised
+    here, and the executor's shutdown joins the helper before the call returns.
     """
-    helper = None
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="verblunsky-finish") as pool:
+        pending = None
         for rng, rows in _draw_blocks(samples, seed, workers):
             drawn = draw(rng, rows.stop - rows.start, N)
-            if helper is not None:
-                helper.wait()
-            helper = _Finisher(finish, rows, drawn)
+            if pending is not None:
+                pending.result()
+            pending = pool.submit(finish, rows, drawn)
             del drawn
-            helper.start()
-        if helper is not None:
-            helper.wait()
-    finally:
-        if helper is not None:
-            helper.join()
+        if pending is not None:
+            pending.result()
 
 
 def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
@@ -324,20 +302,29 @@ def mc_x_moment(
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
     dump = open(dump_csv, "w", newline="") if dump_csv is not None else nullcontext()
-    with dump as fh:
-        if fh is not None:
-            fh.write("# raw x-monomial samples, one row per sample\n")
-            fh.write("# columns: index, real, imag\n")
-
-        def finish(rows, drawn):
-            mono = _monomial(x_block(drawn), p, q)
-            vals[rows] = mono
+    try:
+        with dump as fh:
             if fh is not None:
-                lines = zip(range(rows.start, rows.stop), mono.real.tolist(), mono.imag.tolist())
-                fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
+                fh.write("# raw x-monomial samples, one row per sample\n")
+                fh.write("# columns: index, real, imag\n")
 
-        _pipeline(samples, seed, workers, draw, N, finish)
-    return _stats(vals)
+            def finish(rows, drawn):
+                mono = _monomial(x_block(drawn), p, q)
+                vals[rows] = mono
+                if fh is not None:
+                    lines = zip(range(rows.start, rows.stop), mono.real.tolist(),
+                                mono.imag.tolist())
+                    fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
+
+            _pipeline(samples, seed, workers, draw, N, finish)
+        return _stats(vals)
+    except BaseException:
+        # A failed run leaves no dump behind; a device or a link is left alone.
+        if dump_csv is not None:
+            with suppress(OSError):
+                if stat.S_ISREG(os.lstat(dump_csv).st_mode):
+                    os.remove(dump_csv)
+        raise
 
 
 def mc_reference(side: str, p: MultiIndex, q: MultiIndex, beta, n_trunc: int) -> float:

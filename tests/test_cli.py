@@ -472,6 +472,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: bad alpha list") and err.count("\n") == 1
 
+    DOUBLE_DASH = {
+        "--tol": ["szego-check", "--alpha", "0.3", "--order", "10", "--tol=--"],
+        "--alpha": ["jacobian", "--alpha=--"],
+        "--threads": ["--threads=--", "variance", "--n", "3"],
+        "--n": ["variance", "--n=--"],
+        "--beta": ["identity", "--p", "1:1", "--q", "1:1", "--beta=--", "--max-index", "3"],
+        "--samples": ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
+                      "--samples=--", "--seed", "0"],
+        "--max-alpha": ["pushforward", "--beta", "1", "--modes", "8", "--radius", "0.5",
+                        "--samples", "3", "--seed", "0", "--max-alpha=--"],
+    }
+
+    @pytest.mark.parametrize("option", sorted(DOUBLE_DASH))
+    def test_explicit_double_dash_value_exits_two(self, capsys, option):
+        # argparse drops the "--" of "--opt=--" and stores an empty list
+        # without calling the option's type; before the check in run, every
+        # command took that list (a traceback, or a PASS echoing threads []).
+        code, out, err = _run(capsys, self.DOUBLE_DASH[option])
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: argument {option}: expected one argument\n")
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -541,26 +563,42 @@ PEAKED_PUSHFORWARD = ["pushforward", "--beta", "1/100", "--modes", "32", "--radi
                       "--samples", "3", "--seed", "0", "--max-alpha", "30"]
 
 
+# The one warning a command may print besides its report: the float
+# Jacobian's, which says why its relative gap cannot be trusted.
+JACOBIAN_WARNING = "alpha within 1e-6 of the unit circle"
+
+
+def _exit_contract(argv):
+    """Run argv with warnings as errors, except the float Jacobian's own,
+    which is recorded; check exit 0/1 with a report or exit 2 with one error
+    line, and return (code, report or stderr, recorded warning messages)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("error")
+        warnings.filterwarnings("always", JACOBIAN_WARNING, RuntimeWarning)
+        code = cli.run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    messages = [str(w.message) for w in seen]
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        return code, err, messages
+    assert code in (0, 1), (code, out, err)
+    assert err == ""
+    report = json.loads(out)
+    assert (code == 1) == (report["status"] == "FAIL")
+    return code, report, messages
+
+
 class TestSamplingExitContract:
     """pushforward and mc: exit 0/1 with a report, or exit 2 with one error line."""
 
     @staticmethod
     def _check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.run(argv)
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in err
-        if code == 2:
-            assert out == ""
-            assert sum("error:" in line for line in err.splitlines()) == 1, err
-            return code, err
-        assert code in (0, 1), (code, out, err)
-        assert err == ""
-        report = json.loads(out)
-        assert (code == 1) == (report["status"] == "FAIL")
-        return code, report
+        code, result, messages = _exit_contract(argv)
+        assert messages == []
+        return code, result
 
     def test_peaked_density_exits_two(self):
         code, err = self._check(PEAKED_PUSHFORWARD)
@@ -575,9 +613,98 @@ class TestSamplingExitContract:
     # Samples whose squares overflow: exit 2, not a PASS on an infinite stderr.
     @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
                    "--samples", "3", "--seed", "0", "--n-trunc", "8"])
+    # The same, with a dump: the rows are written before the error, then removed.
+    @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
+                   "--samples", "3", "--seed", "0", "--dump-csv", "{dir}/d.csv"])
     def test_every_argv_reports_or_exits_two(self, argv, tmp_path_factory):
         directory = tmp_path_factory.mktemp("dump")
-        self._check([tok.replace("{dir}", str(directory)) for tok in argv])
+        code, _ = self._check([tok.replace("{dir}", str(directory)) for tok in argv])
+        if code == 2:  # a failed run leaves no dump, partial or whole
+            assert list(directory.iterdir()) == []
+
+
+# Tokens for the alpha commands' exit-contract test, as (valid, edge) per
+# option.  Coefficients near the unit circle sit within 1e-6 of it, round to
+# |alpha| = 1 in floats, or are exactly on it.
+ALPHA_VALUES = (["0", "0.3", "-0.2+0.1i", "1/4-1/8i", "0.5i", "-1/3", "0.6-0.3i"],
+                ["0.9999999", "-0.99999999+0i", "0.7071067811865475+0.7071067811865475i",
+                 "0.99999999999999989", "0.99999999999999995", "0.6+0.8i", "1", "-i",
+                 "1e-300", "1e400", "nan", "inf", "1/0", "x"])
+ALPHA_FILES = (["[[0.3, 0.1], [0.2, 0.0]]", '[["1/4", 0], [0, "-1/8"]]', "[[0.9999999, 0]]",
+                "[[0, 0], [0.5, -0.5], [0.1, 0.1], [-0.3, 0.2]]"],
+               ["[]", "[[0.5]]", "{}", "null", "[[1, 0]]", "[[NaN, 0]]", "[[1e400, 0]]",
+                "[[true, 0]]", "[[0.5, 0, 0]]", "not json", "[[0.99999999999999995, 0]]"])
+ALPHA_OPTIONS = {
+    "szego-check": {"--order": (["10", "20", "50"], ["0", "1", "2", "3", "5", "-1", "x"])},
+    "roundtrip": {"--grid": (["64", "256", "4096"], ["16", "17", "24", "32", "8", "0", "x"])},
+    "jacobian": {},
+}
+TOL = (["0", "1e-9", "1e-6", "0.5"], ["nan", "-1", "inf", "-inf", "1e400", "", "x"])
+
+
+@st.composite
+def _alpha_argv(draw):
+    """A szego-check, roundtrip or jacobian (float or --exact) argv and the
+    --alpha file's text, or None for an inline list.  The list holds 1 to 9
+    coefficients, sometimes edge ones; options come in any order, one may be
+    left out or take an edge or junk value, and sometimes a junk token is inserted."""
+    command = draw(st.sampled_from(sorted(ALPHA_OPTIONS)))
+    options = dict(ALPHA_OPTIONS[command], **{"--tol": TOL})
+    text = None
+    if draw(st.booleans()):
+        valid, edge = ALPHA_FILES
+        text = draw(st.sampled_from(edge) if draw(st.integers(0, 3)) == 0
+                    else st.sampled_from(valid))
+        alpha = "{dir}/alpha.json"
+    else:
+        valid, edge = ALPHA_VALUES
+        value = st.one_of(st.sampled_from(edge), JUNK) if draw(st.integers(0, 2)) == 0 \
+            else st.sampled_from(valid)
+        alpha = ",".join(draw(st.lists(value, min_size=1, max_size=9)))
+    values = {"--alpha": alpha}
+    for opt, (valid, edge) in options.items():
+        odd = draw(st.integers(0, 3)) == 0
+        values[opt] = draw(st.one_of(st.sampled_from(edge), JUNK) if odd
+                           else st.sampled_from(valid))
+    names = draw(st.permutations(sorted(values)))
+    dropped = draw(st.sets(st.sampled_from(names), max_size=1)) if draw(st.booleans()) else set()
+    argv = [command]
+    if command == "jacobian" and draw(st.booleans()):
+        argv.append("--exact")
+    for opt in names:
+        if opt not in dropped:
+            # Mostly "--opt=value", where a value starting with "-" stays a value.
+            argv += [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv, text
+
+
+class TestAlphaExitContract:
+    """szego-check, roundtrip and jacobian: exit 0/1 with a report, or exit 2
+    with one error line; the float Jacobian alone may warn, near the circle."""
+
+    @settings(max_examples=400)
+    @given(case=_alpha_argv())
+    # Within 1e-6 of the circle: the float Jacobian warns and reports.
+    @example(case=(["jacobian", "--alpha=0.9999999,0.3"], None))
+    # Rounds to |alpha| = 1 in floats: exit 2, though the exact lane accepts it.
+    @example(case=(["jacobian", "--alpha=0.99999999999999995"], None))
+    @example(case=(["jacobian", "--exact", "--alpha=0.99999999999999995"], None))
+    # A low order truncates the series: a FAIL report, not an error.
+    @example(case=(["szego-check", "--alpha=0.3,-0.2", "--order=5", "--tol=1e-6"], None))
+    # A coarse grid: too few points for the moments is a usage error.
+    @example(case=(["roundtrip", "--alpha=0.3,0.2,0.1,0.1,0.1,0.1,0.1,0.1", "--grid=16"], None))
+    def test_every_argv_reports_or_exits_two(self, case, tmp_path_factory):
+        argv, text = case
+        directory = tmp_path_factory.mktemp("alpha")
+        if text is not None:
+            (directory / "alpha.json").write_text(text)
+        code, _, messages = _exit_contract([tok.replace("{dir}", str(directory))
+                                            for tok in argv])
+        if messages:
+            assert argv[0] == "jacobian" and "--exact" not in argv and code != 2, argv
+            assert all(m.startswith(JACOBIAN_WARNING) for m in messages), messages
 
 
 class TestNiceIdentityIsDiagonalIdentity:

@@ -8,6 +8,7 @@ import threading
 import time
 import warnings
 import weakref
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -412,30 +413,43 @@ class TestMcXMoment:
 
 
 class TestCsvDump:
-    SPECIAL = [0.0, -0.0, 1.5, -2.25e-300, 1e300, math.nan, math.inf, -math.inf, 1 / 3, 5e-324]
+    # NaN, inf and 1e300 (whose square overflows) leave no finite stderr, so
+    # the call raises once every row is dumped, and removes the dump.
+    NON_FINITE = [0.0, -0.0, 1.5, -2.25e-300, 1e300, math.nan, math.inf, -math.inf, 1 / 3,
+                  5e-324]
+    # Special floats that keep the stderr finite, so the dump is kept: the
+    # only kind of value a kept dump can hold.
+    FINITE = [0.0, -0.0, 1.5, -2.25e-300, 1e150, 1 / 3, 5e-324]
 
-    # The injected NaN and inf leave no finite stderr, so the call raises once
-    # every row is dumped; the dumped bytes are checked here.
-    @pytest.mark.parametrize("side", ["gaussian", "alpha"])
-    def test_dump_bytes_match_csv_writer(self, side, tmp_path, monkeypatch):
-        # Two workers with two blocks each, so rows are numbered across
-        # blocks; each block starts with special floats in both parts.
+    @staticmethod
+    def _dump(side, special, path):
+        """Run a dumping mc_x_moment whose blocks start with ``special`` in
+        both parts; returns each block's monomial values."""
+        # Two workers with two blocks each, so rows are numbered across blocks.
         seen = []
         monomial = montecarlo._monomial
 
         def recording(x, p, q):
             out = monomial(x, p, q)
-            out.real[: len(self.SPECIAL)] = self.SPECIAL
-            out.imag[: len(self.SPECIAL)] = self.SPECIAL[::-1]
+            out.real[: len(special)] = special
+            out.imag[: len(special)] = special[::-1]
             seen.append(out)
             return out
 
-        monkeypatch.setattr(montecarlo, "_monomial", recording)
-        out = tmp_path / "x.csv"
         p, q = MultiIndex({2: 1}), MultiIndex({1: 2})
-        with pytest.raises(ValueError, match="overflows a float"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_monomial", recording)
             mc_x_moment(side, p, q, 0.75, 8, 2 * BLOCK_SIZE + 600, 17, workers=2,
-                        dump_csv=str(out))
+                        dump_csv=str(path))
+        return seen
+
+    @pytest.mark.parametrize("side", ["gaussian", "alpha"])
+    def test_dump_bytes_match_csv_writer(self, side, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="overflows a float"):
+            self._dump(side, self.NON_FINITE, out)
+        assert not out.exists()
+        seen = self._dump(side, self.FINITE, out)
         assert len(seen) == 4
         expect = io.StringIO()
         expect.write("# raw x-monomial samples, one row per sample\n")
@@ -595,39 +609,48 @@ class TestPipeline:
         self._check_all(count, workers, tmp_path, monkeypatch)
 
     def test_inline_finish_matches_serial_loop(self, tmp_path, monkeypatch):
-        # Each block finished on the calling thread as soon as it is handed
-        # over: no helper thread, the serial order, the same results.
+        # Each block finished on the calling thread as soon as it is
+        # submitted: no helper thread, the serial order, the same results.
         class Inline:
-            def __init__(self, finish, rows, drawn):
-                finish(rows, drawn)
-
-            def start(self):
+            def __init__(self, *args, **kwargs):
                 pass
 
-            wait = join = start
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                done = Future()
+                try:
+                    done.set_result(fn(*args))
+                except BaseException as exc:
+                    done.set_exception(exc)
+                return done
 
         def no_threads(self):
             raise AssertionError("started a thread")
 
-        monkeypatch.setattr(montecarlo, "_Finisher", Inline)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         self._check_all(2 * BLOCK_SIZE + 600, 2, tmp_path, monkeypatch)
 
     def test_levinson_failure_in_helper(self, capsys):
         before = threading.active_count()
         finishers = []
-        finish = montecarlo._Finisher.run
+        levinson = montecarlo.levinson_batch
 
-        def recording(self):
+        def recording(c, K):
             finishers.append(threading.current_thread())
-            finish(self)
+            return levinson(c, K)
 
         args = (0.1, 32, 0.9, 2 * BLOCK_SIZE, 30, 3, 1)
         with pytest.raises(ValueError) as want:
             serial_blocks.pushforward_absq(*args)
         assert str(want.value).startswith("1 sample(s) gave non-positive-definite moments")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo._Finisher, "run", recording)
+            mp.setattr(montecarlo, "levinson_batch", recording)
             with pytest.raises(ValueError) as got:
                 pushforward_experiment(*args[:-1], workers=1)
         assert str(got.value) == str(want.value)
@@ -690,6 +713,35 @@ class TestPipeline:
         sample_alpha_batch(1.0, 3, 3 * BLOCK_SIZE, 5, workers=2)
         mc_x_moment("gaussian", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 5)
         pushforward_experiment(*self.PUSH, 2 * BLOCK_SIZE, 3, 5)
+        assert threading.active_count() == before
+
+    def test_one_helper_thread_per_call(self, monkeypatch):
+        # Every block of a call is finished on the same helper thread, which
+        # is gone when the call returns.
+        pipeline = montecarlo._pipeline
+        calls = []
+
+        def recording(samples, seed, workers, draw, N, finish):
+            threads = []
+            calls.append(threads)
+
+            def finish_recorded(rows, drawn):
+                threads.append(threading.current_thread())
+                finish(rows, drawn)
+
+            pipeline(samples, seed, workers, draw, N, finish_recorded)
+
+        monkeypatch.setattr(montecarlo, "_pipeline", recording)
+        before = threading.active_count()
+        samples = 3 * BLOCK_SIZE + 5
+        sample_alpha_batch(1.0, 3, samples, 5, workers=2)
+        mc_x_moment("alpha", P1, P1, 1.0, 8, samples, 5)
+        pushforward_experiment(*self.PUSH, samples, 3, 5)
+        assert len(calls) == 3
+        for threads in calls:
+            assert len(threads) >= 3
+            assert len(set(threads)) == 1
+            assert threads[0] is not threading.main_thread()
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("modes", [8, 300])
