@@ -16,9 +16,12 @@ Kernels:
   Its output is bitwise equal to the same recursion run with samples on the
   first axis.  The loop itself is ``_szego_low_levels``, which reads the
   coefficients level-major, ``(N, S)`` with row n - 1 holding alpha_n of every
-  sample; ``szego_low_coefficients`` transposes its ``(S, N)`` input once and
-  calls it, and the alpha sampler, which draws level-major, calls it
-  directly, so no ``(S, N)`` copy of its draws is made.
+  sample, and advances a ``(2, K+1, S)`` state from ``_szego_state`` in place,
+  so the levels may come in consecutive slices: any split gives the one-call
+  result bit for bit.  ``szego_low_coefficients`` transposes its ``(S, N)``
+  input once and runs it over all levels from a fresh state; the alpha
+  sampler, which draws level-major, carries one state per block across the
+  block's steps, so no ``(S, N)`` copy of its draws is made.
 * ``exp_neg_series`` — x = exp(-f) series coefficients for a batch of f rows.
 * ``levinson_batch`` — Verblunsky coefficients from trigonometric moments for
   a batch of moment rows, with per-sample positive-definiteness flags.
@@ -42,30 +45,38 @@ def szego_low_coefficients(alphas: np.ndarray, K: int) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.complex128)
     if alphas.ndim != 2:
         raise ValueError("alphas must be a (samples, N) array")
-    return _szego_low_levels(np.ascontiguousarray(alphas.T), K)
+    state = _szego_state(K, alphas.shape[0])
+    return np.ascontiguousarray(_szego_low_levels(np.ascontiguousarray(alphas.T), state))
 
 
-def _szego_low_levels(a_levels: np.ndarray, K: int) -> np.ndarray:
-    """(S, K+1) low coefficients of r_N for level-major alphas (N, S).
+def _szego_state(K: int, S: int) -> np.ndarray:
+    """The state of r_0 = 1 for :func:`_szego_low_levels`, (2, K+1, S)."""
+    state = np.zeros((2, K + 1, S), np.complex128)
+    state[:, 0] = 1.0
+    return state
+
+
+def _szego_low_levels(a_levels: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Advance ``state`` over level-major alphas (N, S) in place; return its
+    (S, K+1) low coefficients, a view of the state.
 
     Row n - 1 of ``a_levels`` holds alpha_n of every sample.
     """
-    N, S = a_levels.shape
     # Samples-last state: row k holds coefficient k of every sample.  low[j] =
     # r_n[j] and ctop[i] = conj(r_n[n - i]), zero past degree n; as conj(a) *
     # low = conj(a * conj(low)), each value is bitwise the recursion on r_n.
-    low = np.zeros((K + 1, S), np.complex128)
-    low[0] = 1.0
-    ctop = low.copy()
+    low, ctop = state
     nxt = np.empty_like(ctop)
-    tmp = np.empty((K, S), np.complex128)
+    tmp = np.empty_like(ctop[1:])
     for a in a_levels:
         np.multiply(np.conj(a), low, out=nxt)
         nxt[1:] += ctop[:-1]
         np.multiply(a, ctop[:-1], out=tmp)
         low[1:] += tmp
         ctop, nxt = nxt, ctop
-    return np.ascontiguousarray(low.T)
+    if len(a_levels) % 2:  # ctop ended in the buffer nxt started in
+        state[1] = ctop
+    return low.T
 
 
 # -- exp(-f) series --------------------------------------------------------

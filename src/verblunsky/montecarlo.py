@@ -35,26 +35,27 @@ N = ``n_trunc`` on the alpha side, but N = K, the largest index occurring in
 
 Block pipeline
 --------------
-Every sampler runs one block loop, :func:`_pipeline`.  The calling thread
-makes all PCG64 calls, block after block in the order above; the arithmetic
-of each block (the alpha transform, the f scaling, the Szego, ``exp(-f)``,
-FFT and Levinson kernels, the monomial and the CSV rows) runs on the call's
-one helper thread, a single-thread ``ThreadPoolExecutor`` that is shut down
-before the call returns, while the next block is drawn.  Its temporaries do
-not grow with the block: the alpha transform runs in place on the draws and
-the f scaling writes straight into its output; only the pushforward's
-``grid``-wide FFT rows outgrow the draws, so they step through the block.
-Both steps take at most 2**15 values at a time, in whole levels or rows.
-The Szego recursion (state (K + 1, block)), ``exp(-f)`` (K <= 4) and the
-Levinson step (whose last bits depend on the row count) each take a whole
-block.  Blocks are finished one at a time and in block order, so values,
-statistics and ``--dump-csv`` bytes do not depend on thread timing and equal
-those of a serial loop.  At most two blocks of draws are alive at once, so
-the draws take memory bounded by the block size (16 bytes per sample and
-coefficient or mode: 26 MB for an 8192-sample block at N = 200); the
-per-sample results still grow with the sample count.  ``workers`` only picks
-the substreams; it starts no threads: every call uses one helper thread
-whatever ``workers`` is.
+Every sampler runs one step loop, :func:`_pipeline`.  The calling thread
+makes all PCG64 calls, in the order above; it draws each block's array as
+consecutive slices of its leading axis, whole alpha levels or whole f rows,
+each one ``standard_normal`` call of at most 2**15 complex values (the
+pushforward sizes its slices by their ``grid``-wide FFT rows instead).
+``standard_normal`` fills in C order from one sequential stream, so the
+slices are bit for bit the whole-block draw.  The arithmetic of each step
+(the alpha transform, the f scaling, the Szego recursion, the FFTs) runs on
+the call's one helper thread, a single-thread ``ThreadPoolExecutor`` that is
+shut down before the call returns, while the next step is drawn.  The block
+stays the unit of the streams and of the block-wide work, done after its
+last step: the Szego recursion carries its (K + 1, block) state across the
+block's level steps, and ``exp(-f)`` (K <= 4), the pushforward's moments and
+Levinson call (whose last bits depend on the row count), the monomial and
+the CSV rows each take a whole block.  Steps are finished one at a time and
+in order, so values, statistics and ``--dump-csv`` bytes do not depend on
+thread timing and equal those of a serial loop.  At most two steps of draws
+are alive at once, so the draws take about 1 MB whatever the block or sample
+count (16 bytes per value); the per-sample results still grow with the
+sample count.  ``workers`` only picks the substreams; it starts no threads:
+every call uses one helper thread whatever ``workers`` is.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 import os
 import stat
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,7 +72,7 @@ import numpy as np
 from .alphamoments import alpha_x_moment
 from .combinatorics import MultiIndex
 from .gaussian import gaussian_x_moment
-from .kernels import _szego_low_levels, exp_neg_series, levinson_batch
+from .kernels import _szego_low_levels, _szego_state, exp_neg_series, levinson_batch
 
 # Unused here: perfbench's span bindings look this name up on this module.
 from .kernels import szego_low_coefficients  # noqa: F401
@@ -82,8 +82,8 @@ RNG_ALGORITHM = (
     "numpy.random PCG64; per-worker substreams from SeedSequence(seed).spawn(workers)"
 )
 BLOCK_SIZE = 8192
-# Values per step of a block's arithmetic, in whole levels or rows: bounds its
-# temporaries, not the streams.
+# Complex values per step of a block's draws and arithmetic, in whole levels or
+# rows: bounds the draws' and the temporaries' memory, not the streams.
 _STEP_VALUES = 1 << 15
 
 
@@ -133,42 +133,33 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
 
 
-def _alpha_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
-    """One alpha block's PCG64 call: level-major normals, row n - 1 for alpha_n."""
-    return rng.standard_normal((N, b, 2))
+def _draw(rng: np.random.Generator, lead: int, width: int) -> np.ndarray:
+    """One step's PCG64 call: ``lead`` leading rows of ``width`` complex normals."""
+    return rng.standard_normal((lead, width, 2))
 
 
-def _alpha_levels(z: np.ndarray, beta: float) -> np.ndarray:
-    """Level-major (N, b) alpha of an alpha block's draws; |alpha_n|^2 ~ Beta(1, n beta).
+def _alpha_levels(z: np.ndarray, beta: float, lo: int = 0) -> np.ndarray:
+    """Level-major alpha_{lo+1}, alpha_{lo+2}, ... of one step's draws (levels, b, 2).
 
-    Works in place on the draws, a few whole levels at a time; expm1 gives
-    |alpha_n|^2 = 1 - exp(-|z_n|^2 / (2 n beta)) without cancellation.
+    Works in place on the draws; |alpha_n|^2 ~ Beta(1, n beta), and expm1
+    gives |alpha_n|^2 = 1 - exp(-|z_n|^2 / (2 n beta)) without cancellation.
     """
     a = z.view(np.complex128)[..., 0]
-    N, b = a.shape
-    div = np.arange(1, N + 1, dtype=np.float64)[:, None] * (-2.0 * beta)
-    step = max(1, _STEP_VALUES // b)
-    for lo in range(0, N, step):
-        w = a[lo : lo + step]
-        sq = np.square(w.real)
-        sq += np.square(w.imag)
-        amp = np.divide(sq, div[lo : lo + step])
-        np.expm1(amp, out=amp)
-        # A zero direction keeps amp = -0.0, so alpha = z * 0 = 0, not NaN.
-        np.divide(amp, sq, out=amp, where=sq > 0)
-        np.negative(amp, out=amp)
-        np.sqrt(amp, out=amp)
-        w *= amp
+    div = np.arange(lo + 1, lo + len(a) + 1, dtype=np.float64)[:, None] * (-2.0 * beta)
+    sq = np.square(a.real)
+    sq += np.square(a.imag)
+    amp = np.divide(sq, div)
+    np.expm1(amp, out=amp)
+    # A zero direction keeps amp = -0.0, so alpha = z * 0 = 0, not NaN.
+    np.divide(amp, sq, out=amp, where=sq > 0)
+    np.negative(amp, out=amp)
+    np.sqrt(amp, out=amp)
+    a *= amp
     return a
 
 
-def _f_draw(rng: np.random.Generator, b: int, N: int) -> np.ndarray:
-    """One f block's PCG64 call."""
-    return rng.standard_normal((b, N, 2))
-
-
 def _f_modes(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
-    """Write f_0 = 0, f_1..f_N of an f block's draws (rows, N, 2) into out[:, :N + 1]."""
+    """Write f_0 = 0, f_1..f_N of f draws (rows, N, 2) into out[:, :N + 1]."""
     n = np.arange(1, z.shape[1] + 1, dtype=np.float64)
     out[:, 0] = 0
     np.multiply(z.view(np.complex128)[..., 0], np.sqrt(1.0 / (2.0 * n * beta)),
@@ -176,27 +167,41 @@ def _f_modes(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pipeline(samples: int, seed: int, workers: int, draw, N: int, finish) -> None:
-    """``finish(rows, draw(rng, b, N))`` for every draw block of :func:`_draw_blocks`.
+def _pipeline(samples: int, seed: int, workers: int, N: int, finish, *,
+              level_major: bool = False, row_values: int | None = None) -> None:
+    """``finish(rows, lo, drawn)`` for every step of every draw block of :func:`_draw_blocks`.
 
-    ``draw`` makes all of a block's PCG64 calls and runs on the calling
-    thread, in block order, so the streams are those of a serial loop.
-    ``finish`` holds the block's arithmetic and runs on the call's one helper
-    thread while the calling thread draws the next block.  Block k + 1 is
-    submitted only after block k's finish has returned, so finishes run one
-    at a time and in block order, and results do not depend on thread
-    timing.  At most two blocks of draws are alive at once: the one being
-    finished and the one being drawn.  An error in ``finish`` is raised
-    here, and the executor's shutdown joins the helper before the call returns.
+    A block's draws are the array of the layout above, ``(N, b, 2)`` if
+    ``level_major`` (alpha) and ``(b, N, 2)`` otherwise (f).  The calling
+    thread draws it in order as slices of its leading axis, ``drawn`` being
+    rows ``lo`` onward; each slice is one :func:`_draw` of at most
+    ``max(1, _STEP_VALUES // row_values)`` rows, where ``row_values``
+    defaults to the values in one row of draws.  A block's first step has
+    ``lo == 0`` and its last ends at the leading axis's length; a block with
+    no levels gets one empty step.  ``finish`` holds the step's arithmetic
+    and runs on the call's one helper thread while the calling thread draws
+    the next step.  Step k + 1 is submitted only after step k's finish has
+    returned, so finishes run one at a time and in order, and results do not
+    depend on thread timing.  At most two steps of draws are alive at once:
+    the one being finished and the one being drawn.  An error in ``finish``
+    is raised here, and the executor's shutdown joins the helper before the
+    call returns.
     """
+    # Imported here, so commands that never sample do not load it (and logging).
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(1, thread_name_prefix="verblunsky-finish") as pool:
         pending = None
         for rng, rows in _draw_blocks(samples, seed, workers):
-            drawn = draw(rng, rows.stop - rows.start, N)
-            if pending is not None:
-                pending.result()
-            pending = pool.submit(finish, rows, drawn)
-            del drawn
+            b = rows.stop - rows.start
+            lead, width = (N, b) if level_major else (b, N)
+            step = max(1, _STEP_VALUES // max(1, row_values or width))
+            for lo in range(0, max(lead, 1), step):
+                drawn = _draw(rng, min(step, lead - lo), width)
+                if pending is not None:
+                    pending.result()
+                pending = pool.submit(finish, rows, lo, drawn)
+                del drawn
         if pending is not None:
             pending.result()
 
@@ -206,10 +211,10 @@ def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: i
     _check_beta(beta)
     out = np.empty((count, N), np.complex128)
 
-    def finish(rows, z):
-        out[rows] = _alpha_levels(z, beta).T
+    def finish(rows, lo, z):
+        out[rows, lo : lo + len(z)] = _alpha_levels(z, beta, lo).T
 
-    _pipeline(count, seed, workers, _alpha_draw, N, finish)
+    _pipeline(count, seed, workers, N, finish, level_major=True)
     return out
 
 
@@ -218,10 +223,10 @@ def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int =
     _check_beta(beta)
     out = np.empty((count, N + 1), np.complex128)
 
-    def finish(rows, z):
-        _f_modes(z, beta, out[rows])
+    def finish(rows, lo, z):
+        _f_modes(z, beta, out[rows.start + lo : rows.start + lo + len(z)])
 
-    _pipeline(count, seed, workers, _f_draw, N, finish)
+    _pipeline(count, seed, workers, N, finish)
     return out
 
 
@@ -287,17 +292,29 @@ def mc_x_moment(
     if samples < 2:
         raise ValueError("need at least two samples")
     K = max([0, *p.support(), *q.support()])
+    # x_step takes one step of a block's draws and returns the block's x rows
+    # after its last step, else None.
     if side == "gaussian":
-        draw, N = _f_draw, K
+        level_major, N = False, K
+        f = None
 
-        def x_block(drawn):
-            return exp_neg_series(_f_modes(drawn, beta, np.empty((len(drawn), K + 1), complex)))
+        def x_step(rows, lo, drawn):
+            nonlocal f
+            if lo == 0:
+                f = np.empty((rows.stop - rows.start, K + 1), np.complex128)
+            _f_modes(drawn, beta, f[lo : lo + len(drawn)])
+            return exp_neg_series(f) if lo + len(drawn) == len(f) else None
     else:
-        draw, N = _alpha_draw, n_trunc
+        level_major, N = True, n_trunc
+        state = None
 
-        def x_block(drawn):
-            # One recursion over the whole level-major block: its state is (K+1, b).
-            return _szego_low_levels(_alpha_levels(drawn, beta), K)
+        def x_step(rows, lo, drawn):
+            nonlocal state
+            if lo == 0:
+                state = _szego_state(K, rows.stop - rows.start)
+            # One recursion per block: its (K+1, b) state carries across the level steps.
+            x = _szego_low_levels(_alpha_levels(drawn, beta, lo), state)
+            return x if lo + len(drawn) == n_trunc else None
 
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
@@ -308,15 +325,18 @@ def mc_x_moment(
                 fh.write("# raw x-monomial samples, one row per sample\n")
                 fh.write("# columns: index, real, imag\n")
 
-            def finish(rows, drawn):
-                mono = _monomial(x_block(drawn), p, q)
+            def finish(rows, lo, drawn):
+                x = x_step(rows, lo, drawn)
+                if x is None:
+                    return
+                mono = _monomial(x, p, q)
                 vals[rows] = mono
                 if fh is not None:
                     lines = zip(range(rows.start, rows.stop), mono.real.tolist(),
                                 mono.imag.tolist())
                     fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
 
-            _pipeline(samples, seed, workers, draw, N, finish)
+            _pipeline(samples, seed, workers, N, finish, level_major=level_major)
         return _stats(vals)
     except BaseException:
         # A failed run leaves no dump behind; a device or a link is left alone.
@@ -398,25 +418,26 @@ def pushforward_experiment(
     if max_alpha >= grid // 2:
         raise ValueError("quadrature grid too coarse relative to max_alpha")
     decay = radius ** np.arange(modes + 1)
-    # The FFT rows are grid wide, wider than the draws: step through the block.
-    step = max(1, _STEP_VALUES // grid)
     absq = np.empty((samples, max_alpha))
+    c = buf = None
 
-    def finish(rows, z):
-        c = np.empty((len(z), max_alpha + 1), np.complex128)
-        # Columns past modes stay zero: each step rewrites only f_0..f_modes.
-        buf = np.zeros((min(step, len(z)), grid // 2 + 1), np.complex128)
-        for lo in range(0, len(z), step):
-            zs = z[lo : lo + step]
-            half = _f_modes(zs, beta, buf[: len(zs)])
-            half[:, : modes + 1] *= decay
-            dens = np.fft.irfft(half, grid, axis=1)
-            dens *= grid
-            # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.exp(dens, out=dens)
-                dens /= dens.mean(axis=1, keepdims=True)
-            c[lo : lo + step] = trig_moments(dens, max_alpha)
+    def finish(rows, lo, z):
+        nonlocal c, buf
+        if lo == 0:
+            c = np.empty((rows.stop - rows.start, max_alpha + 1), np.complex128)
+            # Columns past modes stay zero: each step rewrites only f_0..f_modes.
+            buf = np.zeros((len(z), grid // 2 + 1), np.complex128)
+        half = _f_modes(z, beta, buf[: len(z)])
+        half[:, : modes + 1] *= decay
+        dens = np.fft.irfft(half, grid, axis=1)
+        dens *= grid
+        # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(dens, out=dens)
+            dens /= dens.mean(axis=1, keepdims=True)
+        c[lo : lo + len(z)] = trig_moments(dens, max_alpha)
+        if lo + len(z) < len(c):
+            return
         # One Levinson call per block: its last bits depend on the batch's row count.
         al, ok = levinson_batch(c, max_alpha)
         if not ok.all():
@@ -427,5 +448,6 @@ def pushforward_experiment(
             )
         absq[rows] = np.abs(al) ** 2
 
-    _pipeline(samples, seed, workers, _f_draw, modes, finish)
+    # The FFT rows are grid wide, wider than the draws: they size the steps.
+    _pipeline(samples, seed, workers, modes, finish, row_values=grid)
     return [_stats(absq[:, n]) for n in range(max_alpha)]

@@ -265,7 +265,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before computing the reference")
 
-        monkeypatch.setattr(montecarlo, "_f_draw", no_draws)
+        monkeypatch.setattr(montecarlo, "_draw", no_draws)
         code, out, err = _run(capsys, [
             "mc", "--side", "gaussian", "--p", "2:2", "--q", "2:2", "--beta", "1e-100",
             "--samples", "100000", "--seed", "1",
@@ -370,7 +370,7 @@ class TestExitCodes:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before opening the dump file")
 
-        monkeypatch.setattr(montecarlo, "_alpha_draw", no_draws)
+        monkeypatch.setattr(montecarlo, "_draw", no_draws)
         path = tmp_path / "missing" / "x.csv"
         before = threading.active_count()
         code, out, err = _run(
@@ -529,7 +529,8 @@ PUSH_OPTIONS = {
 @st.composite
 def _sampling_argv(draw):
     """A pushforward or mc argv: valid values with up to two edge or junk ones,
-    options in any order, at most one left out, and sometimes a junk token inserted."""
+    options in any order, each as "--opt=value" or as two tokens, at most one
+    left out, and sometimes a junk token inserted."""
     command = draw(st.sampled_from(["mc", "pushforward"]))
     options = {**SAMPLING_OPTIONS, **(MC_OPTIONS if command == "mc" else PUSH_OPTIONS)}
     if command == "pushforward":
@@ -547,12 +548,17 @@ def _sampling_argv(draw):
                            else st.sampled_from(valid))
     names = draw(st.permutations([opt for opt in values if opt != "--threads"]))
     dropped = draw(st.sets(st.sampled_from(names), max_size=1)) if draw(st.booleans()) else set()
+
+    def written(opt):
+        # Mostly "--opt=value", where a value starting with "-" stays a value.
+        return [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
+
     argv = [command]
     if draw(st.booleans()):
-        argv = ["--threads", values["--threads"], *argv]
+        argv = [*written("--threads"), *argv]
     for opt in names:
         if opt not in dropped:
-            argv += [opt, values[opt]]
+            argv += written(opt)
     if draw(st.integers(0, 3)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
     return argv
@@ -616,6 +622,11 @@ class TestSamplingExitContract:
     # The same, with a dump: the rows are written before the error, then removed.
     @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
                    "--samples", "3", "--seed", "0", "--dump-csv", "{dir}/d.csv"])
+    # An explicit "--opt=--" value: argparse stores an empty list, exit 2.
+    @example(argv=["mc", "--side=alpha", "--p=1:1", "--q=1:1", "--beta=1", "--samples=--",
+                   "--seed=0"])
+    @example(argv=["--threads=--", "pushforward", "--beta=1", "--modes=8", "--radius=0.5",
+                   "--samples=3", "--seed=0"])
     def test_every_argv_reports_or_exits_two(self, argv, tmp_path_factory):
         directory = tmp_path_factory.mktemp("dump")
         code, _ = self._check([tok.replace("{dir}", str(directory)) for tok in argv])

@@ -134,6 +134,25 @@ class TestSzegoLow:
         assert out.shape == expect.shape and out.flags.c_contiguous
         assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
+    @PROPERTY
+    @given(alphas=_disk_rows(4, 12, 0.99), real=st.booleans(), K=st.integers(0, 4),
+           data=st.data())
+    def test_level_splits_continue_the_state(self, alphas, real, K, data):
+        # Levels fed to one state in consecutive slices, empty ones included,
+        # give the one-call result bit for bit: the alpha sampler feeds each
+        # block's levels to its recursion a step at a time.
+        if real:
+            alphas = alphas.real + 0j
+        S, N = alphas.shape
+        levels = np.ascontiguousarray(alphas.T)
+        whole = kernels._szego_low_levels(levels, kernels._szego_state(K, S)).copy()
+        cuts = sorted(data.draw(st.lists(st.integers(0, N), max_size=6)))
+        state = kernels._szego_state(K, S)
+        for lo, hi in zip([0, *cuts], [*cuts, N]):
+            got = kernels._szego_low_levels(levels[lo:hi], state)
+        assert got.tobytes() == whole.tobytes()
+        assert whole.tobytes() == kernels.szego_low_coefficients(alphas, K).tobytes()
+
     def test_backends_agree(self):
         # The Monte Carlo path (a batch, K < N) and the scalar OPUC entry
         # point (one row, K = N) must give bit for bit the same low

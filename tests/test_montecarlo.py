@@ -1,11 +1,16 @@
 """Sampler laws, the determinism contract, and the MC estimator wrapper."""
 
+import concurrent.futures
 import csv
 import decimal
 import io
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import Future
@@ -92,7 +97,7 @@ class TestAlphaSampler:
         # and nothing warns on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            drawn = montecarlo._alpha_draw(FixedNormals(np.zeros((5, 7, 2))), 7, 5)
+            drawn = montecarlo._draw(FixedNormals(np.zeros((5, 7, 2))), 5, 7)
             a = montecarlo._alpha_levels(drawn, 1.0)
         assert a.shape == (5, 7)
         assert np.all(np.isfinite(a))
@@ -109,7 +114,7 @@ class TestAlphaSampler:
         z[:, 3] = (1e-3, -2e-3)
         z[:, 4] = (3e-8, 1e-8)
         z[:, 5] = (-6.0, 5.5)
-        a = montecarlo._alpha_levels(montecarlo._alpha_draw(FixedNormals(z), 6, N), beta)
+        a = montecarlo._alpha_levels(montecarlo._draw(FixedNormals(z), N, 6), beta)
         ctx = decimal.Context(prec=50)
         D = decimal.Decimal
         old_err = 0.0
@@ -258,6 +263,20 @@ class TestDeterminism:
         sampler = sample_alpha_batch if kind == "alpha" else sample_f_batch
         got = sampler(beta, N, samples, seed, workers=workers)
         assert np.array_equal(got, np.concatenate(expect))
+
+    def test_leading_axis_slices_equal_the_whole_draw(self):
+        # standard_normal fills in C order from one sequential stream, so
+        # uneven leading-axis slices drawn in turn are the whole-array call,
+        # and leave the generator where it leaves it.  10**6 values make the
+        # ziggurat's rejection branch run.
+        shape = (1000, 500, 2)
+        whole_rng = np.random.Generator(np.random.PCG64(57))
+        whole = whole_rng.standard_normal(shape)
+        rng = np.random.Generator(np.random.PCG64(57))
+        cuts = [0, 1, 4, 4, 333, 334, 999, 1000]
+        parts = [rng.standard_normal((hi - lo, *shape[1:])) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
 
     def test_idle_workers_get_no_generator(self, monkeypatch):
         # With more workers than samples only the first `samples` workers
@@ -632,7 +651,7 @@ class TestPipeline:
         def no_threads(self):
             raise AssertionError("started a thread")
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         self._check_all(2 * BLOCK_SIZE + 600, 2, tmp_path, monkeypatch)
 
@@ -664,16 +683,19 @@ class TestPipeline:
         assert threading.active_count() == before
 
     def test_memory_error_in_finish_exits_two(self, capsys, monkeypatch):
-        # The allocation failure is simulated on the second block's Szego
-        # call, which runs on the helper thread; each block makes one.
-        calls = []
+        # The allocation failure is simulated on the second block's first
+        # Szego step, which runs on the helper thread; at n_trunc = 8 each
+        # block makes two steps of 4 levels on one recursion state.
+        calls, states = [], []
         szego = montecarlo._szego_low_levels
 
-        def no_memory(alphas, K):
+        def no_memory(alphas, state):
             calls.append(threading.current_thread())
-            if len(calls) > 1:
+            if not any(state is seen for seen in states):
+                states.append(state)
+            if len(states) > 1:
                 raise MemoryError
-            return szego(alphas, K)
+            return szego(alphas, state)
 
         monkeypatch.setattr(montecarlo, "_szego_low_levels", no_memory)
         before = threading.active_count()
@@ -681,32 +703,42 @@ class TestPipeline:
                         "--samples", str(3 * BLOCK_SIZE), "--seed", "0", "--n-trunc", "8"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: MemoryError\n")
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert calls[-1] is not threading.main_thread()
         assert threading.active_count() == before
 
     def test_error_while_drawing_joins_the_helper(self, monkeypatch):
-        # The second draw fails while the helper still finishes the first
-        # block; the call waits for it before raising.
-        draw, szego = montecarlo._alpha_draw, montecarlo._szego_low_levels
+        # The second step's draw fails while the helper still finishes the
+        # first step; the call waits for it before raising.
+        draw, szego = montecarlo._draw, montecarlo._szego_low_levels
         draws = []
 
-        def failing(rng, b, N):
-            draws.append(b)
+        def failing(rng, lead, width):
+            draws.append(lead)
             if len(draws) == 2:
                 raise MemoryError
-            return draw(rng, b, N)
+            return draw(rng, lead, width)
 
-        def slow(alphas, K):
+        def slow(alphas, state):
             time.sleep(0.05)
-            return szego(alphas, K)
+            return szego(alphas, state)
 
-        monkeypatch.setattr(montecarlo, "_alpha_draw", failing)
+        monkeypatch.setattr(montecarlo, "_draw", failing)
         monkeypatch.setattr(montecarlo, "_szego_low_levels", slow)
         before = threading.active_count()
         with pytest.raises(MemoryError):
             mc_x_moment("alpha", P1, P1, 1.0, 8, 2 * BLOCK_SIZE, 0)
         assert threading.active_count() == before
+
+    def test_import_loads_no_executor(self):
+        # Only sampling loads concurrent.futures (and logging with it), so
+        # commands that never sample do not pay for the import.
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, verblunsky, verblunsky.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert out.stdout == "False\n"
 
     def test_threads_end_with_each_call(self):
         before = threading.active_count()
@@ -716,20 +748,20 @@ class TestPipeline:
         assert threading.active_count() == before
 
     def test_one_helper_thread_per_call(self, monkeypatch):
-        # Every block of a call is finished on the same helper thread, which
+        # Every step of a call is finished on the same helper thread, which
         # is gone when the call returns.
         pipeline = montecarlo._pipeline
         calls = []
 
-        def recording(samples, seed, workers, draw, N, finish):
+        def recording(samples, seed, workers, N, finish, **kwargs):
             threads = []
             calls.append(threads)
 
-            def finish_recorded(rows, drawn):
+            def finish_recorded(rows, lo, drawn):
                 threads.append(threading.current_thread())
-                finish(rows, drawn)
+                finish(rows, lo, drawn)
 
-            pipeline(samples, seed, workers, draw, N, finish_recorded)
+            pipeline(samples, seed, workers, N, finish_recorded, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_pipeline", recording)
         before = threading.active_count()
@@ -768,29 +800,95 @@ class TestPipeline:
             assert {width for _, width in shapes} == {grid // 2 + 1}
 
     @pytest.mark.parametrize("kind", ["alpha", "f"])
-    def test_at_most_two_blocks_of_draws_alive(self, kind, monkeypatch):
-        # Before each draw, at most one earlier block's draws is still alive:
-        # the one the helper thread is finishing.
-        name = f"_{kind}_draw"
-        draw = getattr(montecarlo, name)
-        alive = []
-        before_draw = []
+    def test_at_most_two_steps_of_draws_alive(self, kind, monkeypatch):
+        # Before each draw, at most one earlier step's draws is still alive:
+        # the one the helper thread is finishing.  No draw holds more than
+        # _STEP_VALUES complex values, unless a single leading row is wider.
+        draw = montecarlo._draw
+        alive, before_draw, shapes = [], [], []
 
-        def tracking(rng, b, N):
+        def tracking(rng, lead, width):
             before_draw.append(sum(ref() is not None for ref in alive))
-            drawn = draw(rng, b, N)
+            shapes.append((lead, width))
+            drawn = draw(rng, lead, width)
             alive.append(weakref.ref(drawn))
             return drawn
 
-        monkeypatch.setattr(montecarlo, name, tracking)
+        monkeypatch.setattr(montecarlo, "_draw", tracking)
         samples = 5 * BLOCK_SIZE
         if kind == "alpha":
             sample_alpha_batch(1.0, 4, samples, 8, workers=2)
-            mc_x_moment("alpha", P1, P1, 1.0, 8, samples, 8)
+            mc_x_moment("alpha", P1, P1, 1.0, 200, samples, 8)
         else:
             sample_f_batch(1.0, 4, samples, 8, workers=2)
+            sample_f_batch(1.0, 3 * montecarlo._STEP_VALUES // 2, 3, 8)
             mc_x_moment("gaussian", P1, P1, 1.0, 8, samples, 8)
             pushforward_experiment(*self.PUSH, samples, 3, 8)
         assert len(before_draw) >= 10
         assert max(before_draw) <= 1
         assert all(ref() is None for ref in alive)
+        assert all(lead * width <= montecarlo._STEP_VALUES or lead == 1
+                   for lead, width in shapes)
+        assert max(lead * width for lead, width in shapes) > montecarlo._STEP_VALUES // 2
+
+    def test_uneven_last_steps_match_serial_loop(self, tmp_path, monkeypatch):
+        # At b = 8192 an alpha step is 4 levels, so N = 13 steps 4, 4, 4 and 1
+        # levels; a 300-mode pushforward (grid 1200) steps 27 rows, so 100
+        # samples step 27, 27, 27 and 19.
+        draw = montecarlo._draw
+        shapes = []
+
+        def recording(rng, lead, width):
+            shapes.append((lead, width))
+            return draw(rng, lead, width)
+
+        monkeypatch.setattr(montecarlo, "_draw", recording)
+        count, seed = BLOCK_SIZE + 100, 77
+        assert np.array_equal(sample_alpha_batch(0.75, 13, count, seed),
+                              serial_blocks.sample_alpha_batch(0.75, 13, count, seed, 1))
+        assert shapes == [(4, BLOCK_SIZE)] * 3 + [(1, BLOCK_SIZE), (13, 100)]
+        averaged = []
+        stats = montecarlo._stats
+
+        def recording_stats(values):
+            averaged.append(values.copy())
+            return stats(values)
+
+        monkeypatch.setattr(montecarlo, "_stats", recording_stats)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        mc_x_moment("alpha", self.P, self.Q, 0.75, 13, count, seed, dump_csv=str(got))
+        vals = serial_blocks.mc_values("alpha", self.P, self.Q, 0.75, 13, count, seed, 1,
+                                       dump_csv=str(want))
+        assert np.array_equal(averaged.pop(), vals)
+        assert got.read_bytes() == want.read_bytes()
+        shapes.clear()
+        pushforward_experiment(1.0, 300, 0.7, 100, 3, seed)
+        assert shapes == [(27, 300)] * 3 + [(19, 300)]
+        absq = serial_blocks.pushforward_absq(1.0, 300, 0.7, 100, 3, seed, 1)
+        assert np.array_equal(np.column_stack(averaged), absq)
+
+    @pytest.mark.parametrize("case", ["mc-alpha", "pushforward"])
+    def test_traced_peak_is_bounded_by_the_step(self, case):
+        # numpy reports its buffers to tracemalloc, the helper thread's too.
+        # Whatever the block size, the draws and the arithmetic take a few
+        # steps' worth of complex values; only the per-sample results grow
+        # with the sample count.  Two whole 8192 x 200 alpha blocks of draws
+        # alone would be 52 MB.
+        if case == "mc-alpha":
+            samples, per_sample = 2 * BLOCK_SIZE, 16 * 4
+
+            def run():
+                mc_x_moment("alpha", P1, P1, 1.0, 200, samples, 0)
+        else:
+            samples, per_sample = 2000, 16 * 4 * 5
+
+            def run():
+                pushforward_experiment(1.0, 256, 0.995, samples, 4, 1)
+        bound = 8 * 16 * montecarlo._STEP_VALUES + per_sample * samples
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
