@@ -47,9 +47,14 @@ def _from_string(cls):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    try:
+        str(value)  # reports echo it; Python's int-to-str limit is 4300 digits by default
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"rational {text!r} has too many digits") from None
+    return value
 
 
 def _tolerance(text: str) -> float:

@@ -4,8 +4,9 @@ A multi-index is a finite map ``index -> count`` (counts > 0).  Partitions of
 ``d`` are identified with their density vectors, i.e. multi-indices ``L`` with
 ``sum(u * L(u)) = d``.  Gap sequences are the interlaced decreasing index
 lists ``i(1) > j(1) > ... > i(L) > j(L) >= 0`` whose gaps ``i(u) - j(u)`` sum
-to a prescribed degree; they index the series expansion of the low-order
-coefficients of reversed orthogonal polynomials.
+to a prescribed degree, written as tuples of ``(i, j)`` pairs; they index the
+series expansion of the low-order coefficients of reversed orthogonal
+polynomials.
 
 Enumeration orders are fixed (documented per function) so downstream reports
 are byte-for-byte reproducible.
@@ -13,7 +14,6 @@ are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -139,34 +139,6 @@ class MultiplicityVector(MultiIndex):
     _min_index = 0
 
 
-@dataclass(frozen=True)
-class GapSequence:
-    """Pairs ``[(i(1), j(1)), ..., (i(L), j(L))]`` strictly decreasing when flattened."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        flat = [x for pair in self.pairs for x in pair]
-        if flat and flat[-1] < 0:
-            raise ValueError(f"gap sequence indices must be >= 0: {self.pairs}")
-        if any(a <= b for a, b in zip(flat, flat[1:])):
-            raise ValueError(f"gap sequence must strictly decrease: {self.pairs}")
-
-    @property
-    def degree(self) -> int:
-        return sum(i - j for i, j in self.pairs)
-
-    @property
-    def top(self) -> int:
-        return self.pairs[0][0] if self.pairs else 0
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 @lru_cache(maxsize=None)
 def partitions(d: int) -> tuple[MultiIndex, ...]:
     """All densities L with deg(L) = d, in descending lexicographic density order.
@@ -224,25 +196,33 @@ def f_weight(p: MultiIndex, L: MultiIndex) -> int:
     return total
 
 
-def gap_sequences(n: int, max_index: int) -> list[GapSequence]:
+def gap_sequences(n: int, max_index: int) -> list[tuple[tuple[int, int], ...]]:
     """All gap sequences of degree n with top index <= max_index.
 
-    Sorted by (number of pairs, flattened index list ascending); e.g. degree 2
-    up to index 3 gives [(2,0)], [(3,1)], [(3,2),(1,0)].
+    Each is a tuple of ``(i, j)`` pairs.  Sorted by (number of pairs, pairs
+    ascending); e.g. degree 2 up to index 3 gives ((2, 0),), ((3, 1),),
+    ((3, 2), (1, 0)).
     """
     if n < 1:
         raise ValueError("gap sequences need degree n >= 1")
     return gap_sequences_over(tuple(range(max_index + 1)), n)
 
 
-def gap_sequences_over(indices: tuple[int, ...], n: int) -> list[GapSequence]:
-    """Gap sequences of degree n whose every index lies in the given set."""
+def gap_sequences_over(indices: tuple[int, ...], n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Gap sequences of degree n whose every index lies in the given set.
+
+    Tuples of ``(i, j)`` pairs, in the order of :func:`gap_sequences`.  Each
+    index is picked below the one before it, so every sequence strictly
+    decreases by construction.
+    """
     allowed = sorted(set(indices))
-    out: list[GapSequence] = []
+    if allowed and allowed[0] < 0:
+        raise ValueError(f"gap sequence indices must be >= 0, got {allowed[0]}")
+    out: list[tuple[tuple[int, int], ...]] = []
 
     def rec(degree: int, pos_limit: int, acc: list[tuple[int, int]]) -> None:
         if degree == 0:
-            out.append(GapSequence(tuple(acc)))
+            out.append(tuple(acc))
             return
         for ti in range(pos_limit, -1, -1):
             i = allowed[ti]
@@ -258,5 +238,5 @@ def gap_sequences_over(indices: tuple[int, ...], n: int) -> list[GapSequence]:
                 acc.pop()
 
     rec(n, len(allowed) - 1, [])
-    out.sort(key=lambda s: (len(s.pairs), s.pairs))
+    out.sort(key=lambda s: (len(s), s))
     return out

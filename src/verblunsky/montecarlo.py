@@ -47,10 +47,12 @@ the call's one helper thread, a single-thread ``ThreadPoolExecutor`` that is
 shut down before the call returns, while the next step is drawn.  The block
 stays the unit of the streams and of the block-wide work, done after its
 last step: the Szego recursion carries its (K + 1, block) state across the
-block's level steps, and ``exp(-f)`` (K <= 4), the pushforward's moments and
-Levinson call (whose last bits depend on the row count), the monomial and
-the CSV rows each take a whole block.  Steps are finished one at a time and
-in order, so values, statistics and ``--dump-csv`` bytes do not depend on
+block's level steps, and the alpha side's monomial and CSV rows and the
+pushforward's moments and Levinson call (whose last bits depend on the row
+count) take a whole block.  An f step holds whole samples, so the Gaussian
+side finishes ``exp(-f)``, the monomial and the CSV rows step by step; with
+K <= 4 a step is the whole block.  Steps are finished one at a time and in
+order, so values, statistics and ``--dump-csv`` bytes do not depend on
 thread timing and equal those of a serial loop.  At most two steps of draws
 are alive at once, so the draws take about 1 MB whatever the block or sample
 count (16 bytes per value); the per-sample results still grow with the
@@ -292,18 +294,15 @@ def mc_x_moment(
     if samples < 2:
         raise ValueError("need at least two samples")
     K = max([0, *p.support(), *q.support()])
-    # x_step takes one step of a block's draws and returns the block's x rows
-    # after its last step, else None.
+    # x_step takes one step of a block's draws and returns the sample rows it
+    # finishes with their x rows, or None when it finishes none.
     if side == "gaussian":
         level_major, N = False, K
-        f = None
 
         def x_step(rows, lo, drawn):
-            nonlocal f
-            if lo == 0:
-                f = np.empty((rows.stop - rows.start, K + 1), np.complex128)
-            _f_modes(drawn, beta, f[lo : lo + len(drawn)])
-            return exp_neg_series(f) if lo + len(drawn) == len(f) else None
+            # An f step holds whole samples, so each step finishes its own rows.
+            f = _f_modes(drawn, beta, np.empty((len(drawn), K + 1), np.complex128))
+            return slice(rows.start + lo, rows.start + lo + len(drawn)), exp_neg_series(f)
     else:
         level_major, N = True, n_trunc
         state = None
@@ -314,7 +313,7 @@ def mc_x_moment(
                 state = _szego_state(K, rows.stop - rows.start)
             # One recursion per block: its (K+1, b) state carries across the level steps.
             x = _szego_low_levels(_alpha_levels(drawn, beta, lo), state)
-            return x if lo + len(drawn) == n_trunc else None
+            return (rows, x) if lo + len(drawn) == n_trunc else None
 
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
@@ -326,9 +325,10 @@ def mc_x_moment(
                 fh.write("# columns: index, real, imag\n")
 
             def finish(rows, lo, drawn):
-                x = x_step(rows, lo, drawn)
-                if x is None:
+                done = x_step(rows, lo, drawn)
+                if done is None:
                     return
+                rows, x = done
                 mono = _monomial(x, p, q)
                 vals[rows] = mono
                 if fh is not None:

@@ -528,9 +528,7 @@ PUSH_OPTIONS = {
 
 @st.composite
 def _sampling_argv(draw):
-    """A pushforward or mc argv: valid values with up to two edge or junk ones,
-    options in any order, each as "--opt=value" or as two tokens, at most one
-    left out, and sometimes a junk token inserted."""
+    """A pushforward or mc argv, written by :func:`_written_argv`."""
     command = draw(st.sampled_from(["mc", "pushforward"]))
     options = {**SAMPLING_OPTIONS, **(MC_OPTIONS if command == "mc" else PUSH_OPTIONS)}
     if command == "pushforward":
@@ -540,6 +538,13 @@ def _sampling_argv(draw):
         options["--modes"] = ([str(modes)], options["--modes"][1])
         options["--max-alpha"] = (["1", "4", "30", str(half - 2), str(half - 1)],
                                   [str(half), str(half + 1), "0", "-1"])
+    return _written_argv(draw, [command], options)
+
+
+def _written_argv(draw, head, options):
+    """head plus options (with "--threads"): valid values with up to two edge
+    or junk ones, options in any order, each as "--opt=value" or as two
+    tokens, at most one left out, and sometimes a junk token inserted."""
     odd = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
     values = {}
     for opt, (valid, edge) in options.items():
@@ -553,7 +558,7 @@ def _sampling_argv(draw):
         # Mostly "--opt=value", where a value starting with "-" stays a value.
         return [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
 
-    argv = [command]
+    argv = list(head)
     if draw(st.booleans()):
         argv = [*written("--threads"), *argv]
     for opt in names:
@@ -716,6 +721,64 @@ class TestAlphaExitContract:
         if messages:
             assert argv[0] == "jacobian" and "--exact" not in argv and code != 2, argv
             assert all(m.startswith(JACOBIAN_WARNING) for m in messages), messages
+
+
+# Tokens for the exact commands' exit-contract test, as (valid, edge) per
+# option.  Degrees stay at most 5, --max-index at most 60, --n at most 8 and
+# |m| at or next to count's guard of 12, so every call takes milliseconds.
+RATIONAL = (["1", "1/2", "2/3", "3/2", "1/100"],
+            ["0", "-1", "-1/2", "1/0", "0.5", "1e20", "1e-20", "1e5000", "nan", "inf"])
+MAX_INDEX = (["0", "1", "10", "60"], ["-1", "-60", "1.5", "1e3"])
+DEGREE = (["1", "2", "3", "5", "8"], ["0", "-1", "1.5"])
+EXACT_MULTI_INDEX = (["0", *MULTI_INDEX[0]], MULTI_INDEX[1])
+EXACT_OPTIONS = {
+    "gaussian-moment": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX},
+    "alpha-moment": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX, "--beta": RATIONAL,
+                     "--max-index": MAX_INDEX},
+    "identity": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX,
+                 "--beta": (["1", "1/2,2", "2/3,1,3/2", "1/100"],
+                            ["0", "1,-1", ",", "1,,2", "1/0,1", "1e20,1", "1e5000", "nan"]),
+                 "--max-index": MAX_INDEX},
+    "nice-identity": {"--n": DEGREE, "--beta": RATIONAL, "--max-index": MAX_INDEX},
+    "variance": {"--n": DEGREE},
+    "count": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX,
+              "--m": (["0:1,1:1", "0:2,1:1,2:1", "1:1,2:1", "0:1,4:1", "0:4,1:4", "0:6,1:6",
+                       "0:3,1:3,2:3,3:3", "0:2,1:2,2:2,3:2,4:2,5:2"],
+                      ["0", "0:12", "0:13", "0:7,1:6", "0:6,1:6,2:1", "1:0", "-1:1",
+                       "0:1,0:1", "2:1,1:1"])},
+}
+
+
+@st.composite
+def _exact_argv(draw):
+    """A gaussian-moment (sometimes --raw), alpha-moment, identity,
+    nice-identity, variance or count argv, written by :func:`_written_argv`."""
+    command = draw(st.sampled_from(sorted(EXACT_OPTIONS)))
+    head = [command]
+    if command == "gaussian-moment" and draw(st.booleans()):
+        head.append("--raw")
+    options = {"--threads": SAMPLING_OPTIONS["--threads"], **EXACT_OPTIONS[command]}
+    return _written_argv(draw, head, options)
+
+
+class TestExactExitContract:
+    """The six exact commands: exit 0/1 with a report, or exit 2 with one error line."""
+
+    @settings(max_examples=300)
+    @given(argv=_exact_argv())
+    # A rational too long to print: exit 2 at parsing, not a traceback
+    # while the report echoes it.
+    @example(argv=["alpha-moment", "--p=0", "--q=0", "--beta=1e5000", "--max-index=0"])
+    # Past count's |m| <= 12 guard: exit 2, with no enumeration.
+    @example(argv=["count", "--p=1:1", "--q=1:1", "--m=0:7,1:6"])
+    # Unequal degrees: identity is a usage error, count and the moments report.
+    @example(argv=["identity", "--p=1:4", "--q=1:1", "--beta=1", "--max-index=60"])
+    @example(argv=["count", "--p=1:4", "--q=1:1", "--m=0:1,1:1"])
+    # A raw decomposition sum past its degree guard of 8: exit 2.
+    @example(argv=["gaussian-moment", "--raw", "--p=1:1,4:2", "--q=3:3"])
+    def test_every_argv_reports_or_exits_two(self, argv):
+        _, _, messages = _exit_contract(argv)
+        assert messages == []
 
 
 class TestNiceIdentityIsDiagonalIdentity:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from verblunsky import gaussian
 from verblunsky.combinatorics import (
-    GapSequence,
     MultiIndex,
     MultiplicityVector,
     f_weight,
@@ -206,30 +205,12 @@ def _brute_gap_sequences(n, max_index):
 
 
 class TestGapSequences:
-    def test_validation(self):
-        GapSequence(((3, 1),))
-        with pytest.raises(ValueError):
-            GapSequence(((1, 3),))
-        with pytest.raises(ValueError):
-            GapSequence(((3, 1), (2, 0)))  # 1 > 2 fails interlacing
-        with pytest.raises(ValueError):
-            GapSequence(((1, -1),))
-
-    def test_degree_and_top(self):
-        s = GapSequence(((5, 3), (2, 0)))
-        assert s.degree == 4
-        assert s.top == 5
-        assert len(s) == 2
-        assert list(s) == [(5, 3), (2, 0)]
-
     def test_pinned_order_example(self):
-        got = [s.pairs for s in gap_sequences(2, 3)]
-        assert got == [((2, 0),), ((3, 1),), ((3, 2), (1, 0))]
+        assert gap_sequences(2, 3) == [((2, 0),), ((3, 1),), ((3, 2), (1, 0))]
 
     @pytest.mark.parametrize("n,max_index", [(1, 6), (2, 6), (3, 7), (4, 8), (5, 8), (6, 8)])
     def test_matches_brute_force(self, n, max_index):
-        got = [s.pairs for s in gap_sequences(n, max_index)]
-        assert got == _brute_gap_sequences(n, max_index)
+        assert gap_sequences(n, max_index) == _brute_gap_sequences(n, max_index)
 
     def test_degree_below_one_raises(self):
         with pytest.raises(ValueError):
@@ -238,8 +219,8 @@ class TestGapSequences:
     def test_restricted_enumeration(self):
         allowed = (0, 2, 3, 5)
         n = 3
-        full = {s.pairs for s in gap_sequences(n, max(allowed))}
-        restricted = {s.pairs for s in gap_sequences_over(allowed, n)}
+        full = set(gap_sequences(n, max(allowed)))
+        restricted = set(gap_sequences_over(allowed, n))
         expected = {
             pairs
             for pairs in full
@@ -248,5 +229,21 @@ class TestGapSequences:
         assert restricted == expected
 
     def test_restricted_keeps_sort_order(self):
-        seqs = gap_sequences_over((0, 1, 2, 3, 4, 5), 3)
-        assert [s.pairs for s in seqs] == [s.pairs for s in gap_sequences(3, 5)]
+        assert gap_sequences_over((0, 1, 2, 3, 4, 5), 3) == gap_sequences(3, 5)
+
+    @PROPERTY
+    @given(allowed=st.sets(st.integers(0, 9)), n=st.integers(1, 6))
+    def test_restricted_is_filtered_brute_force(self, allowed, n):
+        # Exactly the brute-force sequences over 0..9 whose indices all lie
+        # in the set, in the same order: no check at run time is needed.
+        expected = [
+            pairs
+            for pairs in _brute_gap_sequences(n, 9)
+            if all(i in allowed and j in allowed for i, j in pairs)
+        ]
+        assert gap_sequences_over(tuple(allowed), n) == expected
+
+    @pytest.mark.parametrize("indices", [(-1,), (3, 1, -1), (0, -2, 5, 9)])
+    def test_negative_index_raises(self, indices):
+        with pytest.raises(ValueError, match="indices must be >= 0"):
+            gap_sequences_over(indices, 2)
