@@ -125,9 +125,9 @@ def _alpha_exact(text: str) -> list[tuple[Fraction, Fraction]]:
                 re_s, im_s = _split_complex(tok)
                 pairs.append((Fraction(re_s), Fraction(im_s)))
     except (ValueError, TypeError, ZeroDivisionError, json.JSONDecodeError) as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
+        raise ValueError(f"bad alpha list {text!r}: {exc}") from None
     if not pairs:
-        raise argparse.ArgumentTypeError("empty alpha list")
+        raise ValueError("empty alpha list")
     return pairs
 
 
@@ -136,7 +136,7 @@ def _alpha_floats(text: str) -> np.ndarray:
     try:
         vals = [complex(float(re), float(im)) for re, im in pairs]
     except OverflowError as exc:
-        raise argparse.ArgumentTypeError(f"bad alpha list {text!r}: {exc}") from None
+        raise ValueError(f"bad alpha list {text!r}: {exc}") from None
     return np.array(vals, dtype=np.complex128)
 
 
@@ -397,7 +397,7 @@ def run(argv) -> int:
         return code if isinstance(code, int) else 2
     try:
         results, status, diagnostics = args.func(args)
-    except (ValueError, OverflowError, MemoryError, argparse.ArgumentTypeError, OSError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     params = {k: _echo(v) for k, v in vars(args).items()

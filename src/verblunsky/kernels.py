@@ -106,7 +106,10 @@ def levinson_batch(c: np.ndarray, K: int):
     """Per-row Verblunsky recovery from moments c (S, >= K+1).
 
     Returns (alphas (S, K), ok (S,)); rows with a positive-definiteness
-    failure are flagged False and their coefficients are unspecified.
+    failure are flagged False and their coefficients are unspecified.  A row's
+    last bits can depend on S: numpy may sum each inner product in another
+    order once a batch is large (from 2,048 rows in one 12-level test), so a
+    row computed alone can differ by rounding from the same row in a large call.
     """
     c = np.ascontiguousarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[1] < K + 1:

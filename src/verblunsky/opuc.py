@@ -92,7 +92,9 @@ def verblunsky_from_moments(c) -> np.ndarray:
     alpha_n^* = -<z p_{n-1}, 1> / E_{n-1}, and E_n = E_{n-1}(1 - |alpha_n|^2),
     run as one row of :func:`~verblunsky.kernels.levinson_batch`.  Raises
     :class:`NotPositiveDefiniteError` at the first failing order: 0 when
-    c_0 <= 0, otherwise the first n with |alpha_n| >= 1.
+    c_0 <= 0, otherwise the first n with |alpha_n| >= 1.  Being one row, the
+    result can differ in its last bits from the same row inside a large
+    ``levinson_batch`` call.
     """
     cm = np.asarray(c, dtype=np.complex128)
     alphas, ok = levinson_batch(cm[None], cm.size - 1)

@@ -21,7 +21,10 @@ EXPERIMENTAL = "EXPERIMENTAL"
 def rat_str(x) -> str:
     """Exact rational as "num/den" (the denominator is kept even when 1)."""
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # Python converts no int of over 4300 digits to text by default
+        raise ValueError("the exact result has more digits than can be printed") from None
 
 
 def poly_map(coeffs: dict[int, Fraction]) -> dict[str, str]:

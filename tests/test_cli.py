@@ -1,9 +1,11 @@
 """End-to-end CLI coverage: byte-stable reports, exit codes, usage errors."""
 
+import argparse
 import dataclasses
 import io
 import json
 import pathlib
+import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -451,6 +453,13 @@ class TestExitCodes:
          "beta must be a positive rational"),
         (["nice-identity", "--n", "1", "--beta", "1", "--max-index", "-1"],
          "max_index must be >= 0"),
+        (["nice-identity", "--n", "0", "--beta", "1", "--max-index", "5"], "need n >= 1"),
+        (["variance", "--n", "0"], "variance_pmf needs n >= 1"),
+        # Results too long to print, though every input prints.
+        (["alpha-moment", "--p", "1:4", "--q", "1:4", "--beta", "1e400", "--max-index", "60"],
+         "the exact result has more digits than can be printed"),
+        (["nice-identity", "--n", "1", "--beta", "1e4000", "--max-index", "1"],
+         "the exact result has more digits than can be printed"),
     ])
     def test_exact_sweep_arguments_exit_two(self, capsys, argv, message):
         code, out, err = _run(capsys, argv)
@@ -497,76 +506,178 @@ class TestExitCodes:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
-# Tokens for the sampling commands' exit-contract test: per option, valid
-# values, then edge values.  Sizes keep every call in milliseconds.  "{dir}"
-# stands for the test's own directory; every --dump-csv value lies in it.
+# The exit-contract grammar: per command, per option, (valid, edge) tokens.
+# Sizes keep every call in milliseconds: degrees at most 5, --max-index at
+# most 60, --n at most 8 and |m| at or next to count's guard of 12.  "{dir}"
+# stands for the run's own directory; every --dump-csv value lies in it.
 JUNK = st.one_of(
     st.sampled_from(["", "x", "--", "-", "1/0", "1:1", "0x10", "--bogus", "1,2"]),
     st.text(alphabet="abz-_:/., ", max_size=5),
 )
-MULTI_INDEX = (["1:1", "2:1", "1:2", "1:1,2:1", "3:1", "2:2", "4:1"],
+THREADS = (["1", "2", "3"], ["0", "-1", "1000000"])
+MULTI_INDEX = (["0", "1:1", "2:1", "1:2", "1:1,2:1", "3:1", "2:2", "4:1"],
                ["1:4", "1:5", "0:1", "1:0", "1:1,1:1", "-1:1"])
-SAMPLING_OPTIONS = {
-    "--threads": (["1", "2", "3"], ["0", "-1", "1000000"]),
-    "--beta": (["1", "1/2", "2/3", "3/2", "1/100"],
-               ["0", "-1", "1e-300", "1e-320", "1e400", "1e300", "nan", "inf"]),
-    "--samples": (["2", "3", "17"], ["0", "1", "-5"]),
-    "--seed": (["0", "1", "12345"], ["-1", str(2**64)]),
+RATIONAL = (["1", "1/2", "2/3", "3/2", "1/100"],
+            ["0", "-1", "-1/2", "1/0", "0.5", "1e20", "1e-20", "1e5000", "nan", "inf"])
+BETA = (RATIONAL[0], ["0", "-1", "1e-300", "1e-320", "1e400", "1e300", "nan", "inf"])
+MAX_INDEX = (["0", "1", "10", "60"], ["-1", "-60", "1.5", "1e3"])
+DEGREE = (["1", "2", "3", "5", "8"], ["0", "-1", "1.5"])
+SAMPLES = (["2", "3", "17"], ["0", "1", "-5"])
+SEED = (["0", "1", "12345"], ["-1", str(2**64)])
+TOL = (["0", "1e-9", "1e-6", "0.5"], ["nan", "-1", "inf", "-inf", "1e400", "", "x"])
+
+
+def _alpha(coefficient, files):
+    """An --alpha value: 1 to 9 inline coefficients, or "@" and the text of
+    a JSON file, which the property writes to {dir}/alpha.json."""
+    return st.one_of(st.lists(coefficient, min_size=1, max_size=9).map(",".join),
+                     st.sampled_from(files).map("@".__add__))
+
+
+# Edge coefficients sit within 1e-6 of the unit circle, round to |alpha| = 1
+# in floats, or are exactly on it.
+ALPHA = (
+    _alpha(st.sampled_from(["0", "0.3", "-0.2+0.1i", "1/4-1/8i", "0.5i", "-1/3", "0.6-0.3i"]),
+           ["[[0.3, 0.1], [0.2, 0.0]]", '[["1/4", 0], [0, "-1/8"]]', "[[0.9999999, 0]]",
+            "[[0, 0], [0.5, -0.5], [0.1, 0.1], [-0.3, 0.2]]"]),
+    _alpha(st.one_of(st.sampled_from(
+        ["0.9999999", "-0.99999999+0i", "0.7071067811865475+0.7071067811865475i",
+         "0.99999999999999989", "0.99999999999999995", "0.6+0.8i", "1", "-i", "1e-300",
+         "1e400", "nan", "inf", "1/0", "x"]), JUNK),
+           ["[]", "[[0.5]]", "{}", "null", "[[1, 0]]", "[[NaN, 0]]", "[[1e400, 0]]",
+            "[[true, 0]]", "[[0.5, 0, 0]]", "not json", "[[0.99999999999999995, 0]]"]),
+)
+GRAMMAR = {
+    "gaussian-moment": {"--p": MULTI_INDEX, "--q": MULTI_INDEX},
+    "alpha-moment": {"--p": MULTI_INDEX, "--q": MULTI_INDEX, "--beta": RATIONAL,
+                     "--max-index": MAX_INDEX},
+    "identity": {"--p": MULTI_INDEX, "--q": MULTI_INDEX,
+                 "--beta": (["1", "1/2,2", "2/3,1,3/2", "1/100"],
+                            ["0", "1,-1", ",", "1,,2", "1/0,1", "1e20,1", "1e5000", "nan"]),
+                 "--max-index": MAX_INDEX},
+    "nice-identity": {"--n": DEGREE, "--beta": RATIONAL, "--max-index": MAX_INDEX},
+    "variance": {"--n": DEGREE},
+    "count": {"--p": MULTI_INDEX, "--q": MULTI_INDEX,
+              "--m": (["0:1,1:1", "0:2,1:1,2:1", "1:1,2:1", "0:1,4:1", "0:4,1:4", "0:6,1:6",
+                       "0:3,1:3,2:3,3:3", "0:2,1:2,2:2,3:2,4:2,5:2"],
+                      ["0", "0:12", "0:13", "0:7,1:6", "0:6,1:6,2:1", "1:0", "-1:1",
+                       "0:1,0:1", "2:1,1:1"])},
+    "jacobian": {"--alpha": ALPHA, "--tol": TOL},
+    "szego-check": {"--alpha": ALPHA, "--tol": TOL,
+                    "--order": (["10", "20", "50"], ["0", "1", "2", "3", "5", "-1", "x"])},
+    "roundtrip": {"--alpha": ALPHA, "--tol": TOL,
+                  "--grid": (["64", "256", "4096"], ["16", "17", "24", "32", "8", "0", "x"])},
+    "mc": {"--side": (["gaussian", "alpha"], ["Alpha", "exact"]), "--p": MULTI_INDEX,
+           "--q": MULTI_INDEX, "--beta": BETA, "--samples": SAMPLES, "--seed": SEED,
+           "--n-trunc": (["8", "16"], ["0", "3", "4", "-1"]),
+           "--dump-csv": (["{dir}/d.csv"], ["{dir}", "{dir}/missing/d.csv"])},
+    "pushforward": {"--beta": BETA, "--samples": SAMPLES, "--seed": SEED,
+                    "--modes": (["0", "1", "8", "32"], ["-1", "300"]),
+                    "--radius": (["0.5", "0.9", "0.99"],
+                                 ["0", "1", "-0.1", "1e-300", "nan", "inf"]),
+                    "--max-alpha": (["1", "4", "30"], ["0", "-1"])},
 }
-MC_OPTIONS = {
-    "--side": (["gaussian", "alpha"], ["Alpha", "exact"]),
-    "--p": MULTI_INDEX,
-    "--q": MULTI_INDEX,
-    "--n-trunc": (["8", "16"], ["0", "3", "4", "-1"]),
-    "--dump-csv": (["{dir}/d.csv"], ["{dir}", "{dir}/missing/d.csv"]),
-}
-PUSH_OPTIONS = {
-    "--modes": (["0", "1", "8", "32"], ["-1", "300"]),
-    "--radius": (["0.5", "0.9", "0.99"], ["0", "1", "-0.1", "1e-300", "nan", "inf"]),
-}
+# Options without a value; each argv carries its command's flag or not.
+FLAGS = {"gaussian-moment": "--raw", "jacobian": "--exact"}
+# Examples per command, more where there are more options and paths.
+EXAMPLES = {"jacobian": 189, "mc": 167, "pushforward": 138, "szego-check": 116, "roundtrip": 100,
+            "count": 92, "identity": 66, "gaussian-moment": 49, "alpha-moment": 43,
+            "variance": 30, "nice-identity": 25}
 
 
-@st.composite
-def _sampling_argv(draw):
-    """A pushforward or mc argv, written by :func:`_written_argv`."""
-    command = draw(st.sampled_from(["mc", "pushforward"]))
-    options = {**SAMPLING_OPTIONS, **(MC_OPTIONS if command == "mc" else PUSH_OPTIONS)}
-    if command == "pushforward":
-        # --max-alpha at and around grid // 2 - 1, the largest the quadrature allows.
-        modes = int(draw(st.sampled_from(options["--modes"][0])))
-        half = montecarlo.pushforward_grid(modes) // 2
-        options["--modes"] = ([str(modes)], options["--modes"][1])
-        options["--max-alpha"] = (["1", "4", "30", str(half - 2), str(half - 1)],
-                                  [str(half), str(half + 1), "0", "-1"])
-    return _written_argv(draw, [command], options)
+def _max_alpha_near_half(draw):
+    """pushforward's --modes and --max-alpha: --max-alpha also at and around
+    grid // 2 - 1, the largest the quadrature allows, for a valid --modes."""
+    (modes, odd_modes), (valid, edge) = (GRAMMAR["pushforward"][opt]
+                                         for opt in ("--modes", "--max-alpha"))
+    chosen = draw(st.sampled_from(modes))
+    half = montecarlo.pushforward_grid(int(chosen)) // 2
+    return {"--modes": ([chosen], odd_modes),
+            "--max-alpha": ([*valid, str(half - 2), str(half - 1)],
+                            [str(half), str(half + 1), *edge])}
 
 
-def _written_argv(draw, head, options):
-    """head plus options (with "--threads"): valid values with up to two edge
-    or junk ones, options in any order, each as "--opt=value" or as two
-    tokens, at most one left out, and sometimes a junk token inserted."""
-    odd = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
-    values = {}
-    for opt, (valid, edge) in options.items():
-        junk = JUNK.map("{dir}/".__add__) if opt == "--dump-csv" else JUNK
-        values[opt] = draw(st.one_of(st.sampled_from(edge), junk) if opt in odd
-                           else st.sampled_from(valid))
-    names = draw(st.permutations([opt for opt in values if opt != "--threads"]))
-    dropped = draw(st.sets(st.sampled_from(names), max_size=1)) if draw(st.booleans()) else set()
+def _value_strategies(options):
+    """Per option, the strategy of its valid values and that of its edge or junk ones."""
+    def tokens(values):
+        return values if isinstance(values, st.SearchStrategy) else st.sampled_from(values)
 
-    def written(opt):
-        # Mostly "--opt=value", where a value starting with "-" stays a value.
-        return [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
+    return {opt: (tokens(valid), st.one_of(tokens(edge), JUNK.map("{dir}/".__add__)
+                                           if opt == "--dump-csv" else JUNK))
+            for opt, (valid, edge) in options.items()}
 
-    argv = list(head)
-    if draw(st.booleans()):
-        argv = [*written("--threads"), *argv]
-    for opt in names:
-        if opt not in dropped:
-            argv += written(opt)
-    if draw(st.integers(0, 3)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
-    return argv
+
+def _written_argv(command):
+    """The strategy of command's argvs, from GRAMMAR, FLAGS and --threads:
+    valid values with up to two edge or junk ones, options in any order, each
+    as "--opt=value" or as two tokens, at most one left out, and sometimes a
+    junk token inserted."""
+    options = {"--threads": THREADS, **GRAMMAR[command]}
+    strategies = _value_strategies(options)
+    odd_options = st.sets(st.sampled_from(sorted(options)), max_size=2)
+    named = [opt for opt in options if opt != "--threads"]
+    orders = st.permutations(named)
+
+    @st.composite
+    def argvs(draw):
+        drawn = strategies
+        if command == "pushforward":
+            drawn = {**strategies, **_value_strategies(_max_alpha_near_half(draw))}
+        odd = draw(odd_options)
+        values = {opt: draw(drawn[opt][opt in odd]) for opt in options}
+        names = draw(orders)
+        dropped = draw(st.sampled_from(named)) if draw(st.booleans()) else None
+
+        def written(opt):
+            # Mostly "--opt=value", where a value starting with "-" stays a value.
+            return [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
+
+        argv = [command]
+        if command in FLAGS and draw(st.booleans()):
+            argv.append(FLAGS[command])
+        if draw(st.booleans()):
+            argv = [*written("--threads"), *argv]
+        for opt in names:
+            if opt != dropped:
+                argv += written(opt)
+        if draw(st.integers(0, 3)) == 0:
+            argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+        return argv
+
+    return argvs()
+
+
+# Argvs every run of the property tries first, each for the input class it names.
+PINNED = [argv.split() for argv in [
+    # Fields too large for exp: exit 2, "too peaked", with no RuntimeWarning.
+    "pushforward --beta 1e-300 --modes 8 --radius 0.9 --samples 3 --seed 0",
+    # Samples whose squares overflow: exit 2, not a PASS on an infinite stderr.
+    "mc --side gaussian --p 1:1 --q 1:1 --beta 1e-200 --samples 3 --seed 0 --n-trunc 8",
+    # The same, with a dump: the rows are written before the error, then removed.
+    "mc --side gaussian --p 1:1 --q 1:1 --beta 1e-200 --samples 3 --seed 0 --dump-csv {dir}/d.csv",
+    # An explicit "--opt=--" value: argparse stores an empty list, exit 2.
+    "mc --side=alpha --p=1:1 --q=1:1 --beta=1 --samples=-- --seed=0",
+    "--threads=-- pushforward --beta=1 --modes=8 --radius=0.5 --samples=3 --seed=0",
+    # Within 1e-6 of the circle: the float Jacobian warns and reports.
+    "jacobian --alpha=0.9999999,0.3",
+    # Rounds to |alpha| = 1 in floats: exit 2, though the exact lane accepts it.
+    "jacobian --alpha=0.99999999999999995",
+    "jacobian --exact --alpha=0.99999999999999995",
+    # A low order truncates the series: a FAIL report, not an error.
+    "szego-check --alpha=0.3,-0.2 --order=5 --tol=1e-6",
+    # A coarse grid: too few points for the moments is a usage error.
+    "roundtrip --alpha=0.3,0.2,0.1,0.1,0.1,0.1,0.1,0.1 --grid=16",
+    # A rational too long to print: exit 2 at parsing, not a traceback
+    # while the report echoes it.
+    "alpha-moment --p=0 --q=0 --beta=1e5000 --max-index=0",
+    # Past count's |m| <= 12 guard: exit 2, with no enumeration.
+    "count --p=1:1 --q=1:1 --m=0:7,1:6",
+    # Unequal degrees: identity is a usage error, count and the moments report.
+    "identity --p=1:4 --q=1:1 --beta=1 --max-index=60",
+    "count --p=1:4 --q=1:1 --m=0:1,1:1",
+    # A raw decomposition sum past its degree guard of 8: exit 2.
+    "gaussian-moment --raw --p=1:1,4:2 --q=3:3",
+]]
 
 
 # Peaked densities: the Levinson inversion fails on some sample, exit 2.
@@ -602,183 +713,54 @@ def _exit_contract(argv):
     return code, report, messages
 
 
-class TestSamplingExitContract:
-    """pushforward and mc: exit 0/1 with a report, or exit 2 with one error line."""
+def _placed(tok, directory):
+    """tok with "{dir}" made directory, and an "@text" value the path of
+    directory/alpha.json, written with text."""
+    head, at, text = tok.partition("@")
+    if at:
+        (directory / "alpha.json").write_text(text)
+        tok = f"{head}{directory / 'alpha.json'}"
+    return tok.replace("{dir}", str(directory))
 
-    @staticmethod
-    def _check(argv):
-        code, result, messages = _exit_contract(argv)
-        assert messages == []
-        return code, result
+
+class TestExitContract:
+    """Every command: exit 0/1 with a report, or exit 2 with one error line;
+    the float Jacobian alone may warn, near the circle."""
+
+    def test_grammar_covers_the_parser(self):
+        # A new command or option fails here until the grammar fuzzes it.
+        def options(parser):
+            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert options(parser) == {"--threads"}
+        assert {c: options(p) for c, p in sub.choices.items()} == {
+            c: {*opts, FLAGS[c]} if c in FLAGS else set(opts) for c, opts in GRAMMAR.items()}
 
     def test_peaked_density_exits_two(self):
-        code, err = self._check(PEAKED_PUSHFORWARD)
-        assert code == 2
+        code, err, messages = _exit_contract(PEAKED_PUSHFORWARD)
+        assert (code, messages) == (2, [])
         assert "non-positive-definite moments" in err
 
-    @settings(max_examples=300)
-    @given(argv=_sampling_argv())
-    # Fields too large for exp: exit 2, "too peaked", with no RuntimeWarning.
-    @example(argv=["pushforward", "--beta", "1e-300", "--modes", "8", "--radius", "0.9",
-                   "--samples", "3", "--seed", "0"])
-    # Samples whose squares overflow: exit 2, not a PASS on an infinite stderr.
-    @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
-                   "--samples", "3", "--seed", "0", "--n-trunc", "8"])
-    # The same, with a dump: the rows are written before the error, then removed.
-    @example(argv=["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1e-200",
-                   "--samples", "3", "--seed", "0", "--dump-csv", "{dir}/d.csv"])
-    # An explicit "--opt=--" value: argparse stores an empty list, exit 2.
-    @example(argv=["mc", "--side=alpha", "--p=1:1", "--q=1:1", "--beta=1", "--samples=--",
-                   "--seed=0"])
-    @example(argv=["--threads=--", "pushforward", "--beta=1", "--modes=8", "--radius=0.5",
-                   "--samples=3", "--seed=0"])
-    def test_every_argv_reports_or_exits_two(self, argv, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("dump")
-        code, _ = self._check([tok.replace("{dir}", str(directory)) for tok in argv])
-        if code == 2:  # a failed run leaves no dump, partial or whole
-            assert list(directory.iterdir()) == []
+    @pytest.mark.parametrize("command", sorted(GRAMMAR))
+    def test_every_argv_reports_or_exits_two(self, command, tmp_path):
+        @settings(max_examples=EXAMPLES[command])
+        @given(argv=_written_argv(command))
+        def every_argv(argv):
+            with tempfile.TemporaryDirectory(dir=tmp_path) as name:
+                directory = pathlib.Path(name)
+                code, _, messages = _exit_contract([_placed(tok, directory) for tok in argv])
+                if code == 2:  # a failed run leaves no dump, partial or whole
+                    assert {path.name for path in directory.iterdir()} <= {"alpha.json"}
+            if messages:
+                assert command == "jacobian" and "--exact" not in argv and code != 2, argv
+                assert all(m.startswith(JACOBIAN_WARNING) for m in messages), messages
 
-
-# Tokens for the alpha commands' exit-contract test, as (valid, edge) per
-# option.  Coefficients near the unit circle sit within 1e-6 of it, round to
-# |alpha| = 1 in floats, or are exactly on it.
-ALPHA_VALUES = (["0", "0.3", "-0.2+0.1i", "1/4-1/8i", "0.5i", "-1/3", "0.6-0.3i"],
-                ["0.9999999", "-0.99999999+0i", "0.7071067811865475+0.7071067811865475i",
-                 "0.99999999999999989", "0.99999999999999995", "0.6+0.8i", "1", "-i",
-                 "1e-300", "1e400", "nan", "inf", "1/0", "x"])
-ALPHA_FILES = (["[[0.3, 0.1], [0.2, 0.0]]", '[["1/4", 0], [0, "-1/8"]]', "[[0.9999999, 0]]",
-                "[[0, 0], [0.5, -0.5], [0.1, 0.1], [-0.3, 0.2]]"],
-               ["[]", "[[0.5]]", "{}", "null", "[[1, 0]]", "[[NaN, 0]]", "[[1e400, 0]]",
-                "[[true, 0]]", "[[0.5, 0, 0]]", "not json", "[[0.99999999999999995, 0]]"])
-ALPHA_OPTIONS = {
-    "szego-check": {"--order": (["10", "20", "50"], ["0", "1", "2", "3", "5", "-1", "x"])},
-    "roundtrip": {"--grid": (["64", "256", "4096"], ["16", "17", "24", "32", "8", "0", "x"])},
-    "jacobian": {},
-}
-TOL = (["0", "1e-9", "1e-6", "0.5"], ["nan", "-1", "inf", "-inf", "1e400", "", "x"])
-
-
-@st.composite
-def _alpha_argv(draw):
-    """A szego-check, roundtrip or jacobian (float or --exact) argv and the
-    --alpha file's text, or None for an inline list.  The list holds 1 to 9
-    coefficients, sometimes edge ones; options come in any order, one may be
-    left out or take an edge or junk value, and sometimes a junk token is inserted."""
-    command = draw(st.sampled_from(sorted(ALPHA_OPTIONS)))
-    options = dict(ALPHA_OPTIONS[command], **{"--tol": TOL})
-    text = None
-    if draw(st.booleans()):
-        valid, edge = ALPHA_FILES
-        text = draw(st.sampled_from(edge) if draw(st.integers(0, 3)) == 0
-                    else st.sampled_from(valid))
-        alpha = "{dir}/alpha.json"
-    else:
-        valid, edge = ALPHA_VALUES
-        value = st.one_of(st.sampled_from(edge), JUNK) if draw(st.integers(0, 2)) == 0 \
-            else st.sampled_from(valid)
-        alpha = ",".join(draw(st.lists(value, min_size=1, max_size=9)))
-    values = {"--alpha": alpha}
-    for opt, (valid, edge) in options.items():
-        odd = draw(st.integers(0, 3)) == 0
-        values[opt] = draw(st.one_of(st.sampled_from(edge), JUNK) if odd
-                           else st.sampled_from(valid))
-    names = draw(st.permutations(sorted(values)))
-    dropped = draw(st.sets(st.sampled_from(names), max_size=1)) if draw(st.booleans()) else set()
-    argv = [command]
-    if command == "jacobian" and draw(st.booleans()):
-        argv.append("--exact")
-    for opt in names:
-        if opt not in dropped:
-            # Mostly "--opt=value", where a value starting with "-" stays a value.
-            argv += [f"{opt}={values[opt]}"] if draw(st.integers(0, 3)) else [opt, values[opt]]
-    if draw(st.integers(0, 3)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
-    return argv, text
-
-
-class TestAlphaExitContract:
-    """szego-check, roundtrip and jacobian: exit 0/1 with a report, or exit 2
-    with one error line; the float Jacobian alone may warn, near the circle."""
-
-    @settings(max_examples=400)
-    @given(case=_alpha_argv())
-    # Within 1e-6 of the circle: the float Jacobian warns and reports.
-    @example(case=(["jacobian", "--alpha=0.9999999,0.3"], None))
-    # Rounds to |alpha| = 1 in floats: exit 2, though the exact lane accepts it.
-    @example(case=(["jacobian", "--alpha=0.99999999999999995"], None))
-    @example(case=(["jacobian", "--exact", "--alpha=0.99999999999999995"], None))
-    # A low order truncates the series: a FAIL report, not an error.
-    @example(case=(["szego-check", "--alpha=0.3,-0.2", "--order=5", "--tol=1e-6"], None))
-    # A coarse grid: too few points for the moments is a usage error.
-    @example(case=(["roundtrip", "--alpha=0.3,0.2,0.1,0.1,0.1,0.1,0.1,0.1", "--grid=16"], None))
-    def test_every_argv_reports_or_exits_two(self, case, tmp_path_factory):
-        argv, text = case
-        directory = tmp_path_factory.mktemp("alpha")
-        if text is not None:
-            (directory / "alpha.json").write_text(text)
-        code, _, messages = _exit_contract([tok.replace("{dir}", str(directory))
-                                            for tok in argv])
-        if messages:
-            assert argv[0] == "jacobian" and "--exact" not in argv and code != 2, argv
-            assert all(m.startswith(JACOBIAN_WARNING) for m in messages), messages
-
-
-# Tokens for the exact commands' exit-contract test, as (valid, edge) per
-# option.  Degrees stay at most 5, --max-index at most 60, --n at most 8 and
-# |m| at or next to count's guard of 12, so every call takes milliseconds.
-RATIONAL = (["1", "1/2", "2/3", "3/2", "1/100"],
-            ["0", "-1", "-1/2", "1/0", "0.5", "1e20", "1e-20", "1e5000", "nan", "inf"])
-MAX_INDEX = (["0", "1", "10", "60"], ["-1", "-60", "1.5", "1e3"])
-DEGREE = (["1", "2", "3", "5", "8"], ["0", "-1", "1.5"])
-EXACT_MULTI_INDEX = (["0", *MULTI_INDEX[0]], MULTI_INDEX[1])
-EXACT_OPTIONS = {
-    "gaussian-moment": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX},
-    "alpha-moment": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX, "--beta": RATIONAL,
-                     "--max-index": MAX_INDEX},
-    "identity": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX,
-                 "--beta": (["1", "1/2,2", "2/3,1,3/2", "1/100"],
-                            ["0", "1,-1", ",", "1,,2", "1/0,1", "1e20,1", "1e5000", "nan"]),
-                 "--max-index": MAX_INDEX},
-    "nice-identity": {"--n": DEGREE, "--beta": RATIONAL, "--max-index": MAX_INDEX},
-    "variance": {"--n": DEGREE},
-    "count": {"--p": EXACT_MULTI_INDEX, "--q": EXACT_MULTI_INDEX,
-              "--m": (["0:1,1:1", "0:2,1:1,2:1", "1:1,2:1", "0:1,4:1", "0:4,1:4", "0:6,1:6",
-                       "0:3,1:3,2:3,3:3", "0:2,1:2,2:2,3:2,4:2,5:2"],
-                      ["0", "0:12", "0:13", "0:7,1:6", "0:6,1:6,2:1", "1:0", "-1:1",
-                       "0:1,0:1", "2:1,1:1"])},
-}
-
-
-@st.composite
-def _exact_argv(draw):
-    """A gaussian-moment (sometimes --raw), alpha-moment, identity,
-    nice-identity, variance or count argv, written by :func:`_written_argv`."""
-    command = draw(st.sampled_from(sorted(EXACT_OPTIONS)))
-    head = [command]
-    if command == "gaussian-moment" and draw(st.booleans()):
-        head.append("--raw")
-    options = {"--threads": SAMPLING_OPTIONS["--threads"], **EXACT_OPTIONS[command]}
-    return _written_argv(draw, head, options)
-
-
-class TestExactExitContract:
-    """The six exact commands: exit 0/1 with a report, or exit 2 with one error line."""
-
-    @settings(max_examples=300)
-    @given(argv=_exact_argv())
-    # A rational too long to print: exit 2 at parsing, not a traceback
-    # while the report echoes it.
-    @example(argv=["alpha-moment", "--p=0", "--q=0", "--beta=1e5000", "--max-index=0"])
-    # Past count's |m| <= 12 guard: exit 2, with no enumeration.
-    @example(argv=["count", "--p=1:1", "--q=1:1", "--m=0:7,1:6"])
-    # Unequal degrees: identity is a usage error, count and the moments report.
-    @example(argv=["identity", "--p=1:4", "--q=1:1", "--beta=1", "--max-index=60"])
-    @example(argv=["count", "--p=1:4", "--q=1:1", "--m=0:1,1:1"])
-    # A raw decomposition sum past its degree guard of 8: exit 2.
-    @example(argv=["gaussian-moment", "--raw", "--p=1:1,4:2", "--q=3:3"])
-    def test_every_argv_reports_or_exits_two(self, argv):
-        _, _, messages = _exit_contract(argv)
-        assert messages == []
+        for argv in PINNED:
+            if command in argv:
+                every_argv = example(argv=argv)(every_argv)
+        every_argv()
 
 
 class TestNiceIdentityIsDiagonalIdentity:
@@ -813,6 +795,12 @@ class TestSplitComplex:
             parts = cli._split_complex(text)
             assert tuple(float(part) for part in parts) == want, text
             assert tuple(float(Fraction(part)) for part in parts) == want, text
+
+    @pytest.mark.parametrize("text, parts", [
+        ("i", ("0", "1")), ("-i", ("0", "-1")), ("0.5+i", ("0.5", "1")), ("-2-j", ("-2", "-1")),
+    ])
+    def test_bare_imaginary_unit(self, text, parts):
+        assert cli._split_complex(text) == parts
 
 
 class TestNumericCommands:

@@ -2,10 +2,6 @@
 Szego recursion, the partition sum for exp(-f), and a direct Toeplitz solve
 and the measure round trip for Levinson."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from exp_series_oracle import exp_series, exp_series_partition_sum
@@ -20,16 +16,6 @@ from verblunsky.opuc import (
     reversed_polynomial,
     trig_moments,
 )
-
-# The kernel implementations under test.  The explicit id is the one these
-# tests carried when the numpy kernels were private functions, so test ids
-# stay stable.
-IMPLS = [
-    pytest.param(
-        "numpy", kernels.szego_low_coefficients, kernels.exp_neg_series, kernels.levinson_batch,
-        id="numpy-_szego_low_np-_exp_neg_np-_levinson_np",
-    ),
-]
 
 PROPERTY = settings(max_examples=100)
 
@@ -99,19 +85,18 @@ def _disk_rows(max_rows, max_len, radius):
 
 
 class TestSzegoLow:
-    @pytest.mark.parametrize("name,szego,_e,_l", IMPLS)
     @pytest.mark.parametrize("N,K", [(12, 5), (5, 5), (3, 6), (25, 4)])
-    def test_against_scalar(self, name, szego, _e, _l, N, K):
+    def test_against_scalar(self, N, K):
         # N > K: tracking K+1 coefficients must give bit for bit the low rows
         # of tracking all N+1, since rows <= K depend only on rows <= K; the
         # property test checks the latter against the gap-sequence sum.
         # N <= K: that sum itself.
         rng = np.random.default_rng(50)
         alphas = _rand_alphas(rng, 20, N)
-        out = szego(alphas, K)
+        out = kernels.szego_low_coefficients(alphas, K)
         assert out.shape == (20, K + 1)
         if N > K:
-            expect = szego(alphas, N)[:, : K + 1]
+            expect = kernels.szego_low_coefficients(alphas, N)[:, : K + 1]
             assert np.array_equal(out.view(np.float64), expect.view(np.float64))
         else:
             np.testing.assert_allclose(out, _gap_sum(alphas, K), atol=1e-13)
@@ -153,7 +138,7 @@ class TestSzegoLow:
         assert got.tobytes() == whole.tobytes()
         assert whole.tobytes() == kernels.szego_low_coefficients(alphas, K).tobytes()
 
-    def test_backends_agree(self):
+    def test_batch_equals_scalar_entry_point(self):
         # The Monte Carlo path (a batch, K < N) and the scalar OPUC entry
         # point (one row, K = N) must give bit for bit the same low
         # coefficients.
@@ -163,19 +148,18 @@ class TestSzegoLow:
         expect = np.array([reversed_polynomial(row)[:8] for row in alphas])
         assert np.array_equal(out.view(np.float64), expect.view(np.float64))
 
-    def test_dispatcher_validates_shape(self):
+    def test_rejects_one_dimensional_alphas(self):
         with pytest.raises(ValueError):
             kernels.szego_low_coefficients(np.zeros(4, complex), 2)
 
 
 class TestExpNeg:
-    @pytest.mark.parametrize("name,_s,expneg,_l", IMPLS)
-    def test_against_scalar(self, name, _s, expneg, _l):
+    def test_against_scalar(self):
         rng = np.random.default_rng(52)
         f = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
         f[:, 0] = 0.0
         f = np.ascontiguousarray(f)
-        out = expneg(f)
+        out = kernels.exp_neg_series(f)
         for s in range(16):
             np.testing.assert_allclose(out[s], exp_series_partition_sum(f[s]), atol=1e-12)
 
@@ -199,6 +183,10 @@ class TestExpNeg:
         with pytest.raises(ValueError):
             kernels.exp_neg_series(np.ones((2, 3), complex))
 
+    def test_rejects_one_dimensional_f(self):
+        with pytest.raises(ValueError, match="modes"):
+            kernels.exp_neg_series(np.zeros(3, complex))
+
 
 class TestLevinsonBatch:
     def _moment_rows(self, rng, S, N, K):
@@ -211,11 +199,10 @@ class TestLevinsonBatch:
             ref.append(_levinson_by_solve(c, K))
         return np.ascontiguousarray(rows), np.array(ref)
 
-    @pytest.mark.parametrize("name,_s,_e,levinson", IMPLS)
-    def test_against_scalar(self, name, _s, _e, levinson):
+    def test_against_scalar(self):
         rng = np.random.default_rng(53)
         c, ref = self._moment_rows(rng, 12, 7, 5)
-        out, ok = levinson(c, 5)
+        out, ok = kernels.levinson_batch(c, 5)
         assert ok.all()
         np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -229,34 +216,14 @@ class TestLevinsonBatch:
         assert ok.all()
         np.testing.assert_allclose(out, alphas, rtol=0, atol=1e-11)
 
-    @pytest.mark.parametrize("name,_s,_e,levinson", IMPLS)
-    def test_flags_bad_rows(self, name, _s, _e, levinson):
+    def test_flags_bad_rows(self):
         rng = np.random.default_rng(54)
         c, _ = self._moment_rows(rng, 3, 6, 4)
         c[1, 1] = 5.0  # |c_1| > c_0 breaks positive definiteness at order 1
-        out, ok = levinson(c, 4)
+        out, ok = kernels.levinson_batch(c, 4)
         assert ok.tolist() == [True, False, True]
 
-    def test_dispatcher_validates_shape(self):
+    def test_rejects_too_few_moments(self):
         with pytest.raises(ValueError):
             kernels.levinson_batch(np.ones((3, 2), complex), 4)
 
-
-class TestBackendSelection:
-    def test_reports_a_backend(self):
-        assert kernels.backend_name() == "numpy"
-
-    def test_env_flag_forces_numpy(self):
-        # The retired VERBLUNSKY_PURE_NUMPY switch is ignored: numpy either way.
-        # The child imports the package under test, installed or not.
-        src = os.path.dirname(os.path.dirname(kernels.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, VERBLUNSKY_PURE_NUMPY="1", PYTHONPATH=path)
-        out = subprocess.run(
-            [sys.executable, "-c", "from verblunsky import kernels; print(kernels.backend_name())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"

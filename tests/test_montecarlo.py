@@ -242,16 +242,24 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             _worker_chunks(5, 0)
 
-    @pytest.mark.parametrize("kind", ["alpha", "f"])
-    def test_batch_samplers_follow_documented_layout(self, kind):
-        # Rebuilt from raw PCG64 draws by the module's layout: two workers,
-        # the first spanning two blocks and ending on a one-row block, the
-        # second one full block.
-        beta, N, samples, seed, workers = 0.75, 3, 2 * BLOCK_SIZE + 1, 41, 2
+    @pytest.mark.parametrize("kind, samples, split", [
+        # The first worker spans two blocks and ends on a one-row block; the
+        # second has one full block.
+        pytest.param("alpha", 2 * BLOCK_SIZE + 1, ((BLOCK_SIZE, 1), (BLOCK_SIZE,)), id="alpha"),
+        pytest.param("f", 2 * BLOCK_SIZE + 1, ((BLOCK_SIZE, 1), (BLOCK_SIZE,)), id="f"),
+        # Each worker's chunk holds a full block and a partial one.
+        pytest.param("alpha", 2 * BLOCK_SIZE + 600, ((BLOCK_SIZE, 300), (BLOCK_SIZE, 300)),
+                     id="alpha-partials"),
+    ])
+    def test_batch_samplers_follow_documented_layout(self, kind, samples, split):
+        # Rebuilt from raw PCG64 draws by the module's layout, with two workers:
+        # per block, alpha draws standard_normal((N, block, 2)), row n - 1 for
+        # alpha_n, and f draws standard_normal((block, N, 2)).
+        beta, N, seed, workers = 0.75, 3, 41, 2
         n = np.arange(1, N + 1)
         expect = []
         children = np.random.SeedSequence(seed).spawn(workers)
-        for child, blocks in zip(children, ((BLOCK_SIZE, 1), (BLOCK_SIZE,))):
+        for child, blocks in zip(children, split):
             rng = np.random.Generator(np.random.PCG64(child))
             for b in blocks:
                 if kind == "alpha":
@@ -372,19 +380,6 @@ class TestMcXMoment:
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
         assert stats.count == samples
 
-    def test_alpha_side_follows_documented_layout(self):
-        # Per block: one standard_normal((N, block, 2)), row n - 1 for alpha_n;
-        # two workers, two blocks in each worker's chunk, the last one partial.
-        beta, N, samples, seed, workers = 0.75, 5, 2 * BLOCK_SIZE + 600, 37, 2
-        got = sample_alpha_batch(beta, N, samples, seed, workers=workers)
-        expect = []
-        children = np.random.SeedSequence(seed).spawn(workers)
-        for child, chunk in zip(children, (samples // 2, samples // 2)):
-            rng = np.random.Generator(np.random.PCG64(child))
-            for b in (BLOCK_SIZE, chunk - BLOCK_SIZE):
-                expect.append(_alpha_from_normals(rng.standard_normal((N, b, 2)), beta))
-        assert np.array_equal(got, np.concatenate(expect))
-
     def test_csv_dump(self, tmp_path):
         out = tmp_path / "samples.csv"
         stats = mc_x_moment(
@@ -496,6 +491,8 @@ class TestPushforward:
             pushforward_experiment(1.0, 8, 0.9, 10, 0, seed=0)
         with pytest.raises(ValueError, match="modes must be >= 0"):
             pushforward_experiment(1.0, -2, 0.5, 10, 2, seed=0)
+        with pytest.raises(ValueError, match="two samples"):
+            pushforward_experiment(1.0, 8, 0.5, 1, 2, seed=0)
 
     def test_grid_is_derived_from_modes(self):
         assert [pushforward_grid(m) for m in (0, 256, 257, 1000)] == [1024, 1024, 1028, 4000]

@@ -1,5 +1,6 @@
 """Float-lane recursions: reversed polynomials, measures, series, Jacobians."""
 
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from exp_series_oracle import exp_series, exp_series_partition_sum, log_series_loop
 from gap_oracle import disk_nonvanishing, x_series_truncated
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verblunsky import opuc
@@ -22,6 +23,7 @@ from verblunsky.opuc import (
     szego_identity_gap,
     trig_moments,
     verblunsky_from_moments,
+    _fraction_det,
     _reversed_exact,
 )
 
@@ -131,6 +133,8 @@ class TestMeasureRoundTrip:
     def test_grid_guards(self):
         with pytest.raises(ValueError):
             measure_density([0.1], 8)
+        with pytest.raises(ValueError, match="grid too coarse"):
+            measure_density([0.1] * 17, 16)  # 18 polynomial coefficients on 16 points
         with pytest.raises(ValueError):
             trig_moments(np.ones(64), 40)
 
@@ -293,6 +297,22 @@ class TestJacobian:
     def test_exact_size_guard(self):
         with pytest.raises(ValueError, match="N <= 8"):
             jacobian_determinant_exact([(Fraction(1, 10), Fraction(0))] * 9)
+
+    @settings(max_examples=100)
+    @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example(rows=[[0, 1], [1, 0]])  # a zero pivot: one row swap
+    @example(rows=[[1, 2], [2, 4]])  # no pivot left: singular
+    def test_fraction_det_is_permutation_expansion(self, rows):
+        n = len(rows)
+        expansion = Fraction(0)
+        for perm in itertools.permutations(range(n)):
+            term = Fraction((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+            for i, j in enumerate(perm):
+                term *= rows[i][j]
+            expansion += term
+        assert _fraction_det([[Fraction(x) for x in row] for row in rows]) == expansion
 
     def test_matches_product_to_rounding(self):
         # Unit-step differences carry no truncation error, only rounding.
