@@ -57,6 +57,18 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+def _float_rational(text: str) -> Fraction:
+    """The sampling commands' --beta: a rational whose float neither overflows nor is 0.0."""
+    value = _rational(text)
+    try:
+        if value == 0 or float(value) != 0:
+            return value
+    except OverflowError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is outside the float range: |beta| from 5e-324 to 1.8e308")
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--side", choices=("gaussian", "alpha"), required=True)
     s.add_argument("--p", type=_from_string(MultiIndex), required=True)
     s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--beta", type=_rational, required=True)
+    s.add_argument("--beta", type=_float_rational, required=True)
     s.add_argument("--samples", type=_int_at_least(2), required=True)
     s.add_argument("--seed", type=_int_at_least(0), required=True)
     s.add_argument("--n-trunc", type=int, default=200)
@@ -354,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_mc)
 
     s = sub.add_parser("pushforward", help="field-to-coefficient pushforward experiment")
-    s.add_argument("--beta", type=_rational, required=True)
+    s.add_argument("--beta", type=_float_rational, required=True)
     s.add_argument("--modes", type=int, required=True)
     s.add_argument("--radius", type=float, required=True)
     s.add_argument("--samples", type=_int_at_least(2), required=True)

@@ -20,8 +20,9 @@ Kernels:
   so the levels may come in consecutive slices: any split gives the one-call
   result bit for bit.  ``szego_low_coefficients`` transposes its ``(S, N)``
   input once and runs it over all levels from a fresh state; the alpha
-  sampler, which draws level-major, carries one state per block across the
-  block's steps, so no ``(S, N)`` copy of its draws is made.
+  sampler, which draws level-major, advances one state per block on the
+  calling thread, a step of levels at a time while its helper thread draws
+  the next step, so no ``(S, N)`` copy of its draws is made.
 * ``exp_neg_series`` — x = exp(-f) series coefficients for a batch of f rows.
 * ``levinson_batch`` — Verblunsky coefficients from trigonometric moments for
   a batch of moment rows, with per-sample positive-definiteness flags.

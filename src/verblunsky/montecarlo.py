@@ -35,29 +35,29 @@ N = ``n_trunc`` on the alpha side, but N = K, the largest index occurring in
 
 Block pipeline
 --------------
-Every sampler runs one step loop, :func:`_pipeline`.  The calling thread
-makes all PCG64 calls, in the order above; it draws each block's array as
-consecutive slices of its leading axis, whole alpha levels or whole f rows,
-each one ``standard_normal`` call of at most 2**15 complex values (the
-pushforward sizes its slices by their ``grid``-wide FFT rows instead).
-``standard_normal`` fills in C order from one sequential stream, so the
-slices are bit for bit the whole-block draw.  The arithmetic of each step
-(the alpha transform, the f scaling, the Szego recursion, the FFTs) runs on
-the call's one helper thread, a single-thread ``ThreadPoolExecutor`` that is
-shut down before the call returns, while the next step is drawn.  The block
-stays the unit of the streams and of the block-wide work, done after its
-last step: the Szego recursion carries its (K + 1, block) state across the
-block's level steps, and the alpha side's monomial and CSV rows and the
-pushforward's moments and Levinson call (whose last bits depend on the row
+Every sampler is a plain loop over :func:`_pipeline`, which hands out each
+block's draws as consecutive steps: slices of the array's leading axis,
+whole alpha levels or whole f rows, each one ``standard_normal`` call of at
+most 2**15 complex values (the pushforward sizes its steps by their
+``grid``-wide FFT rows instead).  ``standard_normal`` fills in C order from
+one sequential stream, so the steps are bit for bit the whole-block draw.
+The call's one helper thread makes every PCG64 call, in the order above,
+drawing step k + 1 while the calling thread works on step k, into two
+per-call buffers in turn: a step's draws are valid only until the next step
+is requested, and the draws take about 1 MB whatever the block or sample
+count.  All arithmetic and every output write, ``--dump-csv`` rows
+included, run on the calling thread in step order, so values, statistics
+and CSV bytes do not depend on thread timing and equal those of a serial
+loop.  The block stays the unit of the streams and of the block-wide work,
+done after its last step: the Szego recursion carries its (K + 1, block)
+state across the block's level steps, and the alpha side's monomial and CSV
+rows and the pushforward's Levinson call (whose last bits depend on the row
 count) take a whole block.  An f step holds whole samples, so the Gaussian
 side finishes ``exp(-f)``, the monomial and the CSV rows step by step; with
-K <= 4 a step is the whole block.  Steps are finished one at a time and in
-order, so values, statistics and ``--dump-csv`` bytes do not depend on
-thread timing and equal those of a serial loop.  At most two steps of draws
-are alive at once, so the draws take about 1 MB whatever the block or sample
-count (16 bytes per value); the per-sample results still grow with the
-sample count.  ``workers`` only picks the substreams; it starts no threads:
-every call uses one helper thread whatever ``workers`` is.
+K <= 4 a step is the whole block.  The per-sample results still grow with
+the sample count.  ``workers`` only picks the substreams: every call uses
+one helper thread, a single-thread ``ThreadPoolExecutor`` joined before the
+call returns, whatever ``workers`` is.
 """
 
 from __future__ import annotations
@@ -65,9 +65,11 @@ from __future__ import annotations
 import math
 import os
 import stat
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, groupby, pairwise
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,9 +137,9 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta = {beta!r} is too small: 1/beta overflows a float")
 
 
-def _draw(rng: np.random.Generator, lead: int, width: int) -> np.ndarray:
-    """One step's PCG64 call: ``lead`` leading rows of ``width`` complex normals."""
-    return rng.standard_normal((lead, width, 2))
+def _draw(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """One step's PCG64 call: fill ``out``, (rows, width, 2), with standard normals."""
+    return rng.standard_normal(out=out)
 
 
 def _alpha_levels(z: np.ndarray, beta: float, lo: int = 0) -> np.ndarray:
@@ -169,54 +171,52 @@ def _f_modes(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pipeline(samples: int, seed: int, workers: int, N: int, finish, *,
-              level_major: bool = False, row_values: int | None = None) -> None:
-    """``finish(rows, lo, drawn)`` for every step of every draw block of :func:`_draw_blocks`.
+@contextmanager
+def _pipeline(samples: int, seed: int, workers: int, N: int, *,
+              level_major: bool = False, row_values: int | None = None):
+    """Iterate over the draw blocks of :func:`_draw_blocks` as ``(rows, steps)``.
 
     A block's draws are the array of the layout above, ``(N, b, 2)`` if
-    ``level_major`` (alpha) and ``(b, N, 2)`` otherwise (f).  The calling
-    thread draws it in order as slices of its leading axis, ``drawn`` being
-    rows ``lo`` onward; each slice is one :func:`_draw` of at most
-    ``max(1, _STEP_VALUES // row_values)`` rows, where ``row_values``
-    defaults to the values in one row of draws.  A block's first step has
-    ``lo == 0`` and its last ends at the leading axis's length; a block with
-    no levels gets one empty step.  ``finish`` holds the step's arithmetic
-    and runs on the call's one helper thread while the calling thread draws
-    the next step.  Step k + 1 is submitted only after step k's finish has
-    returned, so finishes run one at a time and in order, and results do not
-    depend on thread timing.  At most two steps of draws are alive at once:
-    the one being finished and the one being drawn.  An error in ``finish``
-    is raised here, and the executor's shutdown joins the helper before the
-    call returns.
+    ``level_major`` (alpha) and ``(b, N, 2)`` otherwise (f).  ``steps``
+    yields it in order as ``(lo, drawn)``: rows ``lo`` onward of its leading
+    axis, one :func:`_draw` of at most ``max(1, _STEP_VALUES // row_values)``
+    rows, ``row_values`` defaulting to the values in one row of draws.  A
+    block with no levels gets one empty step.  ``drawn`` is valid only until
+    the next step is requested.  A failed draw raises where its step is
+    requested; leaving the ``with`` block, on an error too, joins the helper.
     """
     # Imported here, so commands that never sample do not load it (and logging).
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(1, thread_name_prefix="verblunsky-finish") as pool:
-        pending = None
+    # A step holds at most _STEP_VALUES values, or one row if that is wider.
+    size = 2 * min(samples * N, max(_STEP_VALUES, N))
+    buffers = cycle([np.empty(size), np.empty(size)])
+
+    def submitted(pool):
         for rng, rows in _draw_blocks(samples, seed, workers):
             b = rows.stop - rows.start
             lead, width = (N, b) if level_major else (b, N)
             step = max(1, _STEP_VALUES // max(1, row_values or width))
             for lo in range(0, max(lead, 1), step):
-                drawn = _draw(rng, min(step, lead - lo), width)
-                if pending is not None:
-                    pending.result()
-                pending = pool.submit(finish, rows, lo, drawn)
-                del drawn
-        if pending is not None:
-            pending.result()
+                shape = (min(step, lead - lo), width, 2)
+                out = next(buffers)[: math.prod(shape)].reshape(shape)
+                yield rows, lo, pool.submit(_draw, rng, out)
+
+    with ThreadPoolExecutor(1, thread_name_prefix="verblunsky-draw") as pool:
+        # pairwise submits the draw of step k + 1 before step k is handed out.
+        steps = ((rows, (lo, drawing.result()))
+                 for (rows, lo, drawing), _ in pairwise(chain(submitted(pool), [None])))
+        yield ((rows, map(itemgetter(1), block)) for rows, block in groupby(steps, itemgetter(0)))
 
 
 def sample_alpha_batch(beta: float, N: int, count: int, seed: int, *, workers: int = 1):
     """(count, N) draws of alpha_1..alpha_N, in the alpha layout documented above."""
     _check_beta(beta)
     out = np.empty((count, N), np.complex128)
-
-    def finish(rows, lo, z):
-        out[rows, lo : lo + len(z)] = _alpha_levels(z, beta, lo).T
-
-    _pipeline(count, seed, workers, N, finish, level_major=True)
+    with _pipeline(count, seed, workers, N, level_major=True) as blocks:
+        for rows, steps in blocks:
+            for lo, z in steps:
+                out[rows, lo : lo + len(z)] = _alpha_levels(z, beta, lo).T
     return out
 
 
@@ -224,11 +224,10 @@ def sample_f_batch(beta: float, N: int, count: int, seed: int, *, workers: int =
     """(count, N + 1) draws of f_0 = 0, f_1..f_N, in the f layout documented above."""
     _check_beta(beta)
     out = np.empty((count, N + 1), np.complex128)
-
-    def finish(rows, lo, z):
-        _f_modes(z, beta, out[rows.start + lo : rows.start + lo + len(z)])
-
-    _pipeline(count, seed, workers, N, finish)
+    with _pipeline(count, seed, workers, N) as blocks:
+        for rows, steps in blocks:
+            for lo, z in steps:
+                _f_modes(z, beta, out[rows.start + lo : rows.start + lo + len(z)])
     return out
 
 
@@ -294,49 +293,22 @@ def mc_x_moment(
     if samples < 2:
         raise ValueError("need at least two samples")
     K = max([0, *p.support(), *q.support()])
-    # x_step takes one step of a block's draws and returns the sample rows it
-    # finishes with their x rows, or None when it finishes none.
-    if side == "gaussian":
-        level_major, N = False, K
-
-        def x_step(rows, lo, drawn):
-            # An f step holds whole samples, so each step finishes its own rows.
-            f = _f_modes(drawn, beta, np.empty((len(drawn), K + 1), np.complex128))
-            return slice(rows.start + lo, rows.start + lo + len(drawn)), exp_neg_series(f)
-    else:
-        level_major, N = True, n_trunc
-        state = None
-
-        def x_step(rows, lo, drawn):
-            nonlocal state
-            if lo == 0:
-                state = _szego_state(K, rows.stop - rows.start)
-            # One recursion per block: its (K+1, b) state carries across the level steps.
-            x = _szego_low_levels(_alpha_levels(drawn, beta, lo), state)
-            return (rows, x) if lo + len(drawn) == n_trunc else None
-
+    level_major, N = (False, K) if side == "gaussian" else (True, n_trunc)
     vals = np.empty(samples, np.complex128)
     # The dump file is opened before any draw, so a bad path fails at once.
     dump = open(dump_csv, "w", newline="") if dump_csv is not None else nullcontext()
     try:
-        with dump as fh:
+        with dump as fh, _pipeline(samples, seed, workers, N, level_major=level_major) as blocks:
             if fh is not None:
                 fh.write("# raw x-monomial samples, one row per sample\n")
                 fh.write("# columns: index, real, imag\n")
-
-            def finish(rows, lo, drawn):
-                done = x_step(rows, lo, drawn)
-                if done is None:
-                    return
-                rows, x = done
+            for start, x in _x_rows(side, blocks, beta, K):
                 mono = _monomial(x, p, q)
-                vals[rows] = mono
+                stop = start + len(mono)
+                vals[start:stop] = mono
                 if fh is not None:
-                    lines = zip(range(rows.start, rows.stop), mono.real.tolist(),
-                                mono.imag.tolist())
+                    lines = zip(range(start, stop), mono.real.tolist(), mono.imag.tolist())
                     fh.write("".join(f"{i},{re!r},{im!r}\r\n" for i, re, im in lines))
-
-            _pipeline(samples, seed, workers, N, finish, level_major=level_major)
         return _stats(vals)
     except BaseException:
         # A failed run leaves no dump behind; a device or a link is left alone.
@@ -345,6 +317,22 @@ def mc_x_moment(
                 if stat.S_ISREG(os.lstat(dump_csv).st_mode):
                     os.remove(dump_csv)
         raise
+
+
+def _x_rows(side: str, blocks, beta: float, K: int):
+    """Yield ``(start, x)``: the x rows, (rows, K + 1), of samples ``start`` onward."""
+    for rows, steps in blocks:
+        if side == "gaussian":
+            # An f step holds whole samples, so each step finishes its own rows.
+            for lo, z in steps:
+                f = _f_modes(z, beta, np.empty((len(z), K + 1), np.complex128))
+                yield rows.start + lo, exp_neg_series(f)
+        else:
+            # One recursion per block: its (K + 1, b) state carries across the level steps.
+            state = _szego_state(K, rows.stop - rows.start)
+            for lo, z in steps:
+                x = _szego_low_levels(_alpha_levels(z, beta, lo), state)
+            yield rows.start, x
 
 
 def mc_reference(side: str, p: MultiIndex, q: MultiIndex, beta, n_trunc: int) -> float:
@@ -419,35 +407,29 @@ def pushforward_experiment(
         raise ValueError("quadrature grid too coarse relative to max_alpha")
     decay = radius ** np.arange(modes + 1)
     absq = np.empty((samples, max_alpha))
-    c = buf = None
-
-    def finish(rows, lo, z):
-        nonlocal c, buf
-        if lo == 0:
-            c = np.empty((rows.stop - rows.start, max_alpha + 1), np.complex128)
-            # Columns past modes stay zero: each step rewrites only f_0..f_modes.
-            buf = np.zeros((len(z), grid // 2 + 1), np.complex128)
-        half = _f_modes(z, beta, buf[: len(z)])
-        half[:, : modes + 1] *= decay
-        dens = np.fft.irfft(half, grid, axis=1)
-        dens *= grid
-        # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(dens, out=dens)
-            dens /= dens.mean(axis=1, keepdims=True)
-        c[lo : lo + len(z)] = trig_moments(dens, max_alpha)
-        if lo + len(z) < len(c):
-            return
-        # One Levinson call per block: its last bits depend on the batch's row count.
-        al, ok = levinson_batch(c, max_alpha)
-        if not ok.all():
-            bad = int((~ok).sum())
-            raise ValueError(
-                f"{bad} sample(s) gave non-positive-definite moments; "
-                "the density is too peaked, lower radius or max_alpha"
-            )
-        absq[rows] = np.abs(al) ** 2
-
     # The FFT rows are grid wide, wider than the draws: they size the steps.
-    _pipeline(samples, seed, workers, modes, finish, row_values=grid)
+    # Columns past modes stay zero: each step rewrites only f_0..f_modes.
+    buf = np.zeros((min(samples, max(1, _STEP_VALUES // grid)), grid // 2 + 1), np.complex128)
+    with _pipeline(samples, seed, workers, modes, row_values=grid) as blocks:
+        for rows, steps in blocks:
+            c = np.empty((rows.stop - rows.start, max_alpha + 1), np.complex128)
+            for lo, z in steps:
+                half = _f_modes(z, beta, buf[: len(z)])
+                half[:, : modes + 1] *= decay
+                dens = np.fft.irfft(half, grid, axis=1)
+                dens *= grid
+                # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.exp(dens, out=dens)
+                    dens /= dens.mean(axis=1, keepdims=True)
+                c[lo : lo + len(z)] = trig_moments(dens, max_alpha)
+            # One Levinson call per block: its last bits depend on the batch's row count.
+            al, ok = levinson_batch(c, max_alpha)
+            if not ok.all():
+                bad = int((~ok).sum())
+                raise ValueError(
+                    f"{bad} sample(s) gave non-positive-definite moments; "
+                    "the density is too peaked, lower radius or max_alpha"
+                )
+            absq[rows] = np.abs(al) ** 2
     return [_stats(absq[:, n]) for n in range(max_alpha)]

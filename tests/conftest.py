@@ -17,7 +17,7 @@ settings.load_profile("deterministic")
 
 
 def _helper_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("verblunsky-finish")}
+    return {t for t in threading.enumerate() if t.name.startswith("verblunsky-draw")}
 
 
 @pytest.fixture(autouse=True)

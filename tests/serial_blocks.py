@@ -1,8 +1,8 @@
 """The samplers' serial block loop, frozen so the tests can require equal output.
 
-``verblunsky.montecarlo`` draws each block on the calling thread and does its
-arithmetic on a helper thread, in place and in bounded steps, while the next
-block is drawn.
+``verblunsky.montecarlo`` draws each block on a helper thread, in bounded steps
+into two reused buffers, while the calling thread does the previous step's
+arithmetic in place.
 This module is the loop it replaced: every block is drawn and then transformed
 in full on one thread, and alpha blocks go to the Szego kernel samples-first.
 The pipelined samplers must return exactly these values, CSV bytes and errors.

@@ -261,6 +261,20 @@ class TestExitCodes:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--samples", "2", "--seed", "0"],
+        ["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--samples", "2", "--seed", "0"],
+        ["pushforward", "--modes", "4", "--radius", "0.5", "--samples", "2", "--seed", "0"],
+    ])
+    @pytest.mark.parametrize("beta", ["1e400", "1e-400"])
+    def test_beta_outside_float_range_is_named(self, capsys, command, beta):
+        # The samplers compute in floats: a --beta that overflows a float, or
+        # a positive one that rounds to 0.0, is named with the float range.
+        code, out, err = _run(capsys, [*command, "--beta", beta])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --beta: '{beta}' is outside the float range: "
+                            "|beta| from 5e-324 to 1.8e308\n")
+
     def test_mc_reference_overflow_exits_before_drawing(self, capsys, monkeypatch):
         # The exact reference (about 1e400 here) is computed before any draw,
         # so the overflow costs no samples and prints no numpy warnings.

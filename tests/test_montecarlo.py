@@ -60,9 +60,10 @@ class FixedNormals:
     def __init__(self, values):
         self.values = values
 
-    def standard_normal(self, shape):
-        assert shape == self.values.shape
-        return self.values.copy()
+    def standard_normal(self, *, out):
+        assert out.shape == self.values.shape
+        out[...] = self.values
+        return out
 
 
 class TestAlphaSampler:
@@ -97,7 +98,7 @@ class TestAlphaSampler:
         # and nothing warns on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            drawn = montecarlo._draw(FixedNormals(np.zeros((5, 7, 2))), 5, 7)
+            drawn = montecarlo._draw(FixedNormals(np.zeros((5, 7, 2))), np.empty((5, 7, 2)))
             a = montecarlo._alpha_levels(drawn, 1.0)
         assert a.shape == (5, 7)
         assert np.all(np.isfinite(a))
@@ -114,7 +115,7 @@ class TestAlphaSampler:
         z[:, 3] = (1e-3, -2e-3)
         z[:, 4] = (3e-8, 1e-8)
         z[:, 5] = (-6.0, 5.5)
-        a = montecarlo._alpha_levels(montecarlo._draw(FixedNormals(z), N, 6), beta)
+        a = montecarlo._alpha_levels(montecarlo._draw(FixedNormals(z), np.empty_like(z)), beta)
         ctx = decimal.Context(prec=50)
         D = decimal.Decimal
         old_err = 0.0
@@ -574,7 +575,7 @@ class TestMcGatePower:
 
 
 class TestPipeline:
-    """Draws on the calling thread, arithmetic on a helper thread: same results.
+    """Draws on a helper thread, arithmetic on the calling thread: same results.
 
     ``serial_blocks`` is the serial loop the pipeline replaced; every sampler
     must give exactly its values, CSV bytes and errors.
@@ -625,8 +626,8 @@ class TestPipeline:
         self._check_all(count, workers, tmp_path, monkeypatch)
 
     def test_inline_finish_matches_serial_loop(self, tmp_path, monkeypatch):
-        # Each block finished on the calling thread as soon as it is
-        # submitted: no helper thread, the serial order, the same results.
+        # Each step drawn on the calling thread as soon as it is submitted:
+        # no helper thread, the serial order, the same results.
         class Inline:
             def __init__(self, *args, **kwargs):
                 pass
@@ -652,26 +653,33 @@ class TestPipeline:
         monkeypatch.setattr(threading.Thread, "start", no_threads)
         self._check_all(2 * BLOCK_SIZE + 600, 2, tmp_path, monkeypatch)
 
-    def test_levinson_failure_in_helper(self, capsys):
-        before = threading.active_count()
-        finishers = []
-        levinson = montecarlo.levinson_batch
+    @staticmethod
+    def _on(threads, fn):
+        """fn, recording the thread of every call in threads."""
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return fn(*args, **kwargs)
 
-        def recording(c, K):
-            finishers.append(threading.current_thread())
-            return levinson(c, K)
+        return recorded
 
+    def test_levinson_failure_on_calling_thread(self, capsys, monkeypatch):
+        # The second block's Levinson call fails on the calling thread; every
+        # draw was made on the one helper thread, which is gone at the error.
+        caller, before = threading.current_thread(), threading.active_count()
+        finishers, drawers = [], []
         args = (0.1, 32, 0.9, 2 * BLOCK_SIZE, 30, 3, 1)
         with pytest.raises(ValueError) as want:
             serial_blocks.pushforward_absq(*args)
         assert str(want.value).startswith("1 sample(s) gave non-positive-definite moments")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "levinson_batch", recording)
+            mp.setattr(montecarlo, "levinson_batch", self._on(finishers, montecarlo.levinson_batch))
+            mp.setattr(montecarlo, "_draw", self._on(drawers, montecarlo._draw))
             with pytest.raises(ValueError) as got:
                 pushforward_experiment(*args[:-1], workers=1)
         assert str(got.value) == str(want.value)
-        assert len(finishers) == 2
-        assert threading.main_thread() not in finishers
+        assert finishers == [caller, caller]
+        assert len(drawers) >= 2
+        assert len(set(drawers)) == 1 and drawers[0] is not caller
         assert threading.active_count() == before
         assert cli.run(self.PEAKED) == 2
         out, err = capsys.readouterr()
@@ -679,11 +687,13 @@ class TestPipeline:
         assert err == f"error: {want.value}\n"
         assert threading.active_count() == before
 
-    def test_memory_error_in_finish_exits_two(self, capsys, monkeypatch):
+    def test_memory_error_in_szego_exits_two(self, capsys, monkeypatch):
         # The allocation failure is simulated on the second block's first
-        # Szego step, which runs on the helper thread; at n_trunc = 8 each
-        # block makes two steps of 4 levels on one recursion state.
-        calls, states = [], []
+        # Szego step, which runs on the calling thread while the helper draws
+        # ahead; at n_trunc = 8 each block makes two steps of 4 levels on one
+        # recursion state.
+        caller = threading.current_thread()
+        calls, states, drawers = [], [], []
         szego = montecarlo._szego_low_levels
 
         def no_memory(alphas, state):
@@ -695,26 +705,53 @@ class TestPipeline:
             return szego(alphas, state)
 
         monkeypatch.setattr(montecarlo, "_szego_low_levels", no_memory)
+        monkeypatch.setattr(montecarlo, "_draw", self._on(drawers, montecarlo._draw))
         before = threading.active_count()
         code = cli.run(["mc", "--side", "alpha", "--p", "1:1", "--q", "1:1", "--beta", "1",
                         "--samples", str(3 * BLOCK_SIZE), "--seed", "0", "--n-trunc", "8"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "error: MemoryError\n")
-        assert len(calls) == 3
-        assert calls[-1] is not threading.main_thread()
+        assert calls == [caller] * 3
+        assert len(drawers) >= 3
+        assert len(set(drawers)) == 1 and drawers[0] is not caller
         assert threading.active_count() == before
 
+    def test_error_on_calling_thread_joins_the_helper(self, monkeypatch):
+        # The second block's Szego step fails on the calling thread while the
+        # helper draws ahead.  The helper is joined before the error leaves
+        # the call, not when its traceback is dropped.
+        states = []
+        szego = montecarlo._szego_low_levels
+
+        def no_memory(alphas, state):
+            if not any(state is seen for seen in states):
+                states.append(state)
+            if len(states) > 1:
+                raise MemoryError
+            return szego(alphas, state)
+
+        monkeypatch.setattr(montecarlo, "_szego_low_levels", no_memory)
+        before = threading.active_count()
+        held = None
+        try:
+            mc_x_moment("alpha", P1, P1, 1.0, 8, 3 * BLOCK_SIZE, 0)
+        except MemoryError:
+            held = sys.exc_info()
+            assert threading.active_count() == before
+        assert held is not None and held[0] is MemoryError
+
     def test_error_while_drawing_joins_the_helper(self, monkeypatch):
-        # The second step's draw fails while the helper still finishes the
-        # first step; the call waits for it before raising.
+        # The second step's draw fails on the helper while the calling thread
+        # still works on the first step; the error is raised where the second
+        # step is requested, and the call joins the helper before raising.
         draw, szego = montecarlo._draw, montecarlo._szego_low_levels
         draws = []
 
-        def failing(rng, lead, width):
-            draws.append(lead)
+        def failing(rng, out):
+            draws.append(len(out))
             if len(draws) == 2:
                 raise MemoryError
-            return draw(rng, lead, width)
+            return draw(rng, out)
 
         def slow(alphas, state):
             time.sleep(0.05)
@@ -744,34 +781,51 @@ class TestPipeline:
         pushforward_experiment(*self.PUSH, 2 * BLOCK_SIZE, 3, 5)
         assert threading.active_count() == before
 
-    def test_one_helper_thread_per_call(self, monkeypatch):
-        # Every step of a call is finished on the same helper thread, which
-        # is gone when the call returns.
-        pipeline = montecarlo._pipeline
-        calls = []
+    def test_one_helper_thread_per_call(self, tmp_path, monkeypatch):
+        # Every draw of a call is made on the same helper thread, which is
+        # gone when the call returns.  The arithmetic and the CSV writes run
+        # on the calling thread.
+        caller, before = threading.current_thread(), threading.active_count()
+        drawers, finishers = [], []
+        monkeypatch.setattr(montecarlo, "_draw", self._on(drawers, montecarlo._draw))
+        for name in ("levinson_batch", "_szego_low_levels", "exp_neg_series"):
+            monkeypatch.setattr(montecarlo, name, self._on(finishers, getattr(montecarlo, name)))
 
-        def recording(samples, seed, workers, N, finish, **kwargs):
-            threads = []
-            calls.append(threads)
+        class Writer:
+            def __init__(self, fh):
+                self.fh = fh
 
-            def finish_recorded(rows, lo, drawn):
-                threads.append(threading.current_thread())
-                finish(rows, lo, drawn)
+            def __enter__(self):
+                return self
 
-            pipeline(samples, seed, workers, N, finish_recorded, **kwargs)
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
 
-        monkeypatch.setattr(montecarlo, "_pipeline", recording)
-        before = threading.active_count()
+            def write(self, text):
+                finishers.append(threading.current_thread())
+                return self.fh.write(text)
+
+        monkeypatch.setattr(montecarlo, "open", lambda *a, **kw: Writer(open(*a, **kw)),
+                            raising=False)
         samples = 3 * BLOCK_SIZE + 5
-        sample_alpha_batch(1.0, 3, samples, 5, workers=2)
-        mc_x_moment("alpha", P1, P1, 1.0, 8, samples, 5)
-        pushforward_experiment(*self.PUSH, samples, 3, 5)
-        assert len(calls) == 3
-        for threads in calls:
-            assert len(threads) >= 3
-            assert len(set(threads)) == 1
-            assert threads[0] is not threading.main_thread()
-        assert threading.active_count() == before
+        calls = [
+            lambda: sample_alpha_batch(1.0, 3, samples, 5, workers=2),
+            lambda: mc_x_moment("alpha", P1, P1, 1.0, 8, samples, 5,
+                                dump_csv=str(tmp_path / "alpha.csv")),
+            lambda: mc_x_moment("gaussian", P1, P1, 1.0, 8, samples, 5,
+                                dump_csv=str(tmp_path / "gaussian.csv")),
+            lambda: pushforward_experiment(*self.PUSH, samples, 3, 5),
+        ]
+        for call in calls:
+            drawers.clear()
+            call()
+            assert len(drawers) >= 3
+            assert len(set(drawers)) == 1 and drawers[0] is not caller
+            assert threading.active_count() == before
+        # Levinson, Szego and exp(-f) calls, and two header lines and a row
+        # write per block or step for each dump.
+        assert len(finishers) >= 20
+        assert set(finishers) == {caller}
 
     @pytest.mark.parametrize("modes", [8, 300])
     def test_fft_rows_stay_within_step_bound(self, modes, monkeypatch):
@@ -798,32 +852,41 @@ class TestPipeline:
 
     @pytest.mark.parametrize("kind", ["alpha", "f"])
     def test_at_most_two_steps_of_draws_alive(self, kind, monkeypatch):
-        # Before each draw, at most one earlier step's draws is still alive:
-        # the one the helper thread is finishing.  No draw holds more than
-        # _STEP_VALUES complex values, unless a single leading row is wider.
+        # Every draw of a call lands in one of the call's two buffers, in
+        # turn, so at most two steps of draws exist at once: the one the
+        # calling thread works on and the one being drawn.  Neither buffer
+        # outlives the call.  No draw holds more than _STEP_VALUES complex
+        # values, unless a single leading row is wider.
         draw = montecarlo._draw
-        alive, before_draw, shapes = [], [], []
+        buffers, shapes = [], []
 
-        def tracking(rng, lead, width):
-            before_draw.append(sum(ref() is not None for ref in alive))
-            shapes.append((lead, width))
-            drawn = draw(rng, lead, width)
-            alive.append(weakref.ref(drawn))
-            return drawn
+        def tracking(rng, out):
+            buffers.append(out.base)
+            shapes.append(out.shape[:2])
+            return draw(rng, out)
 
         monkeypatch.setattr(montecarlo, "_draw", tracking)
         samples = 5 * BLOCK_SIZE
         if kind == "alpha":
-            sample_alpha_batch(1.0, 4, samples, 8, workers=2)
-            mc_x_moment("alpha", P1, P1, 1.0, 200, samples, 8)
+            calls = [lambda: sample_alpha_batch(1.0, 4, samples, 8, workers=2),
+                     lambda: mc_x_moment("alpha", P1, P1, 1.0, 200, samples, 8)]
         else:
-            sample_f_batch(1.0, 4, samples, 8, workers=2)
-            sample_f_batch(1.0, 3 * montecarlo._STEP_VALUES // 2, 3, 8)
-            mc_x_moment("gaussian", P1, P1, 1.0, 8, samples, 8)
-            pushforward_experiment(*self.PUSH, samples, 3, 8)
-        assert len(before_draw) >= 10
-        assert max(before_draw) <= 1
-        assert all(ref() is None for ref in alive)
+            calls = [lambda: sample_f_batch(1.0, 4, samples, 8, workers=2),
+                     lambda: sample_f_batch(1.0, 3 * montecarlo._STEP_VALUES // 2, 3, 8),
+                     lambda: mc_x_moment("gaussian", P1, P1, 1.0, 8, samples, 8),
+                     lambda: pushforward_experiment(*self.PUSH, samples, 3, 8)]
+        for call in calls:
+            buffers.clear()
+            call()
+            assert len(buffers) >= 2
+            two = buffers[:2]
+            assert two[0] is not two[1]
+            assert all(buf is two[k % 2] for k, buf in enumerate(buffers))
+            alive = [weakref.ref(buf) for buf in two]
+            del two
+            buffers.clear()
+            assert all(ref() is None for ref in alive)
+        assert len(shapes) >= 10
         assert all(lead * width <= montecarlo._STEP_VALUES or lead == 1
                    for lead, width in shapes)
         assert max(lead * width for lead, width in shapes) > montecarlo._STEP_VALUES // 2
@@ -835,9 +898,9 @@ class TestPipeline:
         draw = montecarlo._draw
         shapes = []
 
-        def recording(rng, lead, width):
-            shapes.append((lead, width))
-            return draw(rng, lead, width)
+        def recording(rng, out):
+            shapes.append(out.shape[:2])
+            return draw(rng, out)
 
         monkeypatch.setattr(montecarlo, "_draw", recording)
         count, seed = BLOCK_SIZE + 100, 77
