@@ -6,14 +6,16 @@ of gap sequences (one per labeled monomial slot) subject to a multiset balance
 condition, each tuple contributing a product of rational level factors.
 
 Materializing those tuples is hopeless at the max_index scales the identity
-checks need (~1e14 tuples at degree 4, max_index 1e4), so
-:func:`alpha_x_moment` runs an exact level-by-level transfer sweep instead:
-one state per assignment of (open/closed, remaining gap budget) to the slots,
-up to permuting one side's slots.  The moves out of a state do not depend on
-the level t, so :func:`_transfer` numbers the states and tabulates their
-moves once for all levels, betas and calls.  Each level of
-:func:`_level_sweep` is one sparse matrix-vector product on integer
-numerators, and the all-closed entry after level t is the partial sum S(t).
+checks need (~1e14 tuples at degree 4, max_index 1e4).  An exact level-by-level
+transfer sweep sums them instead: one state per assignment of (open/closed,
+remaining gap budget) to the slots, up to permuting one side's slots.  The
+moves out of a state do not depend on the level t, so :func:`_transfer`
+numbers the states and tabulates their moves once for all levels, betas and
+calls.  Each level of :func:`_level_sweep` is one sparse matrix-vector product
+on integer numerators, and the all-closed entry after level t is the partial
+sum S(t).  :func:`alpha_x_moment` sweeps only the first levels:
+:func:`_certificate` proves from them a closed form u(N) / D(N) for all later
+S(N), by the sweep's own recurrence.
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
@@ -37,8 +39,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd
+from functools import lru_cache, partial
+from math import comb, factorial, gcd, lcm, prod
+from typing import Callable, NamedTuple
 
 from .combinatorics import MultiIndex, MultiplicityVector
 
@@ -172,42 +175,114 @@ def tuple_counts_all_m(
     return _tuple_counts(p, q, max_index)
 
 
+def _rows(init: tuple[int, ...], n_p: int) -> tuple[list, int]:
+    """Every row of the :func:`_transfer` table from ``init``, and the top mt."""
+    table = _transfer(init, n_p)
+    rows = [table[s] for s, _ in enumerate(table.states)]  # states grows meanwhile
+    return rows, max(mt for row in rows for mt, _, _ in row)
+
+
+def _level_factors(t: int, beta: Fraction, top_mt: int) -> tuple[int, list[int]]:
+    """Level t's (P_t, w): mt! / ((t beta + 1)...(t beta + mt)) = w[mt] / P_t, with beta = bu / bv,
+    P_t = prod_{s=1..top_mt} (t bu + s bv) and w[mt] = mt! bv**mt prod_{s>mt} (t bu + s bv)."""
+    bu, bv = beta.numerator, beta.denominator
+    suffix = [1] * (top_mt + 1)
+    for s in range(top_mt, 0, -1):
+        suffix[s - 1] = suffix[s] * (t * bu + s * bv)
+    return suffix[0], [factorial(mt) * bv**mt * x for mt, x in enumerate(suffix)]
+
+
 def _level_sweep(init: tuple[int, ...], n_p: int, beta: Fraction):
     """Exact transfer sweep: after each level t = 0, 1, ... yield (den, amps).
 
     ``amps[s] / den`` is the amplitude of :func:`_transfer` state s, in a
-    fresh list per level.  With beta = bu / bv, level t's factor for mt,
-    mt! / ((t beta + 1)...(t beta + mt)), is w[mt] / P_t with integers
-    P_t = prod_{s=1..top_mt} (t bu + s bv) and w[mt] = mt! bv**mt
-    prod_{s>mt} (t bu + s bv).  A level adds amps[src] * w[mt] * mult to
-    new[dst] over the rows of the nonzero sources; then den *= P_t, and den
-    and every numerator are divided by their gcd, which keeps them from
-    growing by P_t per level.
+    fresh list per level.  A level adds amps[src] * w[mt] * mult to new[dst]
+    over the rows of the nonzero sources, with :func:`_level_factors`' w;
+    then den *= P_t, and den and every numerator are divided by their gcd,
+    which keeps them from growing by P_t per level.
     """
-    table = _transfer(init, n_p)
-    rows = [table[s] for s, _ in enumerate(table.states)]  # states grows meanwhile
-    top_mt = max(mt for row in rows for mt, _, _ in row)
-    bu, bv = beta.numerator, beta.denominator
-    head = [factorial(mt) * bv**mt for mt in range(top_mt + 1)]
-    amps = [1] + [0] * (len(rows) - 1)
-    den = 1
+    rows, top_mt = _rows(init, n_p)
+    amps, den = [1] + [0] * (len(rows) - 1), 1
     for t in itertools.count():
-        suffix = [1] * (top_mt + 1)
-        for s in range(top_mt, 0, -1):
-            suffix[s - 1] = suffix[s] * (t * bu + s * bv)
-        w = [h * x for h, x in zip(head, suffix)]
+        p_t, w = _level_factors(t, beta, top_mt)
         new = [0] * len(rows)
         for src, amp in enumerate(amps):
             if amp:
                 for mt, dst, mult in rows[src]:
                     new[dst] += amp * (w[mt] * mult)
-        den *= suffix[0]
+        den *= p_t
         g = gcd(den, *new)
         if g > 1:
             den //= g
             new = [amp // g for amp in new]
         amps = new
         yield den, amps
+
+
+def _window(p: MultiIndex, q: MultiIndex, beta: Fraction) -> tuple[int, int]:
+    """(N0, k = d top_mt), N0 = 1 + the largest integer root N >= 0 of D(N) = prod_{j<d}
+    P_{N-j}, or 0 if none: P_{N-j} vanishes at N = j - s / beta, an integer iff bu | s."""
+    top_mt, bu, bv = _rows(_initial_state(p, q), p.size)[1], beta.numerator, beta.denominator
+    roots = (j - s // bu * bv for j in range(p.deg) for s in range(bu, top_mt + 1, bu))
+    return max([-1, *roots]) + 1, p.deg * top_mt
+
+
+class _Certificate(NamedTuple):
+    """S(N) = u(N) / (scale D(N)) for N >= n0; u has forward differences diffs at n0."""
+
+    n0: int
+    scale: int
+    diffs: tuple[int, ...]
+    denominator: Callable[[int], int]  # D
+
+    def partial_sum(self, n: int) -> Fraction:
+        num = sum(comb(n - self.n0, i) * diff for i, diff in enumerate(self.diffs))
+        return Fraction(num, self.scale * self.denominator(n))
+
+
+def _prove(rows, factors, d: int, n0: int, window: list) -> _Certificate | None:
+    """The closed form of the partial sums, proved from the sweep, or None.
+
+    ``window`` is the sweep's (den, amps) at levels n0 .. n0 + k and ``factors``
+    is t -> (P_t, w).  Each state's u_s(N) = scale D(N) a_s(N) is read there as an
+    integer polynomial of degree <= k, extended top_mt + 1 levels by its vanishing
+    (k+1)-th differences.  As D(N) / D(N-1) = P_N / P_{N-d}, the sweep's step a(N)
+    = M(N) a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <= k + top_mt in
+    N: true at the k + top_mt + 1 levels from n0 + 1, it is true for every N, and
+    induction from n0 gives u(N) = scale D(N) a(N) at every N >= n0 (D has no
+    integer root >= n0, and P_{N-d} divides D(N-1)).
+    """
+    def denominator(n: int) -> int:
+        return prod(factors(n - j)[0] for j in range(d))
+    k, top_mt = len(window) - 1, len(factors(0)[1]) - 1
+    ratios = [Fraction(denominator(n0 + i), den) for i, (den, _) in enumerate(window)]
+    scale = lcm(*(r.denominator for r in ratios))
+    cols = [[r.numerator * scale // r.denominator * a[s] for r, (_, a) in zip(ratios, window)]
+            for s in range(len(rows))]
+    step = [(-1) ** (j + 1) * comb(k + 1, j) for j in range(1, k + 2)]
+    for col in cols:
+        for _ in range(top_mt + 1):
+            col.append(sum(c * col[-j] for j, c in enumerate(step, 1)))
+    for n in range(1, k + top_mt + 2):
+        w, new = factors(n0 + n)[1], [0] * len(rows)
+        for src, row in enumerate(rows):
+            for mt, dst, mult in row:
+                new[dst] += cols[src][n - 1] * (w[mt] * mult)
+        p_shift = factors(n0 + n - d)[0]
+        if any(p_shift * col[n] != x for col, x in zip(cols, new)):
+            return None
+    u = cols[_DONE]
+    diffs = [sum((-1) ** (i - j) * comb(i, j) * u[j] for j in range(i + 1)) for i in range(k + 1)]
+    return _Certificate(n0, scale, tuple(diffs), denominator)
+
+
+@lru_cache(maxsize=None)
+def _certificate(p: MultiIndex, q: MultiIndex, beta: Fraction) -> _Certificate | None:
+    """:func:`_prove` on the sweep's levels :func:`_window`, once per (p, q, beta)."""
+    (n0, k), init = _window(p, q, beta), _initial_state(p, q)
+    rows, top_mt = _rows(init, p.size)
+    window = itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + k + 1)
+    return _prove(rows, partial(_level_factors, beta=beta, top_mt=top_mt), p.deg, n0, list(window))
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:
@@ -227,7 +302,8 @@ def alpha_x_moment(
 
     The series runs over balanced tuple families with indices <= max_index;
     partial sums are nondecreasing in max_index (all terms positive).  The
-    moment vanishes exactly when deg(p) != deg(q).
+    moment vanishes exactly when deg(p) != deg(q).  Past max_index = N0 + k, a
+    proved closed form (:func:`_certificate`) gives the sweep's exact values.
     """
     beta = _sweep_args(beta, max_index)
     zero = Fraction(0)
@@ -235,12 +311,16 @@ def alpha_x_moment(
         return TruncatedSumResult(zero, zero, zero)
     if p.deg == 0:
         return TruncatedSumResult(Fraction(1), zero, zero)
-    prev = now = (0, 1)
-    sweep = _level_sweep(_initial_state(p, q), p.size, beta)
-    for den, amps in itertools.islice(sweep, max_index + 1):
-        prev, now = now, (amps[_DONE], den)
-    s_now = Fraction(*now)
-    shell = s_now - Fraction(*prev)
+    n0, k = _window(p, q, beta)
+    if max_index > n0 + k and (cert := _certificate(p, q, beta)):
+        s_now, s_prev = cert.partial_sum(max_index), cert.partial_sum(max_index - 1)
+    else:
+        prev = now = (0, 1)
+        sweep = _level_sweep(_initial_state(p, q), p.size, beta)
+        for den, amps in itertools.islice(sweep, max_index + 1):
+            prev, now = now, (amps[_DONE], den)
+        s_now, s_prev = Fraction(*now), Fraction(*prev)
+    shell = s_now - s_prev
     return TruncatedSumResult(s_now, shell, shell * max_index)
 
 

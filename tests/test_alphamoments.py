@@ -1,8 +1,10 @@
 """Exact moment engine for the rotation-invariant coefficient law."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import pytest
@@ -13,10 +15,15 @@ from verblunsky.alphamoments import (
     _DONE,
     CnCheck,
     _canonical,
+    _certificate,
     _initial_state,
+    _level_factors,
     _level_sweep,
+    _prove,
+    _rows,
     _transfer,
     _transitions,
+    _window,
     alpha_x_moment,
     count_tuples,
     nice_identity_check,
@@ -486,3 +493,160 @@ class TestGatePower:
             res = alpha_x_moment(p, q, beta + 1, N)
             check = CnCheck(beta, gpoly.evaluate(beta), res.value, res.tail_estimate)
             assert not check.passed, (p, q, beta)
+
+
+# Every equal-degree pair of degree <= 4, at the degenerate betas 1/2, 1 and 2,
+# where some level factors vanish at an integer N and N0 > 0, and at generic ones.
+CERT_PAIRS = [(p, q) for d in (1, 2, 3, 4) for p in partitions(d) for q in partitions(d)]
+CERT_BETAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3), Fraction(3, 7))
+CERT_CASES = [(p, q, beta) for beta in CERT_BETAS for p, q in CERT_PAIRS]
+
+
+def _limit(cert, beta):
+    """S(infinity) = Delta^k u_DONE(N0) / (k! scale bu**k): the leading
+    coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
+    k = len(cert.diffs) - 1
+    return Fraction(cert.diffs[k], factorial(k) * cert.scale * beta.numerator**k)
+
+
+def _rejected(cert, beta, value):
+    return cert is None or _limit(cert, beta) != value
+
+
+def _ingredients(p, q, beta, shifts=None):
+    """_prove's arguments as _certificate builds them, with D made of
+    ``shifts`` level denominators instead of deg p."""
+    init = _initial_state(p, q)
+    rows, top_mt = _rows(init, p.size)
+    n0, _ = _window(p, q, beta)
+    d = p.deg if shifts is None else shifts
+    window = list(itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + d * top_mt + 1))
+    return rows, partial(_level_factors, beta=beta, top_mt=top_mt), d, n0, window
+
+
+class TestCertificate:
+    """The closed form of the partial sums, proved by the sweep's recurrence."""
+
+    def test_proved_and_limit_is_gaussian_value(self):
+        assert len(CERT_CASES) == 195
+        for p, q, beta in CERT_CASES:
+            cert = _certificate(p, q, beta)
+            assert cert is not None, (p, q, beta)
+            assert _limit(cert, beta) == gaussian_x_moment(p, q).evaluate(beta), (p, q, beta)
+            assert _prove(*_ingredients(p, q, beta))[:3] == cert[:3]  # n0, scale, diffs
+
+    def test_first_level_pinned(self):
+        # A base case at N = 0 where N0 > 0 cannot be told from the values
+        # (D(0) a(0) = 0 is consistent), so N0 itself is pinned: D's roots
+        # N = j - s / beta, j < 3, s <= top_mt = 1, are integers at beta = 1
+        # and 1/2 only.
+        p, q = MultiIndex.from_string("1:1,2:1"), MultiIndex.from_string("3:1")
+        expect = {Fraction(1): 2, Fraction(1, 2): 1, Fraction(2): 0, Fraction(2, 3): 0}
+        for beta, n0 in expect.items():
+            assert _window(p, q, beta) == (n0, 3)
+            assert _certificate(p, q, beta).n0 == n0
+
+    def test_dropped_shift_of_d_is_rejected(self):
+        # D(N) without its last shift P_{N-d+1}.  At generic beta that drops
+        # factors the sweep's denominators need, and the proof fails.  At
+        # beta = 1/2 and 1 the shifts share factors, and a proved closed form
+        # is still correct: its limit is the Gaussian value.
+        rejected = 0
+        for p, q, beta in CERT_CASES:
+            if p.deg < 2:
+                continue
+            cert = _prove(*_ingredients(p, q, beta, shifts=p.deg - 1))
+            gauss = gaussian_x_moment(p, q).evaluate(beta)
+            if beta.numerator == 1:
+                assert cert is None or _limit(cert, beta) == gauss, (p, q, beta)
+            else:
+                rejected += _rejected(cert, beta, gauss)
+        assert rejected == 114
+
+    def test_level_factor_missing_from_w_is_rejected(self):
+        # Each w[mt], mt < top_mt, in turn without its factor (t bu + top_mt bv).
+        cases = 0
+        for p, q, beta in CERT_CASES:
+            rows, factors, d, n0, window = _ingredients(p, q, beta)
+            top_mt = len(factors(0)[1]) - 1
+            for mt in range(top_mt):
+
+                def mutant(t, mt=mt):
+                    p_t, w = factors(t)
+                    w = list(w)
+                    w[mt] //= t * beta.numerator + top_mt * beta.denominator
+                    return p_t, w
+
+                gauss = gaussian_x_moment(p, q).evaluate(beta)
+                assert _rejected(_prove(rows, mutant, d, n0, window), beta, gauss), (p, q, beta, mt)
+                cases += 1
+        assert cases == 330
+
+    def test_one_state_off_by_one_is_rejected(self):
+        # Every state's amplitude numerator off by one at one seeded level.
+        rng, cases = random.Random(29), 0
+        for p, q, beta in CERT_CASES:
+            rows, factors, d, n0, window = _ingredients(p, q, beta)
+            gauss = gaussian_x_moment(p, q).evaluate(beta)
+            for s in range(len(rows)):
+                bad = [(den, list(amps)) for den, amps in window]
+                bad[rng.randrange(len(bad))][1][s] += 1
+                assert _rejected(_prove(rows, factors, d, n0, bad), beta, gauss), (p, q, beta, s)
+                cases += 1
+        assert cases == 3090
+
+    @pytest.mark.parametrize("p, q", TestGatePower.CASES)
+    def test_rejects_what_the_tail_gate_passes(self, p, q):
+        # The Gaussian value + 1e-30 and the law at beta (1 +- 1e-5) pass the
+        # 10x tail gate at N = 10**4; the certified limit tells both apart.
+        gpoly = gaussian_x_moment(p, q)
+        for beta in BETAS:
+            gauss = gpoly.evaluate(beta)
+            res = alpha_x_moment(p, q, beta, 10**4)
+            lifted = gauss + Fraction(1, 10**30)
+            assert CnCheck(beta, lifted, res.value, res.tail_estimate).passed
+            assert _rejected(_certificate(p, q, beta), beta, lifted)
+            for eps in (Fraction(1, 10**5), Fraction(-1, 10**5)):
+                law = beta * (1 + eps)
+                res = alpha_x_moment(p, q, law, 10**4)
+                assert CnCheck(beta, gauss, res.value, res.tail_estimate).passed
+                assert _rejected(_certificate(p, q, law), law, gauss), (p, q, beta, eps)
+
+
+class TestClosedFormSwitch:
+    """alpha_x_moment reads S(N) from the certificate past N0 + k and sweeps
+    below; both sides of the switch equal a direct sweep, exactly."""
+
+    def test_equals_direct_sweep_around_the_switch(self):
+        rng = random.Random(16)
+        deep = [(p, q, Fraction(355, 113)) for p, q in CERT_PAIRS]
+        for p, q, beta in rng.sample(CERT_CASES + deep, 60):
+            n0, k = _window(p, q, beta)
+            for n in sorted({n0 + k, n0 + k + 1, *rng.sample(range(n0 + k + 4), 4)}):
+                res = alpha_x_moment(p, q, beta, n)
+                value, prev = _sweep(p.slots(), q.slots(), beta, n)
+                assert (res.value, res.last_shell) == (value, value - prev), (p, q, beta, n)
+                assert res.tail_estimate == res.last_shell * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nice_identity_equals_direct_sweep(self, n):
+        rng = random.Random(n)
+        delta = MultiIndex.delta(n)
+        for beta in (*CERT_BETAS, Fraction(355, 113)):
+            n0, k = _window(delta, delta, beta)
+            for N in {n0 + k, n0 + k + 1, rng.randint(0, n0 + k + 3)}:
+                check = nice_identity_check(n, beta, N)
+                value, prev = _sweep([n], [n], beta, N)
+                assert (check.alpha_value, check.tail_estimate) == (value, (value - prev) * N)
+
+    @pytest.mark.parametrize("pq", [("1:1", "1:1"), ("1:2", "2:1"), ("1:1,2:1", "3:1"),
+                                    ("2:2", "1:1,3:1")])
+    def test_equals_direct_sweep_at_ten_thousand(self, pq):
+        p, q = (MultiIndex.from_string(x) for x in pq)
+        beta, N = Fraction(2, 3), 10**4
+        res = alpha_x_moment(p, q, beta, N)
+        value, prev = _sweep(p.slots(), q.slots(), beta, N)
+        assert (res.value, res.last_shell) == (value, value - prev)
+        if p == q == MultiIndex.delta(p.deg):
+            check = nice_identity_check(p.deg, beta, N)
+            assert (check.alpha_value, check.tail_estimate) == (value, (value - prev) * N)
