@@ -134,11 +134,11 @@ def variance_pmf(n: int) -> MomentPolynomial:
     """prod_{k=1}^{n} ((1/k) beta**-1 + (k-1)/k), expanded exactly.
 
     The probability generating function of a sum of independent Bernoulli
-    variables with success probabilities 1/k, read as a polynomial in beta**-1.
-    """
+    variables with success probabilities 1/k: c(n, j) / n! at beta**-j, with c
+    the unsigned Stirling numbers of the first kind."""
     if n < 1:
         raise ValueError("variance_pmf needs n >= 1")
-    out = MomentPolynomial.one()
-    for k in range(1, n + 1):
-        out = out * MomentPolynomial.from_terms({1: Fraction(1, k), 0: Fraction(k - 1, k)})
-    return out
+    c, nfact = [1], factorial(n)
+    for k in range(1, n + 1):  # c(k, j) = c(k-1, j-1) + (k-1) c(k-1, j), j = 0..k
+        c = [a + (k - 1) * b for a, b in zip([0, *c], [*c, 0])]
+    return MomentPolynomial.from_terms({j: Fraction(cj, nfact) for j, cj in enumerate(c)})

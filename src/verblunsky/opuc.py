@@ -1,8 +1,8 @@
 """Deterministic machinery for orthogonal polynomials on the unit circle.
 
 Float lane: everything here is double precision (quadrature and series
-truncation are inherently approximate), except the exact Jacobian; the other
-exact engines live elsewhere.
+truncation are inherently approximate), except the exact Jacobian, which runs
+on an integer lattice; the other exact engines live elsewhere.
 
 Conventions used throughout:
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -153,20 +154,19 @@ def szego_identity_gap(alpha, M: int) -> float:
     return abs(lhs - rhs)
 
 
-def _unit_probes(pairs: list) -> list[list]:
-    """alpha, then alpha + 1 and alpha + i at each coordinate: 2N + 1 rows.
+def _unit_probes(pairs: list, unit=1) -> list[list]:
+    """alpha, then alpha + unit and alpha + unit i at each coordinate: 2N + 1 rows.
 
-    Coordinates are (re, im) pairs of floats or Fractions.  Each gap-sequence
-    term of x_n reads alpha_k or conj(alpha_k) at most once (the flattened
-    indices strictly decrease), so x_n is affine in each alpha_k and
-    x(probe) - x(alpha) is the exact derivative along that unit direction.
-    Both Jacobians share its bound N <= 8.
-    """
+    Coordinates are (re, im) pairs of floats, or of ints on a lattice of step
+    ``unit``.  Each gap-sequence term of x_n reads alpha_k or conj(alpha_k) at
+    most once (the flattened indices strictly decrease), so x_n is affine in
+    each alpha_k and x(probe) - x(alpha) is the exact derivative along that
+    direction.  Both Jacobians share its bound N <= 8."""
     if len(pairs) > 8:
         raise ValueError("Jacobian supported for N <= 8")
     rows = [list(pairs)]
     for k, (re, im) in enumerate(pairs):
-        for dre, dim in ((1, 0), (0, 1)):
+        for dre, dim in ((unit, 0), (0, unit)):
             rows.append([*pairs[:k], (re + dre, im + dim), *pairs[k + 1 :]])
     return rows
 
@@ -206,33 +206,31 @@ def jacobian_determinant(alpha) -> tuple[float, float]:
     return abs(float(np.linalg.det(J))), float(_volume_product(pairs))
 
 
-def _reversed_exact(pairs: list) -> list:
-    """x_1..x_N as (re, im) pairs: the recursion r_n[k] = r_{n-1}[k] +
-    alpha_n conj(r_{n-1}[n-k]) of :func:`reversed_polynomial`, exactly."""
+def _reversed_exact(pairs: list, scale=1) -> list:
+    """R_N[1..N] = scale**N x_1..x_N, exact (re, im) pairs: R_n[k] = scale R_{n-1}[k] +
+    a_n conj(R_{n-1}[n-k]), a_n = alpha_n at scale 1, a_n = L alpha_n at scale L."""
     r = [(1, 0)]
     for ar, ai in pairs:
-        r.append((0, 0))
-        r = [(xr + ar * yr + ai * yi, xi + ai * yr - ar * yi)
-             for (xr, xi), (yr, yi) in zip(r, reversed(r))]
+        r = [(scale * xr + ar * yr + ai * yi, scale * xi + ai * yr - ar * yi)
+             for (xr, xi), (yr, yi) in zip([*r, (0, 0)], [(0, 0), *reversed(r)])]
     return r[1:]
 
 
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square Fraction matrix by Gaussian elimination."""
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for c in range(len(m)):
-        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss) elimination;
+    each step's 2x2 minors divide exactly by the previous pivot (Sylvester)."""
+    m, sign, prev = list(rows), 1, 1
+    while m:
+        pivot = next((r for r, row in enumerate(m) if row[0]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, len(m)):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+            return 0
+        if pivot:
+            m[0], m[pivot] = m[pivot], m[0]
+            sign = -sign
+        (p, *top), *rest = m
+        m = [[(p * x - f * y) // prev for x, y in zip(xs, top)] for f, *xs in rest]
+        prev = p
+    return sign * prev
 
 
 def jacobian_determinant_exact(
@@ -240,13 +238,15 @@ def jacobian_determinant_exact(
 ) -> tuple[Fraction, Fraction]:
     """Exact |det J| and prod (1-|alpha_n|^2)^{n-1} for rational alpha.
 
-    The same unit-step differences as :func:`jacobian_determinant` (exact,
-    since x is affine in each coordinate), taken on the reversed-polynomial
-    recursion in Fraction arithmetic, with a real Fraction determinant.
+    The unit-step differences of :func:`jacobian_determinant` on the Gaussian
+    integers a_n = L alpha_n, L the lcm of all denominators, probes stepping by
+    L: x_k = R_N[k] / L**N, so |det J| = |det L**N J| / L**(2 N**2), in ints.
     """
     a = [(Fraction(re), Fraction(im)) for re, im in alpha]
     if any(re * re + im * im >= 1 for re, im in a):
         raise ValueError("need |alpha_n| < 1 for every coefficient")
-    base, *moved = [_reversed_exact(row) for row in _unit_probes(a)]
+    L = lcm(*(c.denominator for z in a for c in z))
+    lattice = [(int(re * L), int(im * L)) for re, im in a]
+    base, *moved = [_reversed_exact(row, L) for row in _unit_probes(lattice, L)]
     J = [[v for (xr, xi), (br, bi) in zip(x, base) for v in (xr - br, xi - bi)] for x in moved]
-    return abs(_fraction_det(J)), Fraction(_volume_product(a))
+    return Fraction(abs(_integer_det(J)), L ** (2 * len(a) ** 2)), Fraction(_volume_product(a))

@@ -474,6 +474,8 @@ class TestExitCodes:
          "the exact result has more digits than can be printed"),
         (["nice-identity", "--n", "1", "--beta", "1e4000", "--max-index", "1"],
          "the exact result has more digits than can be printed"),
+        # The smallest n whose n! has more than 4300 digits.
+        (["variance", "--n", "1559"], "the exact result has more digits than can be printed"),
     ])
     def test_exact_sweep_arguments_exit_two(self, capsys, argv, message):
         code, out, err = _run(capsys, argv)

@@ -131,6 +131,16 @@ class TestVariancePmf:
             3: Fraction(1, 6),
         }
 
+    def test_equals_literal_product(self):
+        # The oracle multiplies out the n linear factors in Fractions, one
+        # MomentPolynomial product per factor.
+        product = MomentPolynomial.one()
+        for n in range(1, 41):
+            product = product * MomentPolynomial.from_terms(
+                {1: Fraction(1, n), 0: Fraction(n - 1, n)}
+            )
+            assert variance_pmf(n) == product, n
+
     def test_product_structure(self):
         # pmf(n) = pmf(n-1) * (convolution with {0: (n-1)/n, 1: 1/n})
         for n in range(2, 10):

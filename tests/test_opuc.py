@@ -1,6 +1,7 @@
 """Float-lane recursions: reversed polynomials, measures, series, Jacobians."""
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -23,9 +24,12 @@ from verblunsky.opuc import (
     szego_identity_gap,
     trig_moments,
     verblunsky_from_moments,
-    _fraction_det,
+    _integer_det,
     _reversed_exact,
 )
+
+
+SMALL_RATIONAL = st.fractions(min_value=-1, max_value=1, max_denominator=9)
 
 
 def _random_alpha(rng, N, max_mod=0.6):
@@ -300,19 +304,28 @@ class TestJacobian:
 
     @settings(max_examples=100)
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5]),
                  min_size=n, max_size=n), min_size=n, max_size=n)))
     @example(rows=[[0, 1], [1, 0]])  # a zero pivot: one row swap
     @example(rows=[[1, 2], [2, 4]])  # no pivot left: singular
-    def test_fraction_det_is_permutation_expansion(self, rows):
+    def test_integer_det_is_permutation_expansion(self, rows):
         n = len(rows)
-        expansion = Fraction(0)
+        expansion = 0
         for perm in itertools.permutations(range(n)):
-            term = Fraction((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+            term = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
             for i, j in enumerate(perm):
                 term *= rows[i][j]
             expansion += term
-        assert _fraction_det([[Fraction(x) for x in row] for row in rows]) == expansion
+        assert _integer_det(rows) == expansion
+
+    @settings(max_examples=100)
+    @given(pairs=st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(SMALL_RATIONAL, SMALL_RATIONAL).filter(lambda z: z[0] ** 2 + z[1] ** 2 < 1),
+        min_size=n, max_size=n)))
+    def test_exact_identity_property(self, pairs):
+        # The volume identity over random small rationals, N drawn uniformly in 1..8.
+        det, prod = jacobian_determinant_exact(pairs)
+        assert det == prod
 
     def test_matches_product_to_rounding(self):
         # Unit-step differences carry no truncation error, only rounding.
@@ -345,9 +358,6 @@ def _x_by_gap_sequences(pairs):
     return out
 
 
-SMALL_RATIONAL = st.fractions(min_value=-1, max_value=1, max_denominator=9)
-
-
 class TestUnitStepPremise:
     @settings(max_examples=60)
     @given(pairs=st.lists(st.tuples(SMALL_RATIONAL, SMALL_RATIONAL), min_size=1, max_size=4))
@@ -367,3 +377,14 @@ class TestUnitStepPremise:
                 )
                 for b, x1, x2 in zip(base, one, two):
                     assert (x2[0] - b[0], x2[1] - b[1]) == (2 * (x1[0] - b[0]), 2 * (x1[1] - b[1]))
+
+    @settings(max_examples=60)
+    @given(pairs=st.lists(st.tuples(SMALL_RATIONAL, SMALL_RATIONAL), min_size=1, max_size=8))
+    def test_lattice_recursion_is_scaled_fraction_recursion(self, pairs):
+        # With a_n = L alpha_n and scale L, R_N = L**N r_N, all in ints.
+        L = math.lcm(*(c.denominator for z in pairs for c in z))
+        lattice = [(int(re * L), int(im * L)) for re, im in pairs]
+        scaled = _reversed_exact(lattice, L)
+        assert all(type(v) is int for z in scaled for v in z)
+        exact = _reversed_exact(pairs)
+        assert scaled == [(L ** len(pairs) * re, L ** len(pairs) * im) for re, im in exact]
