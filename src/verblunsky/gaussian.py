@@ -37,18 +37,6 @@ class MomentPolynomial:
     def zero(cls) -> MomentPolynomial:
         return cls()
 
-    @classmethod
-    def one(cls) -> MomentPolynomial:
-        return cls.from_terms({0: 1})
-
-    def __mul__(self, other: MomentPolynomial) -> MomentPolynomial:
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return MomentPolynomial.from_terms(out)
-
     def evaluate(self, beta: Fraction | int) -> Fraction:
         beta = Fraction(beta)
         return sum((c / beta**k for k, c in self.terms), Fraction(0))

@@ -18,7 +18,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
@@ -61,16 +60,27 @@ def measure_density(alpha, grid: int) -> np.ndarray:
 
     The density is prod_n (1 - |alpha_n|^2) / |r_N(e^{i theta})|^2 against
     normalized Lebesgue measure; its grid average is 1 up to quadrature error.
+    |r_N|^2 = sum_{|m|<=N} s_m e^{i m theta}, s_m = sum_l r_{l+m} conj(r_l), is
+    one real inverse FFT of s_0..s_N, with s folded onto m mod grid when
+    2N >= grid.  Its relative rounding error is about eps (||r_N||_1/|r_N|)^2,
+    not eps ||r_N||_1/|r_N| as for a complex FFT's modulus: larger only where
+    |r_N| is small, where the peaked density's quadrature error dominates.
     """
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    a = _check_alpha(alpha)
-    r = reversed_polynomial(a)
-    if r.size > grid:
+    r = reversed_polynomial(alpha)  # validates alpha
+    N = r.size - 1
+    if N >= grid:
         raise ValueError("grid too coarse for the polynomial degree")
-    vals = np.fft.ifft(r, n=grid) * grid
-    norm = float(np.prod(1.0 - np.abs(a) ** 2))
-    return norm / np.abs(vals) ** 2
+    s = np.correlate(r, r, "full")  # s[N + m] = s_m for m = -N..N
+    spec = s[N:]
+    if 2 * N >= grid:
+        spec = np.zeros(grid, dtype=np.complex128)
+        np.add.at(spec, np.arange(-N, N + 1) % grid, s)
+    vals = np.fft.irfft(spec[: grid // 2 + 1], grid)
+    vals *= grid
+    norm = float(np.prod(1.0 - np.abs(np.asarray(alpha, dtype=np.complex128)) ** 2))
+    return np.divide(norm, vals, out=vals)
 
 
 def trig_moments(density, K: int) -> np.ndarray:
@@ -111,24 +121,26 @@ def log_series(x) -> np.ndarray:
 
     Standard coefficient recursion for log, g_k = x_k - sum_j (j/k) g_j
     x_{k-j} with f = -g; requires x_0 = 1.  Note the sign: f_1 = -x_1,
-    f_2 = -x_2 + x_1^2 / 2.  The sum runs over the nonzero x_{k-j} only, in
-    Python complex arithmetic, so the cost is O(len(x) * nonzero terms): the
-    Szego-padded r_N has N + 1 of them.  Terms are taken in j ascending order,
-    as in the full O(len(x)^2) loop, so the result is bitwise equal to the
-    loop's whenever every partial g is finite, except that a zero coefficient
-    may differ in sign.  A skipped term is a signed zero then; with an infinite
-    g the loop's inf * 0 would be NaN.
+    f_2 = -x_2 + x_1^2 / 2.  The sum runs over a tap list of the nonzero
+    x_i, i descending, in Python complex arithmetic, so the cost is
+    O(len(x) * nonzero terms): the Szego-padded r_N has N + 1 of them.  Terms
+    are taken in j = k - i ascending order, as in the frozen full O(len(x)^2)
+    loop, so term for term this is the loop's arithmetic and the result is
+    bitwise equal to the loop's whenever every partial g is finite, except
+    that a zero coefficient may differ in sign.  A skipped term is a signed
+    zero then; with an infinite g the loop's inf * 0 would be NaN.
     """
     xc = np.asarray(x, dtype=np.complex128)
     if xc.size == 0 or abs(xc[0] - 1.0) > 1e-9:
         raise ValueError("log_series needs leading coefficient 1")
     xs = xc.tolist()
-    nz = [i for i in range(1, len(xs)) if xs[i]]
+    taps = [(i, xs[i]) for i in range(len(xs) - 1, 0, -1) if xs[i]]
     g = [0j] * len(xs)
     for k in range(1, len(xs)):
         acc = xs[k]
-        for i in reversed(nz[: bisect_left(nz, k)]):  # j = k - i ascending
-            acc -= (k - i) / k * g[k - i] * xs[i]
+        for i, xi in taps:
+            if i < k:
+                acc -= (k - i) / k * g[k - i] * xi
         g[k] = acc
     return -np.array(g)
 

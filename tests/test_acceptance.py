@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 from graph_oracle import unpruned_count
-from variance_oracle import a_coefficients, multiplicity_free_moment
+from variance_oracle import a_coefficients, moment_product, multiplicity_free_moment
 
 from verblunsky import (
     MultiIndex,
@@ -131,7 +131,7 @@ def test_criterion_03_two_mode_examples_and_reference_discrepancy():
 def test_criterion_04_pmf_recursion_and_coefficient_positivity():
     for n in range(2, 11):
         step = MomentPolynomial.from_terms({0: F(n - 1, n), 1: F(1, n)})
-        assert variance_pmf(n) == variance_pmf(n - 1) * step, n
+        assert variance_pmf(n) == moment_product(variance_pmf(n - 1), step), n
     for n in range(2, 13):
         coeffs = a_coefficients(n)
         assert sum(coeffs) == 1, n

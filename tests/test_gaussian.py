@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 from f_expansion_oracle import add, gaussian_f_moment, gaussian_x_moment_via_f_expansion, scale
-from variance_oracle import a_coefficients, multiplicity_free_moment
+from variance_oracle import a_coefficients, moment_product, multiplicity_free_moment
 
 from verblunsky.combinatorics import MultiIndex, f_weight, partitions
 from verblunsky.gaussian import (
@@ -29,16 +29,16 @@ def _small_multi_indices(max_deg):
 class TestMomentPolynomial:
     def test_constructors(self):
         assert MomentPolynomial.zero().to_map() == {}
-        assert MomentPolynomial.one().to_map() == {0: 1}
         p = MomentPolynomial.from_terms({2: Fraction(1, 2), 1: 0})
         assert p.to_map() == {2: Fraction(1, 2)}
+        assert moment_product(p, MomentPolynomial.from_terms({0: 1})) == p
 
     def test_algebra_matches_evaluation(self):
         a = MomentPolynomial.from_terms({1: Fraction(1, 3), 4: 2})
         b = MomentPolynomial.from_terms({0: 1, 2: Fraction(-1, 2)})
         for beta in (Fraction(1), Fraction(1, 2), Fraction(7, 3)):
             assert add(a, b).evaluate(beta) == a.evaluate(beta) + b.evaluate(beta)
-            assert (a * b).evaluate(beta) == a.evaluate(beta) * b.evaluate(beta)
+            assert moment_product(a, b).evaluate(beta) == a.evaluate(beta) * b.evaluate(beta)
             assert scale(a, 5).evaluate(beta) == 5 * a.evaluate(beta)
 
 
@@ -134,10 +134,10 @@ class TestVariancePmf:
     def test_equals_literal_product(self):
         # The oracle multiplies out the n linear factors in Fractions, one
         # MomentPolynomial product per factor.
-        product = MomentPolynomial.one()
+        product = MomentPolynomial.from_terms({0: 1})
         for n in range(1, 41):
-            product = product * MomentPolynomial.from_terms(
-                {1: Fraction(1, n), 0: Fraction(n - 1, n)}
+            product = moment_product(
+                product, MomentPolynomial.from_terms({1: Fraction(1, n), 0: Fraction(n - 1, n)})
             )
             assert variance_pmf(n) == product, n
 
@@ -147,7 +147,7 @@ class TestVariancePmf:
             step = MomentPolynomial.from_terms(
                 {0: Fraction(n - 1, n), 1: Fraction(1, n)}
             )
-            assert variance_pmf(n) == variance_pmf(n - 1) * step
+            assert variance_pmf(n) == moment_product(variance_pmf(n - 1), step)
 
 
 class TestMultiplicityFree:

@@ -134,6 +134,30 @@ class TestMeasureRoundTrip:
             assert np.array_equal(trig_moments(r, K), c)
             np.testing.assert_allclose(c, np.fft.fft(r)[: K + 1] / grid, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("grid", [16, 17, 31, 1000, 4096, 16384])
+    def test_density_matches_complex_fft(self, grid):
+        # The autocorrelation on one real FFT against the modulus of the
+        # complex FFT of r_N.  On the two smallest grids every N < grid runs,
+        # so N >= grid/2 takes the folded spectrum on an even and an odd grid.
+        rng = np.random.default_rng(200 + grid)
+        for N in range(grid if grid <= 17 else 9):
+            for _ in range(5):
+                a = _random_alpha(rng, N)
+                r = reversed_polynomial(a)
+                norm = float(np.prod(1.0 - np.abs(a) ** 2))
+                oracle = norm / np.abs(np.fft.ifft(r, n=grid) * grid) ** 2
+                np.testing.assert_allclose(measure_density(a, grid), oracle, rtol=1e-11, atol=0)
+
+    def test_roundtrip_margin_at_benchmark_range(self):
+        # roundtrip's default tolerance is 1e-9; inputs in the range the
+        # benchmark runs (N <= 6, |alpha| <= 0.6, grid 16384) keep a margin of
+        # over 1000x below it.
+        rng = np.random.default_rng(201)
+        for _ in range(200):
+            a = _random_alpha(rng, int(rng.integers(1, 7)))
+            rec = verblunsky_from_moments(trig_moments(measure_density(a, 16384), a.size))
+            assert np.abs(rec - a).max() <= 1e-12, a
+
     def test_grid_guards(self):
         with pytest.raises(ValueError):
             measure_density([0.1], 8)

@@ -1,9 +1,10 @@
 """Closed forms read off the Bernoulli product ``variance_pmf``.
 
-:func:`multiplicity_free_moment` multiplies diagonal variances, which the
-tests compare against the partition engine's (p, delta_d) cross moment;
+:func:`moment_product` multiplies two moment polynomials;
+:func:`multiplicity_free_moment` multiplies diagonal variances with it, which
+the tests compare against the partition engine's (p, delta_d) cross moment;
 :func:`a_coefficients` lists the product's coefficients, which the tests
-compare against its conjugacy-class and Stirling forms.  Neither is called
+compare against its conjugacy-class and Stirling forms.  None is called
 by the package.
 """
 
@@ -15,13 +16,22 @@ from verblunsky.combinatorics import MultiIndex
 from verblunsky.gaussian import MomentPolynomial, variance_pmf
 
 
+def moment_product(a: MomentPolynomial, b: MomentPolynomial) -> MomentPolynomial:
+    """a * b as polynomials in beta**-1, by the literal double sum."""
+    out: dict[int, Fraction] = {}
+    for k1, c1 in a.terms:
+        for k2, c2 in b.terms:
+            out[k1 + k2] = out.get(k1 + k2, Fraction(0)) + c1 * c2
+    return MomentPolynomial.from_terms(out)
+
+
 def multiplicity_free_moment(p: MultiIndex) -> MomentPolynomial:
     """prod_n variance_pmf(n)**p(n); equals the (p, delta_d) cross moment."""
-    out = MomentPolynomial.one()
+    out = MomentPolynomial.from_terms({0: 1})
     for n, c in p.items():
         base = variance_pmf(n)
         for _ in range(c):
-            out = out * base
+            out = moment_product(out, base)
     return out
 
 
