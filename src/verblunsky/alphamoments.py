@@ -13,9 +13,10 @@ moves out of a state do not depend on the level t, so :func:`_transfer`
 numbers the states and tabulates their moves once for all levels, betas and
 calls.  Each level of :func:`_level_sweep` is one sparse matrix-vector product
 on integer numerators, and the all-closed entry after level t is the partial
-sum S(t).  :func:`alpha_x_moment` sweeps only the first levels:
-:func:`_certificate` proves from them a closed form u(N) / D(N) for all later
-S(N), by the sweep's own recurrence.
+sum S(t).  :func:`_certificate` sweeps only the first levels and proves from
+them a closed form u(N) / D(N) for all later S(N), by the sweep's own
+recurrence, and so the limit; :func:`alpha_x_moment` reads S(N) and the exact
+tail S(infinity) - S(N) from it.
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
@@ -27,10 +28,11 @@ reads the table.
 
 Each comparison of the CN identity's two sides is one :class:`CnCheck` from
 :func:`_cn_check`, and ``CnCheck.passed`` is the one place its PASS/FAIL rule
-is written.  :func:`verify_cn_identity` makes one check per beta;
-:func:`nice_identity_check` makes the one at p = q = delta_n, E|x_n|**2,
-whose Gaussian value is :func:`~verblunsky.gaussian.variance_pmf`.  All
-arithmetic is exact, and values cross the API as ``fractions.Fraction``.
+is written: the proved limit is the Gaussian value.  :func:`verify_cn_identity`
+makes one check per beta; :func:`nice_identity_check` makes the one at
+p = q = delta_n, E|x_n|**2, whose Gaussian value is
+:func:`~verblunsky.gaussian.variance_pmf`.  All arithmetic is exact, and
+values cross the API as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -56,11 +58,10 @@ _DONE = 1  # the all-closed state's number in every _Transfer table
 
 @dataclass(frozen=True)
 class TruncatedSumResult:
-    """Exact partial sum of the alpha-side series with truncation diagnostics."""
+    """Exact partial sum of the alpha-side series and its exact tail (None if unproved)."""
 
     value: Fraction
-    last_shell: Fraction
-    tail_estimate: Fraction
+    tail: Fraction | None
 
 
 def _canonical(slots, n_p: int) -> tuple[int, ...]:
@@ -192,30 +193,31 @@ def _level_factors(t: int, beta: Fraction, top_mt: int) -> tuple[int, list[int]]
     return suffix[0], [factorial(mt) * bv**mt * x for mt, x in enumerate(suffix)]
 
 
+def _step(rows, amps: list[int], w: list[int]) -> list[int]:
+    """One level: new[dst] += amps[src] * w[mt] * mult over the nonzero sources' rows."""
+    new = [0] * len(rows)
+    for src, amp in enumerate(amps):
+        if amp:
+            for mt, dst, mult in rows[src]:
+                new[dst] += amp * (w[mt] * mult)
+    return new
+
+
 def _level_sweep(init: tuple[int, ...], n_p: int, beta: Fraction):
     """Exact transfer sweep: after each level t = 0, 1, ... yield (den, amps).
 
     ``amps[s] / den`` is the amplitude of :func:`_transfer` state s, in a
-    fresh list per level.  A level adds amps[src] * w[mt] * mult to new[dst]
-    over the rows of the nonzero sources, with :func:`_level_factors`' w;
-    then den *= P_t, and den and every numerator are divided by their gcd,
-    which keeps them from growing by P_t per level.
+    fresh list per level from :func:`_step`; then den *= P_t, and den and
+    every numerator are divided by their gcd, which keeps them from growing by
+    P_t per level.
     """
     rows, top_mt = _rows(init, n_p)
     amps, den = [1] + [0] * (len(rows) - 1), 1
     for t in itertools.count():
         p_t, w = _level_factors(t, beta, top_mt)
-        new = [0] * len(rows)
-        for src, amp in enumerate(amps):
-            if amp:
-                for mt, dst, mult in rows[src]:
-                    new[dst] += amp * (w[mt] * mult)
-        den *= p_t
+        new, den = _step(rows, amps, w), den * p_t
         g = gcd(den, *new)
-        if g > 1:
-            den //= g
-            new = [amp // g for amp in new]
-        amps = new
+        den, amps = den // g, [amp // g for amp in new] if g > 1 else new
         yield den, amps
 
 
@@ -228,20 +230,25 @@ def _window(p: MultiIndex, q: MultiIndex, beta: Fraction) -> tuple[int, int]:
 
 
 class _Certificate(NamedTuple):
-    """S(N) = u(N) / (scale D(N)) for N >= n0; u has forward differences diffs at n0."""
+    """S(N) = u(N) / (scale D(N)) for N >= n0, where u has forward differences diffs at n0,
+    S(N) = Fraction(*swept[N]) for N <= n0 + k, and the limit S(infinity)."""
 
     n0: int
     scale: int
     diffs: tuple[int, ...]
     denominator: Callable[[int], int]  # D
+    swept: tuple[tuple[int, int], ...]
+    limit: Fraction
 
     def partial_sum(self, n: int) -> Fraction:
+        if n < len(self.swept):
+            return Fraction(*self.swept[n])
         num = sum(comb(n - self.n0, i) * diff for i, diff in enumerate(self.diffs))
         return Fraction(num, self.scale * self.denominator(n))
 
 
-def _prove(rows, factors, d: int, n0: int, window: list) -> _Certificate | None:
-    """The closed form of the partial sums, proved from the sweep, or None.
+def _prove(rows, factors, d: int, n0: int, window: list) -> tuple | None:
+    """(scale, diffs, D): the closed form of the partial sums, proved from the sweep, or None.
 
     ``window`` is the sweep's (den, amps) at levels n0 .. n0 + k and ``factors``
     is t -> (P_t, w).  Each state's u_s(N) = scale D(N) a_s(N) is read there as an
@@ -264,25 +271,27 @@ def _prove(rows, factors, d: int, n0: int, window: list) -> _Certificate | None:
         for _ in range(top_mt + 1):
             col.append(sum(c * col[-j] for j, c in enumerate(step, 1)))
     for n in range(1, k + top_mt + 2):
-        w, new = factors(n0 + n)[1], [0] * len(rows)
-        for src, row in enumerate(rows):
-            for mt, dst, mult in row:
-                new[dst] += cols[src][n - 1] * (w[mt] * mult)
+        new = _step(rows, [col[n - 1] for col in cols], factors(n0 + n)[1])
         p_shift = factors(n0 + n - d)[0]
         if any(p_shift * col[n] != x for col, x in zip(cols, new)):
             return None
     u = cols[_DONE]
     diffs = [sum((-1) ** (i - j) * comb(i, j) * u[j] for j in range(i + 1)) for i in range(k + 1)]
-    return _Certificate(n0, scale, tuple(diffs), denominator)
+    return scale, tuple(diffs), denominator
 
 
 @lru_cache(maxsize=None)
 def _certificate(p: MultiIndex, q: MultiIndex, beta: Fraction) -> _Certificate | None:
-    """:func:`_prove` on the sweep's levels :func:`_window`, once per (p, q, beta)."""
+    """:func:`_prove` on levels 0 .. N0 + k, once per (p, q, beta); limit = lead(u) / lead(D)."""
     (n0, k), init = _window(p, q, beta), _initial_state(p, q)
     rows, top_mt = _rows(init, p.size)
-    window = itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + k + 1)
-    return _prove(rows, partial(_level_factors, beta=beta, top_mt=top_mt), p.deg, n0, list(window))
+    sweep = list(itertools.islice(_level_sweep(init, p.size, beta), n0 + k + 1))
+    proof = _prove(rows, partial(_level_factors, beta=beta, top_mt=top_mt), p.deg, n0, sweep[n0:])
+    if proof is None:
+        return None
+    scale, diffs, _ = proof
+    limit = Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
+    return _Certificate(n0, *proof, tuple((amps[_DONE], den) for den, amps in sweep), limit)
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:
@@ -302,26 +311,18 @@ def alpha_x_moment(
 
     The series runs over balanced tuple families with indices <= max_index;
     partial sums are nondecreasing in max_index (all terms positive).  The
-    moment vanishes exactly when deg(p) != deg(q).  Past max_index = N0 + k, a
-    proved closed form (:func:`_certificate`) gives the sweep's exact values.
+    moment vanishes exactly when deg(p) != deg(q).  Both value and tail come from
+    :func:`_certificate`; if its proof fails, a sweep to max_index gives the value alone.
     """
     beta = _sweep_args(beta, max_index)
-    zero = Fraction(0)
-    if p.deg != q.deg:
-        return TruncatedSumResult(zero, zero, zero)
-    if p.deg == 0:
-        return TruncatedSumResult(Fraction(1), zero, zero)
-    n0, k = _window(p, q, beta)
-    if max_index > n0 + k and (cert := _certificate(p, q, beta)):
-        s_now, s_prev = cert.partial_sum(max_index), cert.partial_sum(max_index - 1)
-    else:
-        prev = now = (0, 1)
-        sweep = _level_sweep(_initial_state(p, q), p.size, beta)
-        for den, amps in itertools.islice(sweep, max_index + 1):
-            prev, now = now, (amps[_DONE], den)
-        s_now, s_prev = Fraction(*now), Fraction(*prev)
-    shell = s_now - s_prev
-    return TruncatedSumResult(s_now, shell, shell * max_index)
+    if p.deg != q.deg or p.deg == 0:  # exactly 0, or 1 for the empty monomial
+        return TruncatedSumResult(Fraction(p.deg == q.deg), Fraction(0))
+    if cert := _certificate(p, q, beta):
+        value = cert.partial_sum(max_index)
+        return TruncatedSumResult(value, cert.limit - value)
+    sweep = _level_sweep(_initial_state(p, q), p.size, beta)
+    den, amps = next(itertools.islice(sweep, max_index, None))
+    return TruncatedSumResult(Fraction(amps[_DONE], den), None)
 
 
 @dataclass(frozen=True)
@@ -331,7 +332,7 @@ class CnCheck:
     beta: Fraction
     gaussian_value: Fraction
     alpha_value: Fraction
-    tail_estimate: Fraction
+    tail: Fraction | None
 
     @property
     def difference(self) -> Fraction:
@@ -340,10 +341,8 @@ class CnCheck:
 
     @property
     def passed(self) -> bool:
-        """0 <= difference <= 10 tail: a partial sum of positive terms cannot
-        exceed its limit, and 10x is a safety factor over the empirical shell
-        decay (no proved remainder bound is available)."""
-        return 0 <= self.difference <= 10 * self.tail_estimate
+        """tail == difference: the proved limit, alpha + tail, is the Gaussian value."""
+        return self.tail == self.difference
 
 
 @dataclass(frozen=True)
@@ -355,10 +354,10 @@ class CnIdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def _cn_check(p, q, beta: Fraction, max_index: int, limit: Fraction) -> CnCheck:
-    """The alpha partial sum of (p, q) at beta against its exact limit."""
+def _cn_check(p, q, beta: Fraction, max_index: int, gaussian: Fraction) -> CnCheck:
+    """The alpha partial sum of (p, q) at beta and its exact tail against the Gaussian value."""
     res = alpha_x_moment(p, q, beta, max_index)
-    return CnCheck(beta, limit, res.value, res.tail_estimate)
+    return CnCheck(beta, gaussian, res.value, res.tail)
 
 
 def verify_cn_identity(
@@ -372,9 +371,7 @@ def verify_cn_identity(
         raise ValueError("need at least one beta")
     betas = [_sweep_args(b, max_index) for b in betas]
     gpoly = gaussian_x_moment(p, q)
-    return CnIdentityReport(
-        tuple(_cn_check(p, q, b, max_index, gpoly.evaluate(b)) for b in betas)
-    )
+    return CnIdentityReport(tuple(_cn_check(p, q, b, max_index, gpoly.evaluate(b)) for b in betas))
 
 
 def nice_identity_check(n: int, beta: Fraction, max_index: int) -> CnCheck:

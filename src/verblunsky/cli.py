@@ -163,8 +163,8 @@ def _cmd_gaussian_moment(args):
 
 def _cmd_alpha_moment(args):
     res = alpha_x_moment(args.p, args.q, args.beta, args.max_index)
-    diagnostics = {"last_shell": rat_str(res.last_shell), "tail": rat_str(res.tail_estimate)}
-    return {"value": rat_str(res.value)}, PASS, diagnostics
+    status = PASS if res.tail is not None else FAIL  # None: the limit was not proved
+    return {"value": rat_str(res.value)}, status, {"tail": rat_str(res.tail)}
 
 
 def _cmd_identity(args):
@@ -175,15 +175,15 @@ def _cmd_identity(args):
             "gaussian": rat_str(c.gaussian_value),
             "alpha": rat_str(c.alpha_value),
             "difference": rat_str(c.difference),
-            "tail": rat_str(c.tail_estimate),
+            "tail": rat_str(c.tail),
             "passed": c.passed,
         }
         for c in rep.checks
     ]
     if len(rep.checks) == 1:
-        tail = rat_str(rep.checks[0].tail_estimate)
+        tail = rat_str(rep.checks[0].tail)
     else:
-        tail = {rat_str(c.beta): rat_str(c.tail_estimate) for c in rep.checks}
+        tail = {rat_str(c.beta): rat_str(c.tail) for c in rep.checks}
     return {"checks": checks}, PASS if rep.passed else FAIL, {"tail": tail}
 
 
@@ -192,7 +192,7 @@ def _cmd_nice_identity(args):
     return (
         {"lhs": rat_str(c.alpha_value), "rhs": rat_str(c.gaussian_value)},
         PASS if c.passed else FAIL,
-        {"difference": rat_str(-c.difference), "tail": rat_str(c.tail_estimate)},
+        {"difference": rat_str(-c.difference), "tail": rat_str(c.tail)},
     )
 
 

@@ -18,8 +18,10 @@ FAIL = "FAIL"
 EXPERIMENTAL = "EXPERIMENTAL"
 
 
-def rat_str(x) -> str:
-    """Exact rational as "num/den" (the denominator is kept even when 1)."""
+def rat_str(x) -> str | None:
+    """Exact rational as "num/den" (the denominator is kept even when 1); None stays None."""
+    if x is None:
+        return None
     f = Fraction(x)
     try:
         return f"{f.numerator}/{f.denominator}"

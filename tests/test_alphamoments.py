@@ -214,7 +214,7 @@ class TestAlphaXMoment:
     def test_degree_mismatch_is_zero(self):
         res = alpha_x_moment(MultiIndex({1: 1}), MultiIndex({2: 1}), Fraction(1), 50)
         assert res.value == 0
-        assert res.tail_estimate == 0
+        assert res.tail == 0
 
     def test_empty_monomial_is_one(self):
         res = alpha_x_moment(MultiIndex(), MultiIndex(), Fraction(1), 10)
@@ -262,13 +262,16 @@ class TestAlphaXMoment:
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < Fraction(1, 50)
 
-    def test_tail_estimate_covers_true_remainder(self):
-        # compare against a much longer run standing in for the limit
+    def test_tail_covers_true_remainder(self):
+        # The exact tail is the limit's shortfall: a much longer run gains
+        # less than it, and partial sum plus tail is the Gaussian value.
         p = MultiIndex({1: 1, 2: 1})
-        far = alpha_x_moment(p, p, Fraction(1), 6000).value
+        limit = gaussian_x_moment(p, p).evaluate(Fraction(1))
+        far = alpha_x_moment(p, p, Fraction(1), 6000)
         for N in (50, 200, 800):
             res = alpha_x_moment(p, p, Fraction(1), N)
-            assert abs(far - res.value) <= 10 * res.tail_estimate
+            assert 0 < far.value - res.value < res.tail == limit - res.value
+            assert far.tail < res.tail
 
 
 class TestLevelSweepOracle:
@@ -372,13 +375,13 @@ class TestNiceIdentity:
         for n in (1, 2, 3):
             for beta in (Fraction(1, 2), Fraction(1)):
                 check = nice_identity_check(n, beta, 3000)
-                assert abs(check.difference) <= 10 * check.tail_estimate
+                assert 0 < check.difference == check.tail
                 assert check.passed
 
     def test_degree_one_is_exact_telescoping(self):
         for N in (10, 100):
             check = nice_identity_check(1, Fraction(1), N)
-            assert check.difference == check.tail_estimate == Fraction(1, N + 1)
+            assert check.difference == check.tail == Fraction(1, N + 1)
 
     def test_equals_literal_enumeration(self):
         def literal_sum(n, beta, N):
@@ -392,11 +395,12 @@ class TestNiceIdentity:
 
         for n in (1, 2, 3, 4):
             for beta in (Fraction(1, 3), Fraction(1), Fraction(3, 2)):
+                gauss = gaussian_x_moment(MultiIndex.delta(n), MultiIndex.delta(n)).evaluate(beta)
                 for N in (0, 1, 2, 5, 12):
                     check = nice_identity_check(n, beta, N)
-                    lhs, tail = check.alpha_value, check.tail_estimate
+                    lhs, tail = check.alpha_value, check.tail
                     assert lhs == literal_sum(n, beta, N), (n, beta, N)
-                    assert tail == (lhs - literal_sum(n, beta, N - 1)) * N, (n, beta, N)
+                    assert tail == gauss - lhs, (n, beta, N)
 
     def test_diagonal_slots_move_in_lockstep(self):
         # From (delta_n, delta_n) the balance rule opens and closes both
@@ -447,29 +451,49 @@ class TestVerifyCnIdentity:
             assert check.difference == check.gaussian_value - check.alpha_value
 
     def test_alpha_side_above_gaussian_fails(self, monkeypatch):
-        # A Gaussian value one tail below the alpha partial sum passes
-        # |diff| <= 10 tail, but a partial sum of positive terms cannot
-        # exceed its limit, so the sign check must fail it.
+        # A Gaussian value one tail below the alpha partial sum is off by
+        # |diff| = tail, but the gate asks for the proved limit itself.
         p, beta, N = MultiIndex({2: 1}), Fraction(1), 200
         res = alpha_x_moment(p, p, beta, N)
 
         class _Shifted:
             def evaluate(self, b):
-                return res.value - res.tail_estimate
+                return res.value - res.tail
 
         monkeypatch.setattr(alphamoments, "gaussian_x_moment", lambda p, q: _Shifted())
         rep = verify_cn_identity(p, p, [beta], N)
         (check,) = rep.checks
-        assert check.difference == -check.tail_estimate < 0
-        assert abs(check.difference) <= 10 * check.tail_estimate
+        assert check.difference == -check.tail < 0
+        assert check.tail == res.tail
         assert not check.passed
         assert not rep.passed
+
+    def test_every_true_identity_passes(self):
+        # Every equal-degree pair of degree <= 4 at every max_index 0..12:
+        # the proved limit is the Gaussian value even where S(N) is still 0.
+        checked = 0
+        for p, q in CERT_PAIRS:
+            gpoly = gaussian_x_moment(p, q)
+            for beta in CERT_BETAS:
+                for N in range(13):
+                    (check,) = verify_cn_identity(p, q, [beta], N).checks
+                    assert check.passed, (p, q, beta, N)
+                    assert check.alpha_value + check.tail == gpoly.evaluate(beta)
+                    checked += 1
+        assert checked == 2535
 
     def test_mixed_case_passes(self):
         p = MultiIndex({1: 1, 2: 1})
         q = MultiIndex({3: 1})
         rep = verify_cn_identity(p, q, [Fraction(1)], 3000)
         assert rep.passed
+
+
+# Every equal-degree pair of degree <= 4, at the degenerate betas 1/2, 1 and 2,
+# where some level factors vanish at an integer N and N0 > 0, and at generic ones.
+CERT_PAIRS = [(p, q) for d in (1, 2, 3, 4) for p in partitions(d) for q in partitions(d)]
+CERT_BETAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3), Fraction(3, 7))
+CERT_CASES = [(p, q, beta) for beta in CERT_BETAS for p, q in CERT_PAIRS]
 
 
 class TestGatePower:
@@ -491,26 +515,44 @@ class TestGatePower:
         gpoly = gaussian_x_moment(p, q)
         for beta in BETAS:
             res = alpha_x_moment(p, q, beta + 1, N)
-            check = CnCheck(beta, gpoly.evaluate(beta), res.value, res.tail_estimate)
+            check = CnCheck(beta, gpoly.evaluate(beta), res.value, res.tail)
             assert not check.passed, (p, q, beta)
 
+    @pytest.mark.parametrize(
+        "p, q", CERT_PAIRS, ids=[f"{p.to_string()}|{q.to_string()}" for p, q in CERT_PAIRS]
+    )
+    def test_heuristic_limit_is_proved_below_gaussian(self, p, q):
+        # The certificate at beta + 1 proves the heuristic law's limit, G(beta + 1),
+        # without assuming the identity.  G is a nonconstant polynomial in
+        # 1/beta with nonnegative coefficients, so G(beta + 1) < G(beta) at
+        # every beta > 0: the heuristic law misses this moment everywhere.
+        gpoly = gaussian_x_moment(p, q)
+        coeffs = gpoly.to_map()
+        assert min(coeffs.values()) >= 0
+        assert any(c and e > 0 for e, c in coeffs.items())
+        for beta in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3)):
+            cert = _certificate(p, q, beta + 1)
+            assert cert is not None, (p, q, beta)
+            assert cert.limit == gpoly.evaluate(beta + 1) < gpoly.evaluate(beta), (p, q, beta)
 
-# Every equal-degree pair of degree <= 4, at the degenerate betas 1/2, 1 and 2,
-# where some level factors vanish at an integer N and N0 > 0, and at generic ones.
-CERT_PAIRS = [(p, q) for d in (1, 2, 3, 4) for p in partitions(d) for q in partitions(d)]
-CERT_BETAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3), Fraction(3, 7))
-CERT_CASES = [(p, q, beta) for beta in CERT_BETAS for p, q in CERT_PAIRS]
+
+def _limit(proof, beta):
+    """S(infinity) from _prove's (scale, diffs, D): Delta^k u_DONE(N0) / (k! scale bu**k),
+    the leading coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
+    scale, diffs, _ = proof
+    k = len(diffs) - 1
+    return Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
 
 
-def _limit(cert, beta):
-    """S(infinity) = Delta^k u_DONE(N0) / (k! scale bu**k): the leading
-    coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
-    k = len(cert.diffs) - 1
-    return Fraction(cert.diffs[k], factorial(k) * cert.scale * beta.numerator**k)
+def _rejected(proof, beta, value):
+    return proof is None or _limit(proof, beta) != value
 
 
-def _rejected(cert, beta, value):
-    return cert is None or _limit(cert, beta) != value
+def _old_gate(p, q, law, gauss, n):
+    """The retired heuristic rule at the law's partial sum S(n):
+    0 <= gauss - S(n) <= 10 n (S(n) - S(n - 1))."""
+    now, prev = (alpha_x_moment(p, q, law, m).value for m in (n, n - 1))
+    return 0 <= gauss - now <= 10 * n * (now - prev)
 
 
 def _ingredients(p, q, beta, shifts=None):
@@ -532,8 +574,9 @@ class TestCertificate:
         for p, q, beta in CERT_CASES:
             cert = _certificate(p, q, beta)
             assert cert is not None, (p, q, beta)
-            assert _limit(cert, beta) == gaussian_x_moment(p, q).evaluate(beta), (p, q, beta)
-            assert _prove(*_ingredients(p, q, beta))[:3] == cert[:3]  # n0, scale, diffs
+            proof = _prove(*_ingredients(p, q, beta))
+            assert proof[:2] == (cert.scale, cert.diffs)
+            assert cert.limit == _limit(proof, beta) == gaussian_x_moment(p, q).evaluate(beta)
 
     def test_first_level_pinned(self):
         # A base case at N = 0 where N0 > 0 cannot be told from the values
@@ -597,36 +640,38 @@ class TestCertificate:
 
     @pytest.mark.parametrize("p, q", TestGatePower.CASES)
     def test_rejects_what_the_tail_gate_passes(self, p, q):
-        # The Gaussian value + 1e-30 and the law at beta (1 +- 1e-5) pass the
-        # 10x tail gate at N = 10**4; the certified limit tells both apart.
-        gpoly = gaussian_x_moment(p, q)
+        # The Gaussian value + 1e-30 and the law at beta (1 +- 1e-5) passed the
+        # retired 10x tail gate at N = 10**4; the exact gate fails both.
+        gpoly, N = gaussian_x_moment(p, q), 10**4
         for beta in BETAS:
             gauss = gpoly.evaluate(beta)
-            res = alpha_x_moment(p, q, beta, 10**4)
+            res = alpha_x_moment(p, q, beta, N)
             lifted = gauss + Fraction(1, 10**30)
-            assert CnCheck(beta, lifted, res.value, res.tail_estimate).passed
-            assert _rejected(_certificate(p, q, beta), beta, lifted)
+            assert CnCheck(beta, gauss, res.value, res.tail).passed
+            assert _old_gate(p, q, beta, lifted, N)
+            assert not CnCheck(beta, lifted, res.value, res.tail).passed
             for eps in (Fraction(1, 10**5), Fraction(-1, 10**5)):
                 law = beta * (1 + eps)
-                res = alpha_x_moment(p, q, law, 10**4)
-                assert CnCheck(beta, gauss, res.value, res.tail_estimate).passed
-                assert _rejected(_certificate(p, q, law), law, gauss), (p, q, beta, eps)
+                res = alpha_x_moment(p, q, law, N)
+                assert _old_gate(p, q, law, gauss, N), (p, q, beta, eps)
+                assert not CnCheck(beta, gauss, res.value, res.tail).passed, (p, q, beta, eps)
+                assert _certificate(p, q, law).limit == gpoly.evaluate(law) != gauss
 
 
 class TestClosedFormSwitch:
-    """alpha_x_moment reads S(N) from the certificate past N0 + k and sweeps
-    below; both sides of the switch equal a direct sweep, exactly."""
+    """The certificate gives S(N) from its stored sweep up to N0 + k and from
+    the closed form past it; both sides of the switch equal a direct sweep,
+    exactly, and the tail is the Gaussian value minus S(N)."""
 
     def test_equals_direct_sweep_around_the_switch(self):
         rng = random.Random(16)
         deep = [(p, q, Fraction(355, 113)) for p, q in CERT_PAIRS]
         for p, q, beta in rng.sample(CERT_CASES + deep, 60):
             n0, k = _window(p, q, beta)
-            for n in sorted({n0 + k, n0 + k + 1, *rng.sample(range(n0 + k + 4), 4)}):
+            gauss = gaussian_x_moment(p, q).evaluate(beta)
+            for n, value in enumerate(_partial_sums(p.slots(), q.slots(), beta, n0 + k + 3)):
                 res = alpha_x_moment(p, q, beta, n)
-                value, prev = _sweep(p.slots(), q.slots(), beta, n)
-                assert (res.value, res.last_shell) == (value, value - prev), (p, q, beta, n)
-                assert res.tail_estimate == res.last_shell * n
+                assert (res.value, res.tail) == (value, gauss - value), (p, q, beta, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_nice_identity_equals_direct_sweep(self, n):
@@ -634,19 +679,21 @@ class TestClosedFormSwitch:
         delta = MultiIndex.delta(n)
         for beta in (*CERT_BETAS, Fraction(355, 113)):
             n0, k = _window(delta, delta, beta)
+            gauss = gaussian_x_moment(delta, delta).evaluate(beta)
             for N in {n0 + k, n0 + k + 1, rng.randint(0, n0 + k + 3)}:
                 check = nice_identity_check(n, beta, N)
-                value, prev = _sweep([n], [n], beta, N)
-                assert (check.alpha_value, check.tail_estimate) == (value, (value - prev) * N)
+                value, _ = _sweep([n], [n], beta, N)
+                assert (check.alpha_value, check.tail) == (value, gauss - value)
 
     @pytest.mark.parametrize("pq", [("1:1", "1:1"), ("1:2", "2:1"), ("1:1,2:1", "3:1"),
                                     ("2:2", "1:1,3:1")])
     def test_equals_direct_sweep_at_ten_thousand(self, pq):
         p, q = (MultiIndex.from_string(x) for x in pq)
         beta, N = Fraction(2, 3), 10**4
+        gauss = gaussian_x_moment(p, q).evaluate(beta)
         res = alpha_x_moment(p, q, beta, N)
-        value, prev = _sweep(p.slots(), q.slots(), beta, N)
-        assert (res.value, res.last_shell) == (value, value - prev)
+        value, _ = _sweep(p.slots(), q.slots(), beta, N)
+        assert (res.value, res.tail) == (value, gauss - value)
         if p == q == MultiIndex.delta(p.deg):
             check = nice_identity_check(p.deg, beta, N)
-            assert (check.alpha_value, check.tail_estimate) == (value, (value - prev) * N)
+            assert (check.alpha_value, check.tail) == (value, gauss - value)

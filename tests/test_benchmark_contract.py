@@ -1,16 +1,19 @@
-"""Names and command lines of the package that the benchmark in ``perfbench/`` uses.
+"""Names, command lines and reports of the package that the benchmark in ``perfbench/`` uses.
 
 The benchmark traces the package by rebinding the functions listed in
 ``perfbench/spans.py``'s ``BINDINGS``, reports the kernel and rational
-backends on every pass, and runs the CLI argvs that
-``perfbench/workloads.py`` generates.  A refactor that removes one of these
-names or options would otherwise show up only as failed benchmark
+backends on every pass, runs the CLI argvs that ``perfbench/workloads.py``
+generates, and checks their reports with ``perfbench/checks.py``.  A
+refactor that removes one of these names or options, or changes a report
+those checks read, would otherwise show up only as failed benchmark
 operations.
 """
 
 import importlib
 import importlib.util
 import inspect
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,3 +75,18 @@ def test_benchmark_argvs_parse(workload, tmp_path):
                 parser.parse_args(op["argv"])
             except SystemExit:
                 pytest.fail(f"benchmark argv does not parse: {op['argv']}")
+
+
+@pytest.mark.parametrize("workload", ["identity-sweep", "small-checks"])
+def test_benchmark_reports_pass_its_checks(workload, tmp_path):
+    # One seed's operations, run in-process as perfbench/worker.py runs them,
+    # then judged by the benchmark's own per-pass output checks.
+    ops = WORKLOADS.generate(workload, 0, str(tmp_path))
+    assert {op["lane"] for op in ops} == {"cli"}
+    outs = []
+    for op in ops:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.run(op["argv"])
+        outs.append({"exc": None, "rc": rc, "out": out.getvalue(), "err": err.getvalue()})
+    assert _perfbench("checks").check_pass(ops, outs, None) == {}

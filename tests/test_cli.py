@@ -177,7 +177,7 @@ class TestSamplingDeterminism:
 def _lift_nice_lhs(monkeypatch):
     """Make nice-identity report lhs one tail above rhs."""
     check = cli.nice_identity_check(1, 1, 100)
-    lifted = dataclasses.replace(check, gaussian_value=check.alpha_value - check.tail_estimate)
+    lifted = dataclasses.replace(check, gaussian_value=check.alpha_value - check.tail)
     monkeypatch.setattr(cli, "nice_identity_check", lambda n, b, m: lifted)
 
 
@@ -192,14 +192,49 @@ class TestExitCodes:
         assert json.loads(out)["status"] == "FAIL"
 
     def test_nice_identity_partial_sum_above_limit_fails(self, capsys, monkeypatch):
-        # lhs one tail above rhs passes |lhs - rhs| <= 10 tail, but a partial
-        # sum of positive terms cannot exceed its limit.
+        # lhs one tail above rhs: the proved limit, lhs + tail, is not rhs.
         _lift_nice_lhs(monkeypatch)
         code, out, _ = _run(capsys, NICE_N1)
         rep = json.loads(out)
         assert code == 1
         assert rep["status"] == "FAIL"
         assert rep["diagnostics"]["difference"] == rep["diagnostics"]["tail"]
+
+    def test_true_identity_at_small_max_index_passes(self, capsys):
+        # S(1) = 0 here, so the last shell is 0: the retired 10x tail rule
+        # FAILed this true identity.  Partial sum plus exact tail is rhs.
+        argv = ["nice-identity", "--n", "2", "--beta", "1/2", "--max-index", "1"]
+        code, out, _ = _run(capsys, argv)
+        rep = json.loads(out)
+        assert (code, rep["status"]) == (0, "PASS")
+        assert rep["results"] == {"lhs": "0/1", "rhs": "3/1"}
+        assert rep["diagnostics"] == {"difference": "-3/1", "tail": "3/1"}
+
+    @pytest.mark.parametrize("argv", [
+        ["identity", "--p", "1:1,2:1", "--q", "3:1", "--beta", "1/2,2/3", "--max-index", "7"],
+        ["nice-identity", "--n", "2", "--beta", "1/2", "--max-index", "7"],
+        ["alpha-moment", "--p", "1:2", "--q", "2:1", "--beta", "2/3", "--max-index", "7"],
+    ])
+    def test_unproved_limit_is_a_fail(self, capsys, monkeypatch, argv):
+        # A proof that fails leaves the swept value and no tail: a FAIL
+        # report with "tail": null and exit 1, not a traceback.
+        proved = json.loads(_run(capsys, argv)[1])
+        monkeypatch.setattr(alphamoments, "_prove", lambda *args: None)
+        alphamoments._certificate.cache_clear()
+        try:
+            code, out, err = _run(capsys, argv)
+        finally:
+            alphamoments._certificate.cache_clear()
+        rep = json.loads(out)
+        assert (code, rep["status"], err) == (1, "FAIL", "")
+        assert '"tail": null' in out
+        if argv[0] == "identity":
+            assert rep["results"]["checks"] == [
+                {**c, "tail": None, "passed": False} for c in proved["results"]["checks"]]
+            assert rep["diagnostics"] == {"tail": {"1/2": None, "2/3": None}}
+        else:
+            assert rep["results"] == proved["results"]
+            assert rep["diagnostics"]["tail"] is None
 
     @settings(max_examples=40)
     @given(argv=st.sampled_from([*GOLDEN_CASES.values(), FAIL_JACOBIAN]), lift=st.booleans())
