@@ -14,9 +14,12 @@ numbers the states and tabulates their moves once for all levels, betas and
 calls.  Each level of :func:`_level_sweep` is one sparse matrix-vector product
 on integer numerators, and the all-closed entry after level t is the partial
 sum S(t).  :func:`_certificate` sweeps only the first levels and proves from
-them a closed form u(N) / D(N) for all later S(N), by the sweep's own
-recurrence, and so the limit; :func:`alpha_x_moment` reads S(N) and the exact
-tail S(infinity) - S(N) from it.
+them a closed form u(N) / D(N) for all later S(N), and so the limit:
+:func:`_prove` finds each state's numerator a polynomial in N by finite
+differences on more levels than the sweep's recurrence has degree (the
+recurrence-identity proof is ``tests/certificate_oracle.py``).  The
+certificate is numbers only; :func:`alpha_x_moment` reads S(N) and the
+exact tail S(infinity) - S(N) from it.
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
@@ -41,9 +44,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .combinatorics import MultiIndex, MultiplicityVector
 
@@ -229,14 +232,21 @@ def _window(p: MultiIndex, q: MultiIndex, beta: Fraction) -> tuple[int, int]:
     return max([-1, *roots]) + 1, p.deg * top_mt
 
 
+def _denominator(n: int, beta: Fraction, d: int, top_mt: int) -> int:
+    """D(N) = prod_{j<d} P_{N-j}, with P_t from :func:`_level_factors`."""
+    return prod(_level_factors(n - j, beta, top_mt)[0] for j in range(d))
+
+
 class _Certificate(NamedTuple):
-    """S(N) = u(N) / (scale D(N)) for N >= n0, where u has forward differences diffs at n0,
-    S(N) = Fraction(*swept[N]) for N <= n0 + k, and the limit S(infinity)."""
+    """S(N) = u(N) / (scale D(N)) for N >= n0, u with forward differences diffs at n0 and D(N) =
+    _denominator(N, beta, d, top_mt); S(N) = Fraction(*swept[N]) on swept levels; numbers only."""
 
     n0: int
     scale: int
     diffs: tuple[int, ...]
-    denominator: Callable[[int], int]  # D
+    beta: Fraction
+    d: int
+    top_mt: int
     swept: tuple[tuple[int, int], ...]
     limit: Fraction
 
@@ -244,54 +254,45 @@ class _Certificate(NamedTuple):
         if n < len(self.swept):
             return Fraction(*self.swept[n])
         num = sum(comb(n - self.n0, i) * diff for i, diff in enumerate(self.diffs))
-        return Fraction(num, self.scale * self.denominator(n))
+        return Fraction(num, self.scale * _denominator(n, self.beta, self.d, self.top_mt))
 
 
-def _prove(rows, factors, d: int, n0: int, window: list) -> tuple | None:
-    """(scale, diffs, D): the closed form of the partial sums, proved from the sweep, or None.
+def _prove(window: list, denominators: list[int], k: int) -> tuple | None:
+    """(scale, diffs): the closed form of the partial sums, proved from the sweep, or None.
 
-    ``window`` is the sweep's (den, amps) at levels n0 .. n0 + k and ``factors``
-    is t -> (P_t, w).  Each state's u_s(N) = scale D(N) a_s(N) is read there as an
-    integer polynomial of degree <= k, extended top_mt + 1 levels by its vanishing
-    (k+1)-th differences.  As D(N) / D(N-1) = P_N / P_{N-d}, the sweep's step a(N)
-    = M(N) a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <= k + top_mt in
-    N: true at the k + top_mt + 1 levels from n0 + 1, it is true for every N, and
-    induction from n0 gives u(N) = scale D(N) a(N) at every N >= n0 (D has no
-    integer root >= n0, and P_{N-d} divides D(N-1)).
+    ``window`` is the sweep's (den, amps) at levels n0 .. n0 + k + top_mt + 1, ``denominators``
+    is D(N) there.  Each u_s(N) = scale D(N) a_s(N) must have vanishing (k+1)-th differences
+    there, so it is an integer polynomial of degree <= k.  As D(N) / D(N-1) = P_N / P_{N-d},
+    each sweep level a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <=
+    k + top_mt in N; the polynomials obey it at k + top_mt + 1 levels, so at every N, and
+    induction from n0 gives u(N) = scale D(N) a(N) for N >= n0 (D has no integer root >= n0,
+    and P_{N-d} divides D(N-1)).  ``tests/certificate_oracle.py`` proves the same closed form
+    a second way, by checking the recurrence identity on k + 1 levels extended by differences.
     """
-    def denominator(n: int) -> int:
-        return prod(factors(n - j)[0] for j in range(d))
-    k, top_mt = len(window) - 1, len(factors(0)[1]) - 1
-    ratios = [Fraction(denominator(n0 + i), den) for i, (den, _) in enumerate(window)]
+    ratios = [Fraction(dn, den) for dn, (den, _) in zip(denominators, window)]
     scale = lcm(*(r.denominator for r in ratios))
-    cols = [[r.numerator * scale // r.denominator * a[s] for r, (_, a) in zip(ratios, window)]
-            for s in range(len(rows))]
-    step = [(-1) ** (j + 1) * comb(k + 1, j) for j in range(1, k + 2)]
-    for col in cols:
-        for _ in range(top_mt + 1):
-            col.append(sum(c * col[-j] for j, c in enumerate(step, 1)))
-    for n in range(1, k + top_mt + 2):
-        new = _step(rows, [col[n - 1] for col in cols], factors(n0 + n)[1])
-        p_shift = factors(n0 + n - d)[0]
-        if any(p_shift * col[n] != x for col, x in zip(cols, new)):
-            return None
-    u = cols[_DONE]
-    diffs = [sum((-1) ** (i - j) * comb(i, j) * u[j] for j in range(i + 1)) for i in range(k + 1)]
-    return scale, tuple(diffs), denominator
+    u = [[scale // r.denominator * r.numerator * a for a in amps]
+         for r, (_, amps) in zip(ratios, window)]
+    diffs = []
+    for _ in range(k + 1):
+        diffs.append(u[0][_DONE])
+        u = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(u, u[1:])]
+    return None if any(map(any, u)) else (scale, tuple(diffs))
 
 
 @lru_cache(maxsize=None)
 def _certificate(p: MultiIndex, q: MultiIndex, beta: Fraction) -> _Certificate | None:
-    """:func:`_prove` on levels 0 .. N0 + k, once per (p, q, beta); limit = lead(u) / lead(D)."""
-    (n0, k), init = _window(p, q, beta), _initial_state(p, q)
-    rows, top_mt = _rows(init, p.size)
-    sweep = list(itertools.islice(_level_sweep(init, p.size, beta), n0 + k + 1))
-    proof = _prove(rows, partial(_level_factors, beta=beta, top_mt=top_mt), p.deg, n0, sweep[n0:])
-    if proof is None:
+    """:func:`_prove` on levels 0 .. N0 + k + top_mt + 1, cached; limit = lead(u) / lead(D)."""
+    (n0, k), init, d = _window(p, q, beta), _initial_state(p, q), p.deg
+    top_mt = _rows(init, p.size)[1]
+    sweep = list(itertools.islice(_level_sweep(init, p.size, beta), n0 + k + top_mt + 2))
+    dens = [_denominator(n, beta, d, top_mt) for n in range(n0, len(sweep))]
+    if (proof := _prove(sweep[n0:], dens, k)) is None:
         return None
-    scale, diffs, _ = proof
+    scale, diffs = proof
     limit = Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
-    return _Certificate(n0, *proof, tuple((amps[_DONE], den) for den, amps in sweep), limit)
+    swept = tuple((amps[_DONE], den) for den, amps in sweep)
+    return _Certificate(n0, scale, diffs, beta, d, top_mt, swept, limit)
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:

@@ -180,11 +180,7 @@ def _cmd_identity(args):
         }
         for c in rep.checks
     ]
-    if len(rep.checks) == 1:
-        tail = rat_str(rep.checks[0].tail)
-    else:
-        tail = {rat_str(c.beta): rat_str(c.tail) for c in rep.checks}
-    return {"checks": checks}, PASS if rep.passed else FAIL, {"tail": tail}
+    return {"checks": checks}, PASS if rep.passed else FAIL, {}
 
 
 def _cmd_nice_identity(args):

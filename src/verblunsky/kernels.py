@@ -84,20 +84,23 @@ def _szego_low_levels(a_levels: np.ndarray, state: np.ndarray) -> np.ndarray:
 
 
 def exp_neg_series(f: np.ndarray) -> np.ndarray:
-    """x = exp(-f) coefficients per row; f[:, 0] must be zero."""
+    """x = exp(-f) coefficients per row, a view of coefficient-major rows; f[:, 0] must be 0."""
     f = np.ascontiguousarray(f, dtype=np.complex128)
     if f.ndim != 2:
         raise ValueError("f must be a (samples, modes+1) array")
     if f.shape[1] and np.abs(f[:, 0]).max() > 1e-12:
         raise ValueError("constant terms must vanish")
-    S, L = f.shape
-    g = -f
-    y = np.zeros((S, L), np.complex128)
-    y[:, 0] = 1.0
-    for k in range(1, L):
-        j = np.arange(1, k + 1)
-        y[:, k] = np.sum(g[:, 1 : k + 1] * (j / k) * y[:, k - 1 :: -1][:, :k], axis=1)
-    return y
+    # x_k = sum_{j<=k} (j / k) g_j x_{k-j}, g = -f, added in order of j.
+    g = np.negative(f.T, order="C")
+    y = np.zeros_like(g)
+    y[:1] = 1.0
+    term = np.empty_like(g[0])
+    for k in range(1, len(g)):
+        for j in range(1, k + 1):
+            np.multiply(g[j], j / k, out=term)
+            term *= y[k - j]
+            y[k] += term
+    return y.T
 
 
 # -- batched Levinson ------------------------------------------------------

@@ -4,9 +4,9 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from math import factorial
 
+import certificate_oracle
 import pytest
 from tuple_oracle import alpha_joint_moment, literal_count, term_value
 
@@ -15,7 +15,9 @@ from verblunsky.alphamoments import (
     _DONE,
     CnCheck,
     _canonical,
+    _Certificate,
     _certificate,
+    _denominator,
     _initial_state,
     _level_factors,
     _level_sweep,
@@ -537,9 +539,9 @@ class TestGatePower:
 
 
 def _limit(proof, beta):
-    """S(infinity) from _prove's (scale, diffs, D): Delta^k u_DONE(N0) / (k! scale bu**k),
+    """S(infinity) from _prove's (scale, diffs): Delta^k u_DONE(N0) / (k! scale bu**k),
     the leading coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
-    scale, diffs, _ = proof
+    scale, diffs = proof
     k = len(diffs) - 1
     return Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
 
@@ -557,26 +559,44 @@ def _old_gate(p, q, law, gauss, n):
 
 def _ingredients(p, q, beta, shifts=None):
     """_prove's arguments as _certificate builds them, with D made of
-    ``shifts`` level denominators instead of deg p."""
+    ``shifts`` level denominators instead of deg p, and k = shifts top_mt."""
     init = _initial_state(p, q)
-    rows, top_mt = _rows(init, p.size)
+    top_mt = _rows(init, p.size)[1]
     n0, _ = _window(p, q, beta)
     d = p.deg if shifts is None else shifts
-    window = list(itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + d * top_mt + 1))
-    return rows, partial(_level_factors, beta=beta, top_mt=top_mt), d, n0, window
+    k = d * top_mt
+    window = list(itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + k + top_mt + 2))
+    return window, [_denominator(n, beta, d, top_mt) for n in range(n0, n0 + len(window))], k
 
 
 class TestCertificate:
-    """The closed form of the partial sums, proved by the sweep's recurrence."""
+    """The closed form of the partial sums, proved from the sweep's own levels."""
 
     def test_proved_and_limit_is_gaussian_value(self):
         assert len(CERT_CASES) == 195
         for p, q, beta in CERT_CASES:
             cert = _certificate(p, q, beta)
             assert cert is not None, (p, q, beta)
-            proof = _prove(*_ingredients(p, q, beta))
-            assert proof[:2] == (cert.scale, cert.diffs)
+            window, dens, k = _ingredients(p, q, beta)
+            assert len(cert.swept) == cert.n0 + len(window)  # N0 + k + top_mt + 2 levels
+            proof = _prove(window, dens, k)
+            assert proof == (cert.scale, cert.diffs)
             assert cert.limit == _limit(proof, beta) == gaussian_x_moment(p, q).evaluate(beta)
+
+    def test_agrees_with_the_recurrence_identity_proof(self):
+        # Two independent proofs of one closed form: vanishing differences over
+        # the swept levels, and the oracle's recurrence check on k + 1 of them.
+        cases = CERT_CASES + [(p, q, Fraction(355, 113)) for p, q in CERT_PAIRS]
+        for p, q, beta in cases:
+            proof = _prove(*_ingredients(p, q, beta))
+            assert proof is not None, (p, q, beta)
+            assert certificate_oracle.prove(p, q, beta) == proof, (p, q, beta)
+        assert len(cases) == 234
+
+    def test_two_builds_compare_equal(self):
+        # The certificate is numbers only: a fresh build equals the cached one.
+        for p, q, beta in CERT_CASES:
+            assert _certificate.__wrapped__(p, q, beta) == _certificate(p, q, beta)
 
     def test_first_level_pinned(self):
         # A base case at N = 0 where N0 > 0 cannot be told from the values
@@ -590,38 +610,45 @@ class TestCertificate:
             assert _certificate(p, q, beta).n0 == n0
 
     def test_dropped_shift_of_d_is_rejected(self):
-        # D(N) without its last shift P_{N-d+1}.  At generic beta that drops
-        # factors the sweep's denominators need, and the proof fails.  At
-        # beta = 1/2 and 1 the shifts share factors, and a proved closed form
-        # is still correct: its limit is the Gaussian value.
-        rejected = 0
+        # D(N) without its last shift P_{N-d+1}, and k lowered to match.  At
+        # generic beta that drops factors the sweep's denominators need, and the
+        # proof fails.  At beta = 1/2 and 1 the shifts share factors, and a
+        # proved reduced form is still correct: it equals the sweep at 80 levels.
+        rejected = proved = 0
         for p, q, beta in CERT_CASES:
             if p.deg < 2:
                 continue
-            cert = _prove(*_ingredients(p, q, beta, shifts=p.deg - 1))
-            gauss = gaussian_x_moment(p, q).evaluate(beta)
-            if beta.numerator == 1:
-                assert cert is None or _limit(cert, beta) == gauss, (p, q, beta)
-            else:
-                rejected += _rejected(cert, beta, gauss)
-        assert rejected == 114
+            proof = _prove(*_ingredients(p, q, beta, shifts=p.deg - 1))
+            if beta.numerator != 1:
+                assert proof is None, (p, q, beta)
+                rejected += 1
+            elif proof is not None:
+                n0, _ = _window(p, q, beta)
+                top_mt = _rows(_initial_state(p, q), p.size)[1]
+                reduced = _Certificate(n0, *proof, beta, p.deg - 1, top_mt, (), None)
+                sums = _partial_sums(p.slots(), q.slots(), beta, 80)
+                assert all(reduced.partial_sum(n) == sums[n] for n in range(n0, 80)), (p, q, beta)
+                proved += 1
+        assert (rejected, proved) == (114, 72)
 
-    def test_level_factor_missing_from_w_is_rejected(self):
-        # Each w[mt], mt < top_mt, in turn without its factor (t bu + top_mt bv).
+    def test_level_factor_missing_from_w_is_rejected(self, monkeypatch):
+        # Each w[mt], mt < top_mt, in turn without its factor (t bu + top_mt bv),
+        # fed through the sweep itself.
         cases = 0
         for p, q, beta in CERT_CASES:
-            rows, factors, d, n0, window = _ingredients(p, q, beta)
-            top_mt = len(factors(0)[1]) - 1
+            top_mt = _rows(_initial_state(p, q), p.size)[1]
+            gauss = gaussian_x_moment(p, q).evaluate(beta)
             for mt in range(top_mt):
 
-                def mutant(t, mt=mt):
-                    p_t, w = factors(t)
-                    w = list(w)
+                def mutant(t, beta, top_mt, mt=mt):
+                    p_t, w = _level_factors(t, beta, top_mt)
                     w[mt] //= t * beta.numerator + top_mt * beta.denominator
                     return p_t, w
 
-                gauss = gaussian_x_moment(p, q).evaluate(beta)
-                assert _rejected(_prove(rows, mutant, d, n0, window), beta, gauss), (p, q, beta, mt)
+                with monkeypatch.context() as m:
+                    m.setattr(alphamoments, "_level_factors", mutant)
+                    ingredients = _ingredients(p, q, beta)
+                assert _rejected(_prove(*ingredients), beta, gauss), (p, q, beta, mt)
                 cases += 1
         assert cases == 330
 
@@ -629,12 +656,12 @@ class TestCertificate:
         # Every state's amplitude numerator off by one at one seeded level.
         rng, cases = random.Random(29), 0
         for p, q, beta in CERT_CASES:
-            rows, factors, d, n0, window = _ingredients(p, q, beta)
+            window, dens, k = _ingredients(p, q, beta)
             gauss = gaussian_x_moment(p, q).evaluate(beta)
-            for s in range(len(rows)):
+            for s in range(len(window[0][1])):
                 bad = [(den, list(amps)) for den, amps in window]
                 bad[rng.randrange(len(bad))][1][s] += 1
-                assert _rejected(_prove(rows, factors, d, n0, bad), beta, gauss), (p, q, beta, s)
+                assert _rejected(_prove(bad, dens, k), beta, gauss), (p, q, beta, s)
                 cases += 1
         assert cases == 3090
 

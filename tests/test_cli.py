@@ -74,7 +74,7 @@ class TestGoldenReports:
             capsys, ["identity", "--p", "1:1", "--q", "1:1", "--beta", "1", "--max-index", "10000"]
         )
         rep = json.loads(out)
-        assert rep["diagnostics"]["tail"] == "1/10001"
+        assert [c["tail"] for c in rep["results"]["checks"]] == ["1/10001"]
         assert rep["status"] == "PASS"
 
     def test_count_pinned_results(self, capsys):
@@ -136,8 +136,10 @@ class TestReportShape:
             ["identity", "--p", "1:1", "--q", "1:1", "--beta", "1,2", "--max-index", "100"],
         )
         rep = json.loads(out)
-        assert set(rep["diagnostics"]["tail"]) == {"1/1", "2/1"}
-        assert len(rep["results"]["checks"]) == 2
+        checks = rep["results"]["checks"]
+        assert [c["beta"] for c in checks] == ["1/1", "2/1"]
+        assert all(c["tail"] == c["difference"] for c in checks)
+        assert rep["diagnostics"] == {}
 
     def test_mc_mean_is_complex_pair(self, capsys):
         code, out, _ = _run(
@@ -229,9 +231,11 @@ class TestExitCodes:
         assert (code, rep["status"], err) == (1, "FAIL", "")
         assert '"tail": null' in out
         if argv[0] == "identity":
-            assert rep["results"]["checks"] == [
+            checks = rep["results"]["checks"]
+            assert checks == [
                 {**c, "tail": None, "passed": False} for c in proved["results"]["checks"]]
-            assert rep["diagnostics"] == {"tail": {"1/2": None, "2/3": None}}
+            assert [c["beta"] for c in checks] == ["1/2", "2/3"]
+            assert rep["diagnostics"] == {}
         else:
             assert rep["results"] == proved["results"]
             assert rep["diagnostics"]["tail"] is None
