@@ -206,15 +206,14 @@ def _step(rows, amps: list[int], w: list[int]) -> list[int]:
     return new
 
 
-def _level_sweep(init: tuple[int, ...], n_p: int, beta: Fraction):
-    """Exact transfer sweep: after each level t = 0, 1, ... yield (den, amps).
+def _level_sweep(rows: list, top_mt: int, beta: Fraction):
+    """Exact transfer sweep on :func:`_rows`: after each level t = 0, 1, ... yield (den, amps).
 
     ``amps[s] / den`` is the amplitude of :func:`_transfer` state s, in a
     fresh list per level from :func:`_step`; then den *= P_t, and den and
     every numerator are divided by their gcd, which keeps them from growing by
     P_t per level.
     """
-    rows, top_mt = _rows(init, n_p)
     amps, den = [1] + [0] * (len(rows) - 1), 1
     for t in itertools.count():
         p_t, w = _level_factors(t, beta, top_mt)
@@ -224,24 +223,15 @@ def _level_sweep(init: tuple[int, ...], n_p: int, beta: Fraction):
         yield den, amps
 
 
-def _window(p: MultiIndex, q: MultiIndex, beta: Fraction) -> tuple[int, int]:
-    """(N0, k = d top_mt), N0 = 1 + the largest integer root N >= 0 of D(N) = prod_{j<d}
-    P_{N-j}, or 0 if none: P_{N-j} vanishes at N = j - s / beta, an integer iff bu | s."""
-    top_mt, bu, bv = _rows(_initial_state(p, q), p.size)[1], beta.numerator, beta.denominator
-    roots = (j - s // bu * bv for j in range(p.deg) for s in range(bu, top_mt + 1, bu))
-    return max([-1, *roots]) + 1, p.deg * top_mt
-
-
 def _denominator(n: int, beta: Fraction, d: int, top_mt: int) -> int:
     """D(N) = prod_{j<d} P_{N-j}, with P_t from :func:`_level_factors`."""
     return prod(_level_factors(n - j, beta, top_mt)[0] for j in range(d))
 
 
 class _Certificate(NamedTuple):
-    """S(N) = u(N) / (scale D(N)) for N >= n0, u with forward differences diffs at n0 and D(N) =
+    """S(N) = u(N) / (scale D(N)), u with forward differences diffs at 0 and D(N) =
     _denominator(N, beta, d, top_mt); S(N) = Fraction(*swept[N]) on swept levels; numbers only."""
 
-    n0: int
     scale: int
     diffs: tuple[int, ...]
     beta: Fraction
@@ -253,21 +243,22 @@ class _Certificate(NamedTuple):
     def partial_sum(self, n: int) -> Fraction:
         if n < len(self.swept):
             return Fraction(*self.swept[n])
-        num = sum(comb(n - self.n0, i) * diff for i, diff in enumerate(self.diffs))
+        num = sum(comb(n, i) * diff for i, diff in enumerate(self.diffs))
         return Fraction(num, self.scale * _denominator(n, self.beta, self.d, self.top_mt))
 
 
 def _prove(window: list, denominators: list[int], k: int) -> tuple | None:
     """(scale, diffs): the closed form of the partial sums, proved from the sweep, or None.
 
-    ``window`` is the sweep's (den, amps) at levels n0 .. n0 + k + top_mt + 1, ``denominators``
-    is D(N) there.  Each u_s(N) = scale D(N) a_s(N) must have vanishing (k+1)-th differences
-    there, so it is an integer polynomial of degree <= k.  As D(N) / D(N-1) = P_N / P_{N-d},
-    each sweep level a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <=
-    k + top_mt in N; the polynomials obey it at k + top_mt + 1 levels, so at every N, and
-    induction from n0 gives u(N) = scale D(N) a(N) for N >= n0 (D has no integer root >= n0,
-    and P_{N-d} divides D(N-1)).  ``tests/certificate_oracle.py`` proves the same closed form
-    a second way, by checking the recurrence identity on k + 1 levels extended by differences.
+    ``window`` is the sweep's (den, amps) at levels 0 .. k + top_mt + 1, ``denominators`` is
+    D(N) there.  Each u_s(N) = scale D(N) a_s(N) must have vanishing (k+1)-th differences
+    there, so it is an integer polynomial U_s of degree <= k.  As D(N) P_{N-d} = P_N D(N-1),
+    zero factors included, each sweep level a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) =
+    M(N) u(N-1), of degree <= k + top_mt in N; U obeys it at the k + top_mt + 1 levels N >= 1
+    of the window, so at every N.  Past the window N > d, so P_{N-d} > 0 and induction gives
+    U = u, and D, whose roots N = j - s / beta lie below d - 1, is nonzero: S(N) = U(N) /
+    (scale D(N)).  ``tests/certificate_oracle.py`` proves the same closed form a second way,
+    by checking the recurrence identity on k + 1 levels extended by differences.
     """
     ratios = [Fraction(dn, den) for dn, (den, _) in zip(denominators, window)]
     scale = lcm(*(r.denominator for r in ratios))
@@ -282,17 +273,17 @@ def _prove(window: list, denominators: list[int], k: int) -> tuple | None:
 
 @lru_cache(maxsize=None)
 def _certificate(p: MultiIndex, q: MultiIndex, beta: Fraction) -> _Certificate | None:
-    """:func:`_prove` on levels 0 .. N0 + k + top_mt + 1, cached; limit = lead(u) / lead(D)."""
-    (n0, k), init, d = _window(p, q, beta), _initial_state(p, q), p.deg
-    top_mt = _rows(init, p.size)[1]
-    sweep = list(itertools.islice(_level_sweep(init, p.size, beta), n0 + k + top_mt + 2))
-    dens = [_denominator(n, beta, d, top_mt) for n in range(n0, len(sweep))]
-    if (proof := _prove(sweep[n0:], dens, k)) is None:
+    """:func:`_prove` on levels 0 .. k + top_mt + 1, cached; limit = lead(u) / lead(D)."""
+    d, (rows, top_mt) = p.deg, _rows(_initial_state(p, q), p.size)
+    k = d * top_mt
+    sweep = list(itertools.islice(_level_sweep(rows, top_mt, beta), k + top_mt + 2))
+    dens = [_denominator(n, beta, d, top_mt) for n in range(len(sweep))]
+    if (proof := _prove(sweep, dens, k)) is None:
         return None
     scale, diffs = proof
     limit = Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
     swept = tuple((amps[_DONE], den) for den, amps in sweep)
-    return _Certificate(n0, scale, diffs, beta, d, top_mt, swept, limit)
+    return _Certificate(scale, diffs, beta, d, top_mt, swept, limit)
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:
@@ -321,7 +312,7 @@ def alpha_x_moment(
     if cert := _certificate(p, q, beta):
         value = cert.partial_sum(max_index)
         return TruncatedSumResult(value, cert.limit - value)
-    sweep = _level_sweep(_initial_state(p, q), p.size, beta)
+    sweep = _level_sweep(*_rows(_initial_state(p, q), p.size), beta)
     den, amps = next(itertools.islice(sweep, max_index, None))
     return TruncatedSumResult(Fraction(amps[_DONE], den), None)
 
@@ -379,9 +370,9 @@ def nice_identity_check(n: int, beta: Fraction, max_index: int) -> CnCheck:
     """The CN identity at p = q = delta_n, E|x_n|**2: the same check as
     ``verify_cn_identity(delta_n, delta_n, [beta], max_index).checks[0]``.
 
-    The alpha value sums 1 / ((i beta + 1)(j beta + 1)) over the gap sequences
-    of degree n with top index <= max_index (the j = 0 factor is 1); the
-    Gaussian value is the Bernoulli product variance_pmf(n) at beta.
+    At N = max_index >= n the alpha value is C(u + n - 1, n) C(N, n) / C(u + N, n), u = 1 / beta
+    and C(x, n) = x (x - 1) ... (x - n + 1) / n!, and its limit C(u + n - 1, n) is the Gaussian
+    value variance_pmf(n) at beta: the identity holds for every n and beta > 0 (proved in tests).
     """
     if n < 1:
         raise ValueError("need n >= 1")

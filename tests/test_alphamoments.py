@@ -4,10 +4,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import certificate_oracle
 import pytest
+import szego_moment_oracle
 from tuple_oracle import alpha_joint_moment, literal_count, term_value
 
 from verblunsky import alphamoments
@@ -15,7 +16,6 @@ from verblunsky.alphamoments import (
     _DONE,
     CnCheck,
     _canonical,
-    _Certificate,
     _certificate,
     _denominator,
     _initial_state,
@@ -25,7 +25,6 @@ from verblunsky.alphamoments import (
     _rows,
     _transfer,
     _transitions,
-    _window,
     alpha_x_moment,
     count_tuples,
     nice_identity_check,
@@ -33,7 +32,7 @@ from verblunsky.alphamoments import (
     verify_cn_identity,
 )
 from verblunsky.combinatorics import MultiIndex, MultiplicityVector, gap_sequences, partitions
-from verblunsky.gaussian import gaussian_x_moment
+from verblunsky.gaussian import gaussian_x_moment, variance_pmf
 
 BETAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -116,7 +115,7 @@ def _partial_sums(p_deg, q_deg, beta, max_index):
     stream from the canonical start of p_deg | q_deg."""
     n_p = len(p_deg)
     init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
-    stream = itertools.islice(_level_sweep(init, n_p, beta), max_index + 1)
+    stream = itertools.islice(_level_sweep(*_rows(init, n_p), beta), max_index + 1)
     return [Fraction(amps[_DONE], den) for den, amps in stream]
 
 
@@ -432,6 +431,73 @@ class TestNiceIdentity:
                 assert check == verify_cn_identity(delta, delta, [beta], N).checks[0]
 
 
+def _binom(x, n):
+    """C(x, n) = x (x - 1) ... (x - n + 1) / n! at rational x."""
+    return prod((x - i for i in range(n)), start=Fraction(1)) / factorial(n)
+
+
+def _nice_closed_form(n, N, u):
+    """V(n, N) = E|r_N[n]|**2 = C(u + n - 1, n) C(N, n) / C(u + N, n) at u = 1 / beta, and 0
+    for n > N, where C(u + N, n) may vanish too."""
+    return _binom(u + n - 1, n) * _binom(N, n) / _binom(u + N, n) if n <= N else Fraction(0)
+
+
+class TestNiceIdentityTheorem:
+    """E|x_n|**2 truncated at N >= n: V(n, N) = C(u + n - 1, n) C(N, n) / C(u + N, n), u = 1/beta.
+
+    V(n, N) = E|r_N[n]|**2 obeys V(n, N) = V(n, N-1) + V(N - n, N-1) / (N beta + 1)
+    for 1 <= n <= N (the cross term dies with alpha_N's phase), with V(0, N) = 1
+    and V(n, 0) = 0.  Relative to the closed form at (n, N), the right side's
+    terms are (N - n)(u + N) / (N (u + N - n)) and, with u / (N + u) = 1 /
+    (N beta + 1), u n / (N (u + N - n)): C(N-1, n) = C(N, n) (N - n) / N, and
+    the rising factorials of C(u + N, n) and C(u + N - n - 1, N - n) telescope.
+    So the recursion reduces to (N - n)(u + N) + u n = N (u + N - n), and the
+    theorem holds for every N >= n >= 0 and beta > 0.  Its limit C(u + n - 1,
+    n) is the Gaussian value, so the nice identity holds for every n.
+    """
+
+    BETAS = (Fraction(1, 2), Fraction(1), Fraction(2, 3), Fraction(355, 113))
+
+    def test_reduced_identity(self):
+        # Degree <= 2 in each of (n, N, u): zero on a 4 x 4 x 4 grid is zero everywhere.
+        for n, N, u in itertools.product(range(4), repeat=3):
+            assert (N - n) * (u + N) + u * n == N * (u + N - n), (n, N, u)
+
+    def test_recursion_and_base_cases(self):
+        for beta in self.BETAS:
+            u = 1 / beta
+            assert all(_nice_closed_form(n, 0, u) == 0 for n in range(1, 12))
+            for N in range(12):
+                assert _nice_closed_form(0, N, u) == 1
+                for n in range(1, N + 1):
+                    step = _nice_closed_form(N - n, N - 1, u) / (N * beta + 1)
+                    assert _nice_closed_form(n, N, u) == _nice_closed_form(n, N - 1, u) + step
+
+    def test_certificate_value_and_tail(self):
+        # At d = n, top_mt = 1: the certificate sweeps levels 0 .. n + 2, and N
+        # straddles both the first nonzero level n and the switch to the closed form.
+        for beta in self.BETAS:
+            u = 1 / beta
+            for n in range(1, 41):
+                delta = MultiIndex.delta(n)
+                assert len(_certificate(delta, delta, beta).swept) == n + 3
+                limit = _binom(u + n - 1, n)
+                assert limit == variance_pmf(n).evaluate(beta)
+                for N in (0, n - 1, n, n + 2, n + 3, 1000):
+                    check = nice_identity_check(n, beta, N)
+                    value = _nice_closed_form(n, N, u)
+                    assert (check.alpha_value, check.tail) == (value, limit - value), (n, beta, N)
+
+    def test_heuristic_gap(self):
+        # The heuristic law, beta + 1 for beta, has the proved limit C(u' + n - 1, n),
+        # u' = 1 / (beta + 1) < u, and C(x + n - 1, n) increases in x > 0.
+        for beta in self.BETAS:
+            for n in range(1, 41):
+                delta = MultiIndex.delta(n)
+                heuristic = _certificate(delta, delta, beta + 1).limit
+                assert heuristic == _binom(1 / (beta + 1) + n - 1, n) < _binom(1 / beta + n - 1, n)
+
+
 class TestVerifyCnIdentity:
     def test_degree_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -491,8 +557,8 @@ class TestVerifyCnIdentity:
         assert rep.passed
 
 
-# Every equal-degree pair of degree <= 4, at the degenerate betas 1/2, 1 and 2,
-# where some level factors vanish at an integer N and N0 > 0, and at generic ones.
+# Every equal-degree pair of degree <= 4, at the degenerate betas 1/2 and 1,
+# where D(N) vanishes at the window's first levels, and at generic ones.
 CERT_PAIRS = [(p, q) for d in (1, 2, 3, 4) for p in partitions(d) for q in partitions(d)]
 CERT_BETAS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(2, 3), Fraction(3, 7))
 CERT_CASES = [(p, q, beta) for beta in CERT_BETAS for p, q in CERT_PAIRS]
@@ -539,7 +605,7 @@ class TestGatePower:
 
 
 def _limit(proof, beta):
-    """S(infinity) from _prove's (scale, diffs): Delta^k u_DONE(N0) / (k! scale bu**k),
+    """S(infinity) from _prove's (scale, diffs): Delta^k u_DONE(0) / (k! scale bu**k),
     the leading coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
     scale, diffs = proof
     k = len(diffs) - 1
@@ -560,13 +626,11 @@ def _old_gate(p, q, law, gauss, n):
 def _ingredients(p, q, beta, shifts=None):
     """_prove's arguments as _certificate builds them, with D made of
     ``shifts`` level denominators instead of deg p, and k = shifts top_mt."""
-    init = _initial_state(p, q)
-    top_mt = _rows(init, p.size)[1]
-    n0, _ = _window(p, q, beta)
+    rows, top_mt = _rows(_initial_state(p, q), p.size)
     d = p.deg if shifts is None else shifts
     k = d * top_mt
-    window = list(itertools.islice(_level_sweep(init, p.size, beta), n0, n0 + k + top_mt + 2))
-    return window, [_denominator(n, beta, d, top_mt) for n in range(n0, n0 + len(window))], k
+    window = list(itertools.islice(_level_sweep(rows, top_mt, beta), k + top_mt + 2))
+    return window, [_denominator(n, beta, d, top_mt) for n in range(len(window))], k
 
 
 class TestCertificate:
@@ -578,7 +642,7 @@ class TestCertificate:
             cert = _certificate(p, q, beta)
             assert cert is not None, (p, q, beta)
             window, dens, k = _ingredients(p, q, beta)
-            assert len(cert.swept) == cert.n0 + len(window)  # N0 + k + top_mt + 2 levels
+            assert len(cert.swept) == len(window) == k + cert.top_mt + 2
             proof = _prove(window, dens, k)
             assert proof == (cert.scale, cert.diffs)
             assert cert.limit == _limit(proof, beta) == gaussian_x_moment(p, q).evaluate(beta)
@@ -598,38 +662,34 @@ class TestCertificate:
         for p, q, beta in CERT_CASES:
             assert _certificate.__wrapped__(p, q, beta) == _certificate(p, q, beta)
 
-    def test_first_level_pinned(self):
-        # A base case at N = 0 where N0 > 0 cannot be told from the values
-        # (D(0) a(0) = 0 is consistent), so N0 itself is pinned: D's roots
-        # N = j - s / beta, j < 3, s <= top_mt = 1, are integers at beta = 1
-        # and 1/2 only.
+    def test_window_starts_at_level_zero(self):
+        # D's roots N = j - s / beta, j < 3, s <= top_mt = 1, are integers at
+        # beta = 1 and 1/2 only, and lie in the window: there u(N) = 0 whatever
+        # the sweep's value, and the proof still holds from level 0.
         p, q = MultiIndex.from_string("1:1,2:1"), MultiIndex.from_string("3:1")
-        expect = {Fraction(1): 2, Fraction(1, 2): 1, Fraction(2): 0, Fraction(2, 3): 0}
-        for beta, n0 in expect.items():
-            assert _window(p, q, beta) == (n0, 3)
-            assert _certificate(p, q, beta).n0 == n0
+        gauss = gaussian_x_moment(p, q)
+        zeros = {Fraction(1): [0, 1], Fraction(1, 2): [0], Fraction(2): [], Fraction(2, 3): []}
+        for beta, roots in zeros.items():
+            cert = _certificate(p, q, beta)
+            assert cert is not None and (cert.d, cert.top_mt) == (3, 1)
+            assert len(cert.swept) == 6  # k + top_mt + 2 with k = d top_mt
+            assert [n for n in range(6) if _denominator(n, beta, 3, 1) == 0] == roots
+            for N in range(41):
+                res = alpha_x_moment(p, q, beta, N)
+                value, _ = _reference_level_sweep([1, 2], [3], beta, N)
+                assert (res.value, res.tail) == (value, gauss.evaluate(beta) - value), (beta, N)
 
     def test_dropped_shift_of_d_is_rejected(self):
         # D(N) without its last shift P_{N-d+1}, and k lowered to match.  At
-        # generic beta that drops factors the sweep's denominators need, and the
-        # proof fails.  At beta = 1/2 and 1 the shifts share factors, and a
-        # proved reduced form is still correct: it equals the sweep at 80 levels.
-        rejected = proved = 0
+        # generic beta that drops factors the sweep's denominators need.  At
+        # beta = 1/2 and 1 the shifts share factors, but the reduced form still
+        # fails over the window from level 0.
+        cases = 0
         for p, q, beta in CERT_CASES:
-            if p.deg < 2:
-                continue
-            proof = _prove(*_ingredients(p, q, beta, shifts=p.deg - 1))
-            if beta.numerator != 1:
-                assert proof is None, (p, q, beta)
-                rejected += 1
-            elif proof is not None:
-                n0, _ = _window(p, q, beta)
-                top_mt = _rows(_initial_state(p, q), p.size)[1]
-                reduced = _Certificate(n0, *proof, beta, p.deg - 1, top_mt, (), None)
-                sums = _partial_sums(p.slots(), q.slots(), beta, 80)
-                assert all(reduced.partial_sum(n) == sums[n] for n in range(n0, 80)), (p, q, beta)
-                proved += 1
-        assert (rejected, proved) == (114, 72)
+            if p.deg >= 2:
+                assert _prove(*_ingredients(p, q, beta, shifts=p.deg - 1)) is None, (p, q, beta)
+                cases += 1
+        assert cases == 190
 
     def test_level_factor_missing_from_w_is_rejected(self, monkeypatch):
         # Each w[mt], mt < top_mt, in turn without its factor (t bu + top_mt bv),
@@ -642,7 +702,8 @@ class TestCertificate:
 
                 def mutant(t, beta, top_mt, mt=mt):
                     p_t, w = _level_factors(t, beta, top_mt)
-                    w[mt] //= t * beta.numerator + top_mt * beta.denominator
+                    if t >= 0:  # the sweep's levels; D(N) also reads P_t at t < 0
+                        w[mt] //= t * beta.numerator + top_mt * beta.denominator
                     return p_t, w
 
                 with monkeypatch.context() as m:
@@ -653,14 +714,18 @@ class TestCertificate:
         assert cases == 330
 
     def test_one_state_off_by_one_is_rejected(self):
-        # Every state's amplitude numerator off by one at one seeded level.
+        # Every state's amplitude numerator off by one at one seeded level with
+        # D(N) != 0.  Where D(N) = 0, u(N) = 0 whatever the value, so the proof
+        # cannot see it; test_window_starts_at_level_zero and the Szego
+        # recursion oracle check the values there.
         rng, cases = random.Random(29), 0
         for p, q, beta in CERT_CASES:
             window, dens, k = _ingredients(p, q, beta)
             gauss = gaussian_x_moment(p, q).evaluate(beta)
+            levels = [n for n, dn in enumerate(dens) if dn]
             for s in range(len(window[0][1])):
                 bad = [(den, list(amps)) for den, amps in window]
-                bad[rng.randrange(len(bad))][1][s] += 1
+                bad[rng.choice(levels)][1][s] += 1
                 assert _rejected(_prove(bad, dens, k), beta, gauss), (p, q, beta, s)
                 cases += 1
         assert cases == 3090
@@ -686,17 +751,17 @@ class TestCertificate:
 
 
 class TestClosedFormSwitch:
-    """The certificate gives S(N) from its stored sweep up to N0 + k and from
-    the closed form past it; both sides of the switch equal a direct sweep,
+    """The certificate gives S(N) from its stored sweep up to k + top_mt + 1 and
+    from the closed form past it; both sides of the switch equal a direct sweep,
     exactly, and the tail is the Gaussian value minus S(N)."""
 
     def test_equals_direct_sweep_around_the_switch(self):
         rng = random.Random(16)
         deep = [(p, q, Fraction(355, 113)) for p, q in CERT_PAIRS]
         for p, q, beta in rng.sample(CERT_CASES + deep, 60):
-            n0, k = _window(p, q, beta)
+            top = len(_certificate(p, q, beta).swept)
             gauss = gaussian_x_moment(p, q).evaluate(beta)
-            for n, value in enumerate(_partial_sums(p.slots(), q.slots(), beta, n0 + k + 3)):
+            for n, value in enumerate(_partial_sums(p.slots(), q.slots(), beta, top + 2)):
                 res = alpha_x_moment(p, q, beta, n)
                 assert (res.value, res.tail) == (value, gauss - value), (p, q, beta, n)
 
@@ -705,9 +770,9 @@ class TestClosedFormSwitch:
         rng = random.Random(n)
         delta = MultiIndex.delta(n)
         for beta in (*CERT_BETAS, Fraction(355, 113)):
-            n0, k = _window(delta, delta, beta)
+            top = len(_certificate(delta, delta, beta).swept)
             gauss = gaussian_x_moment(delta, delta).evaluate(beta)
-            for N in {n0 + k, n0 + k + 1, rng.randint(0, n0 + k + 3)}:
+            for N in {top - 1, top, rng.randint(0, top + 2)}:
                 check = nice_identity_check(n, beta, N)
                 value, _ = _sweep([n], [n], beta, N)
                 assert (check.alpha_value, check.tail) == (value, gauss - value)
@@ -724,3 +789,39 @@ class TestClosedFormSwitch:
         if p == q == MultiIndex.delta(p.deg):
             check = nice_identity_check(p.deg, beta, N)
             assert (check.alpha_value, check.tail) == (value, gauss - value)
+
+
+_power_moment = szego_moment_oracle.power_moment
+SZEGO_MUTANTS = {  # (oracle attribute, replacement)
+    "shifted law": ("power_moment", lambda a, b, n, beta: _power_moment(a, b, n + 1, beta)),
+    "dropped conj": ("flipped", lambda n, k, conj: (n - k, conj)),
+    "unbalanced kept": ("power_moment", lambda a, b, n, beta: _power_moment(a, a, n, beta)),
+}
+
+
+class TestSzegoMomentOracle:
+    """The alpha side a third way: the Szego recursion in expectation, with no gap
+    sequences and no transfer table.  N = 0, 1 and 3 lie in every certificate's
+    window, where D(N) may vanish and the proof does not see the values."""
+
+    GRID = [(beta, N) for beta in (Fraction(1, 2), Fraction(1), Fraction(2, 3))
+            for N in (0, 1, 3, 6, 10)]
+
+    def test_equals_alpha_x_moment(self):
+        checked, memos = 0, {}
+        for beta, N in self.GRID:
+            memo = memos.setdefault(beta, {})
+            for p, q in CERT_PAIRS:
+                got = szego_moment_oracle.x_moment(p, q, beta, N, memo)
+                assert got == alpha_x_moment(p, q, beta, N).value, (p, q, beta, N)
+                checked += 1
+        assert checked == 585
+
+    @pytest.mark.parametrize("mutant", list(SZEGO_MUTANTS))
+    def test_mutants_fail(self, mutant, monkeypatch):
+        monkeypatch.setattr(szego_moment_oracle, *SZEGO_MUTANTS[mutant])
+        beta, memo = Fraction(1, 2), {}
+        wrong = [(p, q) for p, q in CERT_PAIRS if p.deg <= 3
+                 if szego_moment_oracle.x_moment(p, q, beta, 3, memo)
+                 != alpha_x_moment(p, q, beta, 3).value]
+        assert wrong, mutant
