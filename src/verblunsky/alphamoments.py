@@ -14,12 +14,12 @@ numbers the states and tabulates their moves once for all levels, betas and
 calls.  Each level of :func:`_level_sweep` is one sparse matrix-vector product
 on integer numerators, and the all-closed entry after level t is the partial
 sum S(t).  :func:`_certificate` sweeps only the first levels and proves from
-them a closed form u(N) / D(N) for all later S(N), and so the limit:
-:func:`_prove` finds each state's numerator a polynomial in N by finite
-differences on more levels than the sweep's recurrence has degree (the
-recurrence-identity proof is ``tests/certificate_oracle.py``).  The
-certificate is numbers only; :func:`alpha_x_moment` reads S(N) and the
-exact tail S(infinity) - S(N) from it.
+them, by finite differences in :func:`_prove`, a closed form S(N) = num(N) /
+den(N) for all later N: two integer polynomials, whose top differences' ratio
+is the limit (``tests/certificate_oracle.py`` proves it by the recurrence
+identity instead).  The certificate is numbers only, the two polynomials'
+forward differences and the swept partial sums, and :func:`alpha_x_moment`
+reads S(N) and the exact tail S(infinity) - S(N) from it.
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .combinatorics import MultiIndex, MultiplicityVector
@@ -206,84 +207,80 @@ def _step(rows, amps: list[int], w: list[int]) -> list[int]:
     return new
 
 
-def _level_sweep(rows: list, top_mt: int, beta: Fraction):
-    """Exact transfer sweep on :func:`_rows`: after each level t = 0, 1, ... yield (den, amps).
+def _level_sweep(rows: list, factors):
+    """Exact transfer sweep on :func:`_rows`: for each level's (P_t, w) in ``factors``, t = 0,
+    1, ..., yield (den, amps), ``amps[s] / den`` the amplitude of :func:`_transfer` state s.
 
-    ``amps[s] / den`` is the amplitude of :func:`_transfer` state s, in a
-    fresh list per level from :func:`_step`; then den *= P_t, and den and
-    every numerator are divided by their gcd, which keeps them from growing by
-    P_t per level.
+    Each level is a fresh list from :func:`_step`; then den *= P_t, and den and every numerator
+    are divided by their gcd, which keeps them from growing by P_t per level.
     """
     amps, den = [1] + [0] * (len(rows) - 1), 1
-    for t in itertools.count():
-        p_t, w = _level_factors(t, beta, top_mt)
+    for p_t, w in factors:
         new, den = _step(rows, amps, w), den * p_t
         g = gcd(den, *new)
         den, amps = den // g, [amp // g for amp in new] if g > 1 else new
         yield den, amps
 
 
-def _denominator(n: int, beta: Fraction, d: int, top_mt: int) -> int:
-    """D(N) = prod_{j<d} P_{N-j}, with P_t from :func:`_level_factors`."""
-    return prod(_level_factors(n - j, beta, top_mt)[0] for j in range(d))
-
-
 class _Certificate(NamedTuple):
-    """S(N) = u(N) / (scale D(N)), u with forward differences diffs at 0 and D(N) =
-    _denominator(N, beta, d, top_mt); S(N) = Fraction(*swept[N]) on swept levels; numbers only."""
+    """S(N) = num(N) / den(N), two integer polynomials held as their forward differences at 0,
+    past the swept levels; S(N) = Fraction(*swept[N]) on them.  Numbers only."""
 
-    scale: int
-    diffs: tuple[int, ...]
-    beta: Fraction
-    d: int
-    top_mt: int
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     swept: tuple[tuple[int, int], ...]
-    limit: Fraction
+
+    @property
+    def limit(self) -> Fraction:
+        """S(infinity): the ratio of the two polynomials' top differences."""
+        return Fraction(self.num[-1], self.den[-1])
 
     def partial_sum(self, n: int) -> Fraction:
         if n < len(self.swept):
             return Fraction(*self.swept[n])
-        num = sum(comb(n, i) * diff for i, diff in enumerate(self.diffs))
-        return Fraction(num, self.scale * _denominator(n, self.beta, self.d, self.top_mt))
+        at = [comb(n, i) for i in range(len(self.num))]
+        return Fraction(sum(map(mul, at, self.num)), sum(map(mul, at, self.den)))
 
 
-def _prove(window: list, denominators: list[int], k: int) -> tuple | None:
-    """(scale, diffs): the closed form of the partial sums, proved from the sweep, or None.
+def _prove(window: list, dens: list[int], k: int) -> tuple | None:
+    """(num, den): the closed form of the partial sums, proved from the sweep, or None.
 
-    ``window`` is the sweep's (den, amps) at levels 0 .. k + top_mt + 1, ``denominators`` is
-    D(N) there.  Each u_s(N) = scale D(N) a_s(N) must have vanishing (k+1)-th differences
-    there, so it is an integer polynomial U_s of degree <= k.  As D(N) P_{N-d} = P_N D(N-1),
-    zero factors included, each sweep level a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) =
-    M(N) u(N-1), of degree <= k + top_mt in N; U obeys it at the k + top_mt + 1 levels N >= 1
-    of the window, so at every N.  Past the window N > d, so P_{N-d} > 0 and induction gives
-    U = u, and D, whose roots N = j - s / beta lie below d - 1, is nonzero: S(N) = U(N) /
-    (scale D(N)).  ``tests/certificate_oracle.py`` proves the same closed form a second way,
-    by checking the recurrence identity on k + 1 levels extended by differences.
+    ``window`` is the sweep's (den, amps) at levels 0 .. k + top_mt + 1, ``dens`` is D(N) =
+    prod_{j<d} P_{N-j} there, of degree k = d top_mt.  Each u_s(N) = scale D(N) a_s(N) and
+    scale D(N) must have vanishing (k+1)-th differences there: integer polynomials of degree
+    <= k.  As D(N) P_{N-d} = P_N D(N-1), zero factors included, each sweep level a(N) = M(N)
+    a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <= k + top_mt in N; U obeys it at the
+    k + top_mt + 1 levels N >= 1 of the window, so at every N.  Past the window N > d, so
+    P_{N-d} > 0 and induction gives U = u, and D, whose roots N = j - s / beta lie below d - 1,
+    is nonzero: S(N) = U_DONE(N) / (scale D(N)), and (num, den) are their differences at 0.
+    ``tests/certificate_oracle.py`` proves the same closed form a second way, by checking the
+    recurrence identity on k + 1 levels extended by differences.
     """
-    ratios = [Fraction(dn, den) for dn, (den, _) in zip(denominators, window)]
+    ratios = [Fraction(dn, den) for dn, (den, _) in zip(dens, window)]
     scale = lcm(*(r.denominator for r in ratios))
-    u = [[scale // r.denominator * r.numerator * a for a in amps]
-         for r, (_, amps) in zip(ratios, window)]
-    diffs = []
+    u = [[scale // r.denominator * r.numerator * a for a in (*amps, den)]  # last: scale D(N)
+         for r, (den, amps) in zip(ratios, window)]
+    heads = []
     for _ in range(k + 1):
-        diffs.append(u[0][_DONE])
+        heads.append(u[0])
         u = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(u, u[1:])]
-    return None if any(map(any, u)) else (scale, tuple(diffs))
+    if any(map(any, u)):
+        return None
+    return tuple(h[_DONE] for h in heads), tuple(h[-1] for h in heads)
 
 
 @lru_cache(maxsize=None)
 def _certificate(p: MultiIndex, q: MultiIndex, beta: Fraction) -> _Certificate | None:
-    """:func:`_prove` on levels 0 .. k + top_mt + 1, cached; limit = lead(u) / lead(D)."""
+    """:func:`_prove` on levels 0 .. k + top_mt + 1, cached.  Each P_t, t = 1 - d .. k + top_mt
+    + 1, is read once: the sweep reads t >= 0, and D(N) is the product of P_{N-d+1} .. P_N."""
     d, (rows, top_mt) = p.deg, _rows(_initial_state(p, q), p.size)
     k = d * top_mt
-    sweep = list(itertools.islice(_level_sweep(rows, top_mt, beta), k + top_mt + 2))
-    dens = [_denominator(n, beta, d, top_mt) for n in range(len(sweep))]
+    factors = [_level_factors(t, beta, top_mt) for t in range(1 - d, k + top_mt + 2)]
+    sweep = list(_level_sweep(rows, factors[d - 1:]))
+    dens = [prod(p_t for p_t, _ in factors[n:n + d]) for n in range(len(sweep))]
     if (proof := _prove(sweep, dens, k)) is None:
         return None
-    scale, diffs = proof
-    limit = Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
-    swept = tuple((amps[_DONE], den) for den, amps in sweep)
-    return _Certificate(scale, diffs, beta, d, top_mt, swept, limit)
+    return _Certificate(*proof, tuple((amps[_DONE], den) for den, amps in sweep))
 
 
 def _sweep_args(beta, max_index: int) -> Fraction:
@@ -312,8 +309,9 @@ def alpha_x_moment(
     if cert := _certificate(p, q, beta):
         value = cert.partial_sum(max_index)
         return TruncatedSumResult(value, cert.limit - value)
-    sweep = _level_sweep(*_rows(_initial_state(p, q), p.size), beta)
-    den, amps = next(itertools.islice(sweep, max_index, None))
+    rows, top_mt = _rows(_initial_state(p, q), p.size)
+    factors = (_level_factors(t, beta, top_mt) for t in range(max_index + 1))
+    den, amps = next(itertools.islice(_level_sweep(rows, factors), max_index, None))
     return TruncatedSumResult(Fraction(amps[_DONE], den), None)
 
 

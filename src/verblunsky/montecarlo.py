@@ -49,7 +49,7 @@ count.  All arithmetic and every output write, ``--dump-csv`` rows
 included, run on the calling thread in step order, so values, statistics
 and CSV bytes do not depend on thread timing and equal those of a serial
 loop.  The block stays the unit of the streams and of the block-wide work,
-done after its last step: the Szego recursion carries its (K + 1, block)
+done after its last step: the Szego recursion carries its (2, K + 1, block)
 state across the block's level steps, and the alpha side's monomial and CSV
 rows and the pushforward's Levinson call (whose last bits depend on the row
 count) take a whole block.  An f step holds whole samples, so the Gaussian
@@ -328,7 +328,7 @@ def _x_rows(side: str, blocks, beta: float, K: int):
                 f = _f_modes(z, beta, np.empty((len(z), K + 1), np.complex128))
                 yield rows.start + lo, exp_neg_series(f)
         else:
-            # One recursion per block: its (K + 1, b) state carries across the level steps.
+            # One recursion per block: its (2, K + 1, b) state carries across the level steps.
             state = _szego_state(K, rows.stop - rows.start)
             for lo, z in steps:
                 x = _szego_low_levels(_alpha_levels(z, beta, lo), state)

@@ -1,18 +1,18 @@
 """The certificate's closed form proved a second way: by the recurrence identity.
 
 ``alphamoments._prove`` proves S(N) = u(N) / (scale D(N)) from the sweep's
-own levels by finite differences.  :func:`recurrence_proof` proves it by the
-recurrence identity instead: it reads u on k + 1 levels only, extends each
-state's polynomial top_mt + 1 levels by its vanishing (k+1)-th differences,
-and checks the one-level recurrence P_{N-d} u(N) = M(N) u(N-1) on the
-extension with the sweep's step.  :func:`prove` runs it on the sweep's levels
-0 .. k of (p, q, beta).  The tests require both proofs to return the same
-(scale, diffs).  Not called by the package.
+own levels by finite differences, and returns both polynomials' forward
+differences at 0.  :func:`recurrence_proof` proves it by the recurrence
+identity instead: it reads u on k + 1 levels only, extends each state's
+polynomial top_mt + 1 levels by its vanishing (k+1)-th differences, and checks
+the one-level recurrence P_{N-d} u(N) = M(N) u(N-1) on the extension with the
+sweep's step.  It forms D from its own product of level denominators.
+:func:`prove` runs it on the sweep's levels 0 .. k of (p, q, beta).  The tests
+require both proofs to return the same (num, den).  Not called by the package.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import partial
 from math import comb, lcm, prod
@@ -28,7 +28,7 @@ from verblunsky.alphamoments import (
 
 
 def recurrence_proof(rows, factors, d: int, window: list) -> tuple | None:
-    """(scale, diffs): u_DONE's forward differences at 0, proved, or None.
+    """(num, den): the forward differences at 0 of u_DONE and of scale D, proved, or None.
 
     ``window`` is the sweep's (den, amps) at levels 0 .. k and ``factors`` is
     t -> (P_t, w).  Each state's u_s(N) = scale D(N) a_s(N) is read there as an
@@ -37,10 +37,16 @@ def recurrence_proof(rows, factors, d: int, window: list) -> tuple | None:
     included, the sweep's step a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) =
     M(N) u(N-1), of degree <= k + top_mt in N: true of U at the k + top_mt + 1
     levels from 1, it is true for every N.  U = u on levels 0 .. k, and past
-    them N > d, so P_{N-d} > 0 and induction gives U = u at every N.
+    them N > d, so P_{N-d} > 0 and induction gives U = u at every N.  D, a
+    product of k linear factors in N, is its own degree-k polynomial.
     """
     def denominator(n: int) -> int:
         return prod(factors(n - j)[0] for j in range(d))
+
+    def differences(values: list[int]) -> tuple[int, ...]:
+        return tuple(sum((-1) ** (i - j) * comb(i, j) * values[j] for j in range(i + 1))
+                     for i in range(k + 1))
+
     k, top_mt = len(window) - 1, len(factors(0)[1]) - 1
     ratios = [Fraction(denominator(n), den) for n, (den, _) in enumerate(window)]
     scale = lcm(*(r.denominator for r in ratios))
@@ -55,14 +61,12 @@ def recurrence_proof(rows, factors, d: int, window: list) -> tuple | None:
         p_shift = factors(n - d)[0]
         if any(p_shift * col[n] != x for col, x in zip(cols, new)):
             return None
-    u = cols[_DONE]
-    diffs = [sum((-1) ** (i - j) * comb(i, j) * u[j] for j in range(i + 1)) for i in range(k + 1)]
-    return scale, tuple(diffs)
+    return differences(cols[_DONE]), differences([scale * denominator(n) for n in range(k + 1)])
 
 
 def prove(p, q, beta: Fraction) -> tuple | None:
     """:func:`recurrence_proof` of (p, q) at beta, on the sweep's levels 0 .. k = d top_mt."""
     rows, top_mt = _rows(_initial_state(p, q), p.size)
-    window = list(itertools.islice(_level_sweep(rows, top_mt, beta), p.deg * top_mt + 1))
     factors = partial(_level_factors, beta=beta, top_mt=top_mt)
+    window = list(_level_sweep(rows, map(factors, range(p.deg * top_mt + 1))))
     return recurrence_proof(rows, factors, p.deg, window)

@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import certificate_oracle
 import pytest
@@ -17,12 +17,12 @@ from verblunsky.alphamoments import (
     CnCheck,
     _canonical,
     _certificate,
-    _denominator,
     _initial_state,
     _level_factors,
     _level_sweep,
     _prove,
     _rows,
+    _step,
     _transfer,
     _transitions,
     alpha_x_moment,
@@ -112,11 +112,12 @@ def _reference_level_sweep(p_deg, q_deg, beta, max_index):
 
 def _partial_sums(p_deg, q_deg, beta, max_index):
     """S(0..max_index), the all-closed values of :func:`alphamoments._level_sweep`'s
-    stream from the canonical start of p_deg | q_deg."""
+    stream from the canonical start of p_deg | q_deg, fed each level's factors as
+    :func:`alphamoments._certificate` reads them."""
     n_p = len(p_deg)
-    init = _canonical([2 * d for d in (*p_deg, *q_deg)], n_p)
-    stream = itertools.islice(_level_sweep(*_rows(init, n_p), beta), max_index + 1)
-    return [Fraction(amps[_DONE], den) for den, amps in stream]
+    rows, top_mt = _rows(_canonical([2 * d for d in (*p_deg, *q_deg)], n_p), n_p)
+    factors = [_level_factors(t, beta, top_mt) for t in range(max_index + 1)]
+    return [Fraction(amps[_DONE], den) for den, amps in _level_sweep(rows, factors)]
 
 
 def _sweep(p_deg, q_deg, beta, max_index):
@@ -604,16 +605,27 @@ class TestGatePower:
             assert cert.limit == gpoly.evaluate(beta + 1) < gpoly.evaluate(beta), (p, q, beta)
 
 
-def _limit(proof, beta):
-    """S(infinity) from _prove's (scale, diffs): Delta^k u_DONE(0) / (k! scale bu**k),
-    the leading coefficients of u_DONE and of D, whose leading coefficient is bu**k."""
-    scale, diffs = proof
-    k = len(diffs) - 1
-    return Fraction(diffs[k], factorial(k) * scale * beta.numerator**k)
+def _at(diffs, n):
+    """The polynomial with forward differences ``diffs`` at 0, evaluated at n."""
+    return sum(comb(n, i) * x for i, x in enumerate(diffs))
 
 
-def _rejected(proof, beta, value):
-    return proof is None or _limit(proof, beta) != value
+def _scale(den, dens):
+    """den(N) / D(N) at the first level N where D(N) != 0."""
+    n = next(n for n, dn in enumerate(dens) if dn)
+    return Fraction(_at(den, n), dens[n])
+
+
+def _limit(proof, dens, beta):
+    """S(infinity) from _prove's (num, den): Delta^k u_DONE(0) / (k! scale bu**k), the
+    leading coefficients of u_DONE and of scale D, D's being bu**k."""
+    num, den = proof
+    k = len(num) - 1
+    return num[k] / (factorial(k) * _scale(den, dens) * beta.numerator**k)
+
+
+def _rejected(proof, dens, beta, value):
+    return proof is None or _limit(proof, dens, beta) != value
 
 
 def _old_gate(p, q, law, gauss, n):
@@ -623,14 +635,15 @@ def _old_gate(p, q, law, gauss, n):
     return 0 <= gauss - now <= 10 * n * (now - prev)
 
 
-def _ingredients(p, q, beta, shifts=None):
-    """_prove's arguments as _certificate builds them, with D made of
-    ``shifts`` level denominators instead of deg p, and k = shifts top_mt."""
+def _ingredients(p, q, beta, shifts=None, level_factors=_level_factors):
+    """_prove's arguments as _certificate builds them from ``level_factors``, with D made
+    of ``shifts`` consecutive P_t instead of deg p, and k = shifts top_mt."""
     rows, top_mt = _rows(_initial_state(p, q), p.size)
     d = p.deg if shifts is None else shifts
     k = d * top_mt
-    window = list(itertools.islice(_level_sweep(rows, top_mt, beta), k + top_mt + 2))
-    return window, [_denominator(n, beta, d, top_mt) for n in range(len(window))], k
+    factors = [level_factors(t, beta, top_mt) for t in range(1 - d, k + top_mt + 2)]
+    window = list(_level_sweep(rows, factors[d - 1:]))
+    return window, [prod(p_t for p_t, _ in factors[n:n + d]) for n in range(len(window))], k
 
 
 class TestCertificate:
@@ -641,11 +654,36 @@ class TestCertificate:
         for p, q, beta in CERT_CASES:
             cert = _certificate(p, q, beta)
             assert cert is not None, (p, q, beta)
+            top_mt = _rows(_initial_state(p, q), p.size)[1]
             window, dens, k = _ingredients(p, q, beta)
-            assert len(cert.swept) == len(window) == k + cert.top_mt + 2
+            assert len(cert.swept) == len(window) == k + top_mt + 2
             proof = _prove(window, dens, k)
-            assert proof == (cert.scale, cert.diffs)
-            assert cert.limit == _limit(proof, beta) == gaussian_x_moment(p, q).evaluate(beta)
+            assert proof == (cert.num, cert.den)
+            # den is scale D at every level, zeros included.
+            scale = _scale(cert.den, dens)
+            assert [_at(cert.den, n) for n in range(len(dens))] == [scale * dn for dn in dens]
+            limit = _limit(proof, dens, beta)
+            assert cert.limit == limit == gaussian_x_moment(p, q).evaluate(beta)
+
+    def test_unreduced_sweep_gives_the_same_closed_form(self):
+        # The sweep's levels without its per-level gcd, den = P_0 ... P_N: the same
+        # fractions, but D(N) / den is no longer an integer, so scale > 1 (it is 1
+        # on the reduced sweep).  The proof reads fractions and must not change.
+        for p, q, beta in CERT_CASES:
+            window, dens, k = _ingredients(p, q, beta)
+            rows, top_mt = _rows(_initial_state(p, q), p.size)
+            raw, den, amps = [], 1, [1] + [0] * (len(rows) - 1)
+            for t in range(len(window)):
+                p_t, w = _level_factors(t, beta, top_mt)
+                amps, den = _step(rows, amps, w), den * p_t
+                raw.append((den, amps))
+            proof = _prove(raw, dens, k)
+            assert proof is not None and _scale(proof[1], dens) > 1, (p, q, beta)
+            (num, den), cert = proof, _certificate(p, q, beta)
+            assert _limit(proof, dens, beta) == Fraction(num[-1], den[-1]) == cert.limit
+            past = range(len(window), len(window) + 3)
+            assert [Fraction(_at(num, n), _at(den, n)) for n in past] == [
+                cert.partial_sum(n) for n in past]
 
     def test_agrees_with_the_recurrence_identity_proof(self):
         # Two independent proofs of one closed form: vanishing differences over
@@ -665,15 +703,17 @@ class TestCertificate:
     def test_window_starts_at_level_zero(self):
         # D's roots N = j - s / beta, j < 3, s <= top_mt = 1, are integers at
         # beta = 1 and 1/2 only, and lie in the window: there u(N) = 0 whatever
-        # the sweep's value, and the proof still holds from level 0.
+        # the sweep's value, and the proof still holds from level 0.  They are
+        # the den polynomial's roots.
         p, q = MultiIndex.from_string("1:1,2:1"), MultiIndex.from_string("3:1")
         gauss = gaussian_x_moment(p, q)
+        assert _rows(_initial_state(p, q), p.size)[1] == 1
         zeros = {Fraction(1): [0, 1], Fraction(1, 2): [0], Fraction(2): [], Fraction(2, 3): []}
         for beta, roots in zeros.items():
             cert = _certificate(p, q, beta)
-            assert cert is not None and (cert.d, cert.top_mt) == (3, 1)
-            assert len(cert.swept) == 6  # k + top_mt + 2 with k = d top_mt
-            assert [n for n in range(6) if _denominator(n, beta, 3, 1) == 0] == roots
+            assert cert is not None and len(cert.num) == len(cert.den) == 4  # k + 1, k = d top_mt
+            assert len(cert.swept) == 6  # k + top_mt + 2
+            assert [n for n in range(6) if _at(cert.den, n) == 0] == roots
             for N in range(41):
                 res = alpha_x_moment(p, q, beta, N)
                 value, _ = _reference_level_sweep([1, 2], [3], beta, N)
@@ -691,7 +731,7 @@ class TestCertificate:
                 cases += 1
         assert cases == 190
 
-    def test_level_factor_missing_from_w_is_rejected(self, monkeypatch):
+    def test_level_factor_missing_from_w_is_rejected(self):
         # Each w[mt], mt < top_mt, in turn without its factor (t bu + top_mt bv),
         # fed through the sweep itself.
         cases = 0
@@ -706,10 +746,8 @@ class TestCertificate:
                         w[mt] //= t * beta.numerator + top_mt * beta.denominator
                     return p_t, w
 
-                with monkeypatch.context() as m:
-                    m.setattr(alphamoments, "_level_factors", mutant)
-                    ingredients = _ingredients(p, q, beta)
-                assert _rejected(_prove(*ingredients), beta, gauss), (p, q, beta, mt)
+                window, dens, k = _ingredients(p, q, beta, level_factors=mutant)
+                assert _rejected(_prove(window, dens, k), dens, beta, gauss), (p, q, beta, mt)
                 cases += 1
         assert cases == 330
 
@@ -726,7 +764,7 @@ class TestCertificate:
             for s in range(len(window[0][1])):
                 bad = [(den, list(amps)) for den, amps in window]
                 bad[rng.choice(levels)][1][s] += 1
-                assert _rejected(_prove(bad, dens, k), beta, gauss), (p, q, beta, s)
+                assert _rejected(_prove(bad, dens, k), dens, beta, gauss), (p, q, beta, s)
                 cases += 1
         assert cases == 3090
 
@@ -802,20 +840,25 @@ SZEGO_MUTANTS = {  # (oracle attribute, replacement)
 class TestSzegoMomentOracle:
     """The alpha side a third way: the Szego recursion in expectation, with no gap
     sequences and no transfer table.  N = 0, 1 and 3 lie in every certificate's
-    window, where D(N) may vanish and the proof does not see the values."""
+    window, where D(N) may vanish and the proof does not see the values; the
+    first two levels past each window are read from the closed form."""
 
     GRID = [(beta, N) for beta in (Fraction(1, 2), Fraction(1), Fraction(2, 3))
             for N in (0, 1, 3, 6, 10)]
 
     def test_equals_alpha_x_moment(self):
-        checked, memos = 0, {}
-        for beta, N in self.GRID:
-            memo = memos.setdefault(beta, {})
+        # The grid's N <= 10 lies inside the window of 17 of the 39 pairs, so the first
+        # two levels past each window, at two more betas, are added.
+        cases = [(p, q, beta, N) for beta, N in self.GRID for p, q in CERT_PAIRS]
+        for beta in (Fraction(355, 113), Fraction(3, 7)):
             for p, q in CERT_PAIRS:
-                got = szego_moment_oracle.x_moment(p, q, beta, N, memo)
-                assert got == alpha_x_moment(p, q, beta, N).value, (p, q, beta, N)
-                checked += 1
-        assert checked == 585
+                top = len(_certificate(p, q, beta).swept)
+                cases += [(p, q, beta, top), (p, q, beta, top + 1)]
+        memos = {}
+        for p, q, beta, N in cases:
+            got = szego_moment_oracle.x_moment(p, q, beta, N, memos.setdefault(beta, {}))
+            assert got == alpha_x_moment(p, q, beta, N).value, (p, q, beta, N)
+        assert len(cases) == 585 + 156
 
     @pytest.mark.parametrize("mutant", list(SZEGO_MUTANTS))
     def test_mutants_fail(self, mutant, monkeypatch):

@@ -1,9 +1,13 @@
-"""No module imports a name that it never uses.
+"""No module imports a name that it never uses, and no private name is dead.
 
 No linter runs on this repository, so this AST scan stands in for the F401
 check of pyflakes on ``src/verblunsky`` and ``tests``.  An import kept on
 purpose, such as a name that perfbench looks up on a module, carries
 ``# noqa: F401`` on its line.  Names listed in ``__all__`` count as used.
+
+A second scan requires that every module-level ``_private`` name defined in
+``src/verblunsky`` is read, as a bare name or an attribute, somewhere in
+``src/verblunsky`` or ``perfbench``: a helper that only tests read is dead code.
 """
 
 import ast
@@ -12,7 +16,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/verblunsky/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/verblunsky/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
+READERS = [*PACKAGE, *sorted(ROOT.glob("perfbench/**/*.py"))]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -59,3 +65,48 @@ def test_scan_accepts_noqa_all_and_future():
 @pytest.mark.parametrize("path", FILES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(source: str) -> list[str]:
+    """The module-level names, defined or assigned, that start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(source: str) -> set[str]:
+    """Every name that a module loads, bare or as an attribute."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+    return reads
+
+
+def _dead_private_names(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """``"module: name"`` for every private name in ``defining`` that no ``reading`` source reads."""
+    read = set().union(*map(_reads, reading))
+    return [f"{module}: {name}" for module, source in defining.items()
+            for name in _private_definitions(source) if name not in read]
+
+
+def test_scan_finds_a_dead_private_name():
+    source = (
+        "_live: int = 1\n_dead = 2\n__all__ = []\n\n"
+        "def _helper():\n    return _live\n\nclass _Kept:\n    _field = 0\n"
+    )
+    reader = "import m\nm._helper()\nm._Kept\n"
+    assert _dead_private_names({"m": source}, [source, reader]) == ["m: _dead"]
+    assert _dead_private_names({"m": source}, [source]) == ["m: _dead", "m: _helper", "m: _Kept"]
+
+
+def test_no_dead_private_name():
+    defining = {str(path.relative_to(ROOT)): path.read_text() for path in PACKAGE}
+    assert _dead_private_names(defining, [path.read_text() for path in READERS]) == []
