@@ -1,24 +1,26 @@
 """Command-line front end: every subcommand prints one JSON report on stdout.
 
-Exit status: 0 for PASS or EXPERIMENTAL, 1 for FAIL, 2 for usage errors
-(including malformed multi-index strings, which are reported with the
-offending token, values out of floating-point range, inputs too large for
-memory, and files that cannot be read or written).  Alpha lists are
-given either inline as comma-separated complex literals ("0.3", "0.3+0.4i",
-"-1/4i") or as a path to a JSON file holding an array of [re, im] pairs.
-Each handler returns (results, status, diagnostics); ``run`` builds the
-report and echoes every parsed option under ``params`` through ``_echo``.
+``COMMANDS`` states the grammar.  An option takes "--opt value" or "--opt=value", may be
+shortened to a unique prefix ("--max" for "--max-index"), and the last repeat wins; a value
+may start with one "-" ("--beta -1/2") but not with "--".  ``--threads`` goes before the
+command, and ``-h`` prints a usage on stdout.  Exit status: 0 for PASS, EXPERIMENTAL or help,
+1 for FAIL, 2 for usage errors.  A malformed command line prints argparse's two lines on
+stderr, "usage: verblunsky <command> ..." and "verblunsky <command>: error: ..."; an input
+that fails later (alpha values out of floating-point range, inputs too large for memory,
+files that cannot be read or written) prints one "error: ..." line.  Alpha lists are given
+either inline as comma-separated complex literals ("0.3", "0.3+0.4i", "-1/4i") or as a path
+to a JSON file holding an array of [re, im] pairs.  Each handler returns (results, status,
+diagnostics); ``run`` builds the report and echoes every parsed option under ``params``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,27 +35,15 @@ from .report import EXPERIMENTAL, FAIL, PASS, Report, complex_pair, poly_map, ra
 # -- argument parsing helpers ----------------------------------------------
 
 
-def _from_string(cls):
-    """argparse type for ``cls.from_string`` (MultiIndex, MultiplicityVector)."""
-
-    def parse(text: str):
-        try:
-            return cls.from_string(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return parse
-
-
 def _rational(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+        raise ValueError(f"not a rational: {text!r}") from None
     try:
         str(value)  # reports echo it; Python's int-to-str limit is 4300 digits by default
     except ValueError:
-        raise argparse.ArgumentTypeError(f"rational {text!r} has too many digits") from None
+        raise ValueError(f"rational {text!r} has too many digits") from None
     return value
 
 
@@ -65,8 +55,7 @@ def _float_rational(text: str) -> Fraction:
             return value
     except OverflowError:
         pass
-    raise argparse.ArgumentTypeError(
-        f"{text!r} is outside the float range: |beta| from 5e-324 to 1.8e308")
+    raise ValueError(f"{text!r} is outside the float range: |beta| from 5e-324 to 1.8e308")
 
 
 def _tolerance(text: str) -> float:
@@ -75,12 +64,12 @@ def _tolerance(text: str) -> float:
     except ValueError:
         tol = math.nan
     if not 0 <= tol < math.inf:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+        raise ValueError(f"need a finite tolerance >= 0, got {text!r}")
     return tol
 
 
 def _int_at_least(lo: int):
-    """argparse type for an integer >= lo."""
+    """Converter for an integer >= lo."""
 
     def parse(text: str) -> int:
         try:
@@ -88,16 +77,22 @@ def _int_at_least(lo: int):
         except ValueError:
             n = lo - 1
         if n < lo:
-            raise argparse.ArgumentTypeError(f"need an integer >= {lo}, got {text!r}")
+            raise ValueError(f"need an integer >= {lo}, got {text!r}")
         return n
 
     return parse
 
 
+def _side(text: str) -> str:
+    if text not in ("gaussian", "alpha"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'gaussian', 'alpha')")
+    return text
+
+
 def _rational_list(text: str) -> list[Fraction]:
     toks = [tok for tok in text.split(",") if tok.strip()]
     if not toks:
-        raise argparse.ArgumentTypeError("empty rational list")
+        raise ValueError("empty rational list")
     return [_rational(tok) for tok in toks]
 
 
@@ -275,102 +270,115 @@ def _cmd_pushforward(args):
     )
 
 
-# -- parser wiring ---------------------------------------------------------
+# -- the command table and its parser -------------------------------------
+
+# The CLI grammar: per command, its handler, one-line help and options.  An option is
+# (converter, default), echoed under its name without dashes, required if the default is
+# _REQUIRED; a converter raises ValueError with its message.  A flag is (dest, off, on).
+_REQUIRED = object()
+_PQ = {"--p": (MultiIndex.from_string, _REQUIRED), "--q": (MultiIndex.from_string, _REQUIRED)}
+COMMANDS = {
+    "gaussian-moment": (_cmd_gaussian_moment, "exact moment polynomial in 1/beta", {
+        **_PQ, "--raw": ("engine", "partition", "decomposition-sum")}),
+    "alpha-moment": (_cmd_alpha_moment, "exact truncated alpha-side moment sum", {
+        **_PQ, "--beta": (_rational, _REQUIRED), "--max-index": (int, _REQUIRED)}),
+    "identity": (_cmd_identity, "compare both moment engines at rational beta", {
+        **_PQ, "--beta": (_rational_list, _REQUIRED), "--max-index": (int, _REQUIRED)}),
+    "nice-identity": (_cmd_nice_identity, "diagonal partial sum against its closed form", {
+        "--n": (int, _REQUIRED), "--beta": (_rational, _REQUIRED),
+        "--max-index": (int, _REQUIRED)}),
+    "variance": (_cmd_variance, "exact distribution of the variance exponent", {
+        "--n": (int, _REQUIRED)}),
+    "count": (_cmd_count, "tuple-family count against the graph-coloring count", {
+        **_PQ, "--m": (MultiplicityVector.from_string, _REQUIRED)}),
+    "jacobian": (_cmd_jacobian, "volume identity for the coefficient map", {
+        "--alpha": (str, _REQUIRED), "--exact": ("mode", "finite-difference", "exact"),
+        "--tol": (_tolerance, 1e-6)}),
+    "szego-check": (_cmd_szego_check, "log-series mass against the coefficient product", {
+        "--alpha": (str, _REQUIRED), "--order": (int, _REQUIRED), "--tol": (_tolerance, 1e-8)}),
+    "roundtrip": (_cmd_roundtrip, "alpha -> density -> moments -> alpha recovery", {
+        "--alpha": (str, _REQUIRED), "--grid": (int, _REQUIRED), "--tol": (_tolerance, 1e-9)}),
+    "mc": (_cmd_mc, "Monte Carlo x-moment against the exact engines", {
+        "--side": (_side, _REQUIRED), **_PQ, "--beta": (_float_rational, _REQUIRED),
+        "--samples": (_int_at_least(2), _REQUIRED), "--seed": (_int_at_least(0), _REQUIRED),
+        "--n-trunc": (int, 200), "--dump-csv": (str, None)}),
+    "pushforward": (_cmd_pushforward, "field-to-coefficient pushforward experiment", {
+        "--beta": (_float_rational, _REQUIRED), "--modes": (int, _REQUIRED),
+        "--radius": (float, _REQUIRED), "--samples": (_int_at_least(2), _REQUIRED),
+        "--seed": (_int_at_least(0), _REQUIRED), "--max-alpha": (int, 4)}),
+}
+GLOBAL_OPTIONS = {"--threads": (_int_at_least(1), 1)}  # given before the command
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one."""
-    parser = argparse.ArgumentParser(
-        prog="verblunsky",
-        description="Exact and Monte Carlo moment computations for random "
-        "Verblunsky coefficient sequences.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_int_at_least(1),
-        default=1,
-        help="worker substream count for sampling commands; recorded in every report",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(opt: str, spec: tuple) -> str:
+    return spec[0] if len(spec) == 3 else opt[2:].replace("-", "_")
 
-    s = sub.add_parser("gaussian-moment", help="exact moment polynomial in 1/beta")
-    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--raw", dest="engine", action="store_const", const="decomposition-sum",
-                   default="partition", help="use the decomposition-sum engine")
-    s.set_defaults(func=_cmd_gaussian_moment)
 
-    s = sub.add_parser("alpha-moment", help="exact truncated alpha-side moment sum")
-    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--beta", type=_rational, required=True)
-    s.add_argument("--max-index", type=int, required=True)
-    s.set_defaults(func=_cmd_alpha_moment)
+def _exit(command, error=None):
+    """Print command's help and exit 0, or its usage and the error, as argparse does, and exit 2."""
+    prog = f"verblunsky {command}" if command else "verblunsky"
+    options = COMMANDS[command][2] if command else GLOBAL_OPTIONS
+    words = [f"usage: {prog} [-h]"]
+    for opt, spec in options.items():
+        word = opt if len(spec) == 3 else f"{opt} {_dest(opt, spec).upper()}"
+        words.append(word if spec[1] is _REQUIRED else f"[{word}]")
+    usage = " ".join(words if command else [*words, "{" + ",".join(COMMANDS) + "}", "..."])
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        sys.exit(2)
+    lines = [COMMANDS[command][1]] if command else [
+        f"  {name:<16} {text}" for name, (_, text, _) in COMMANDS.items()]
+    sys.stdout.write("\n".join([usage, "", *lines, ""]))
+    sys.exit(0)
 
-    s = sub.add_parser("identity", help="compare both moment engines at rational beta")
-    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--beta", type=_rational_list, required=True, metavar="RAT[,RAT...]")
-    s.add_argument("--max-index", type=int, required=True)
-    s.set_defaults(func=_cmd_identity)
 
-    s = sub.add_parser("nice-identity", help="diagonal partial sum against its closed form")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--beta", type=_rational, required=True)
-    s.add_argument("--max-index", type=int, required=True)
-    s.set_defaults(func=_cmd_nice_identity)
+def _parse(argv):
+    """The command and its options' values from argv, in one pass over the table.
 
-    s = sub.add_parser("variance", help="exact distribution of the variance exponent")
-    s.add_argument("--n", type=int, required=True)
-    s.set_defaults(func=_cmd_variance)
-
-    s = sub.add_parser("count", help="tuple-family count against the graph-coloring count")
-    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--m", type=_from_string(MultiplicityVector), required=True)
-    s.set_defaults(func=_cmd_count)
-
-    s = sub.add_parser("jacobian", help="volume identity for the coefficient map")
-    s.add_argument("--alpha", required=True, metavar="FILE|LIST")
-    s.add_argument("--exact", dest="mode", action="store_const", const="exact",
-                   default="finite-difference", help="exact arithmetic (rational alpha)")
-    s.add_argument("--tol", type=_tolerance, default=1e-6)
-    s.set_defaults(func=_cmd_jacobian)
-
-    s = sub.add_parser("szego-check", help="log-series mass against the coefficient product")
-    s.add_argument("--alpha", required=True, metavar="FILE|LIST")
-    s.add_argument("--order", type=int, required=True)
-    s.add_argument("--tol", type=_tolerance, default=1e-8)
-    s.set_defaults(func=_cmd_szego_check)
-
-    s = sub.add_parser("roundtrip", help="alpha -> density -> moments -> alpha recovery")
-    s.add_argument("--alpha", required=True, metavar="FILE|LIST")
-    s.add_argument("--grid", type=int, required=True)
-    s.add_argument("--tol", type=_tolerance, default=1e-9)
-    s.set_defaults(func=_cmd_roundtrip)
-
-    s = sub.add_parser("mc", help="Monte Carlo x-moment against the exact engines")
-    s.add_argument("--side", choices=("gaussian", "alpha"), required=True)
-    s.add_argument("--p", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--q", type=_from_string(MultiIndex), required=True)
-    s.add_argument("--beta", type=_float_rational, required=True)
-    s.add_argument("--samples", type=_int_at_least(2), required=True)
-    s.add_argument("--seed", type=_int_at_least(0), required=True)
-    s.add_argument("--n-trunc", type=int, default=200)
-    s.add_argument("--dump-csv", metavar="PATH", help="write raw samples as CSV")
-    s.set_defaults(func=_cmd_mc)
-
-    s = sub.add_parser("pushforward", help="field-to-coefficient pushforward experiment")
-    s.add_argument("--beta", type=_float_rational, required=True)
-    s.add_argument("--modes", type=int, required=True)
-    s.add_argument("--radius", type=float, required=True)
-    s.add_argument("--samples", type=_int_at_least(2), required=True)
-    s.add_argument("--seed", type=_int_at_least(0), required=True)
-    s.add_argument("--max-alpha", type=int, default=4)
-    s.set_defaults(func=_cmd_pushforward)
-
-    return parser
+    Help and usage errors raise SystemExit, with code 0 and 2, after printing.
+    """
+    command, options, values, tokens = None, GLOBAL_OPTIONS, {}, iter(argv)
+    for tok in tokens:
+        if tok != "-h" and (not tok.startswith("--") or tok == "--"):
+            if command:
+                _exit(command, f"unrecognized arguments: {tok}")
+            if tok not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                _exit(None, f"argument command: invalid choice: {tok!r} (choose from {choices})")
+            command, options = tok, COMMANDS[tok][2]
+            continue
+        name, eq, text = tok.partition("=")
+        found = [name] if name in options else [
+            o for o in ("--help", *options) if o.startswith(name)]
+        if tok == "-h" or found == ["--help"]:
+            _exit(command)
+        if len(found) != 1:
+            _exit(command, f"ambiguous option: {tok} could match {', '.join(found)}" if found
+                  else f"unrecognized arguments: {tok}")
+        opt, spec = found[0], options[found[0]]
+        if len(spec) == 3:
+            if eq:
+                _exit(command, f"argument {opt}: ignored explicit argument {text!r}")
+            values[spec[0]] = spec[2]
+            continue
+        if not eq:
+            text = next(tokens, "--")
+        if text == "--" or not eq and (text.startswith("--") or text == "-h"):
+            _exit(command, f"argument {opt}: expected one argument")
+        try:
+            values[_dest(opt, spec)] = spec[0](text)
+        except ValueError as exc:
+            why = f"invalid {spec[0].__name__} value: {text!r}" if spec[0] in (int, float) else exc
+            _exit(command, f"argument {opt}: {why}")
+    if command is None:
+        _exit(None, "the following arguments are required: command")
+    table = {**GLOBAL_OPTIONS, **options}
+    for opt, spec in table.items():
+        values.setdefault(_dest(opt, spec), spec[1])
+    missing = [opt for opt, spec in table.items() if values[_dest(opt, spec)] is _REQUIRED]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, SimpleNamespace(**values)
 
 
 def _echo(value):
@@ -387,30 +395,20 @@ def _echo(value):
 def run(argv) -> int:
     """Run one command and print its report; returns the exit status.
 
-    One parser serves the whole process: :func:`build_parser` builds it on
-    the first call, and each ``parse_args`` returns a fresh namespace, so no
-    state carries over between calls.  Handlers and argparse ``type=``
-    functions are bound when the parser is first built, so a test that wants
-    a different handler must patch what the handler calls, not the handler.
+    Handlers are bound in :data:`COMMANDS` at import, so a test that wants a
+    different handler must patch what the handler calls, not the handler.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        # argparse drops an explicit "--" value ("--tol=--") and stores [] unconverted.
-        for name, value in vars(args).items():
-            if isinstance(value, list) and not value:
-                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        command, args = _parse(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
-        results, status, diagnostics = args.func(args)
+        results, status, diagnostics = COMMANDS[command][0](args)
     except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    params = {k: _echo(v) for k, v in vars(args).items()
-              if v is not None and k not in ("command", "func")}
-    report = Report(args.command, params, results, status, diagnostics)
+    params = {k: _echo(v) for k, v in vars(args).items() if v is not None}
+    report = Report(command, params, results, status, diagnostics)
     sys.stdout.write(report.to_json())
     return report.exit_code
 

@@ -79,6 +79,8 @@ def measure_density(alpha, grid: int) -> np.ndarray:
         np.add.at(spec, np.arange(-N, N + 1) % grid, s)
     vals = np.fft.irfft(spec[: grid // 2 + 1], grid)
     vals *= grid
+    if not np.all(vals > 0):  # |r_N|^2 > 0 on the circle, unless lost to rounding
+        raise ValueError("|r_N|^2 is not positive on the grid: alpha too close to the unit circle")
     norm = float(np.prod(1.0 - np.abs(np.asarray(alpha, dtype=np.complex128)) ** 2))
     return np.divide(norm, vals, out=vals)
 

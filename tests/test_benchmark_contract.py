@@ -65,16 +65,15 @@ WORKLOADS = _perfbench("workloads")
 
 
 @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
-def test_benchmark_argvs_parse(workload, tmp_path):
-    parser = cli.build_parser()
+def test_benchmark_argvs_parse(workload, tmp_path, capsys):
     for seed in range(3):
         for op in WORKLOADS.generate(workload, seed, str(tmp_path)):
             if op["lane"] != "cli":
                 continue
             try:
-                parser.parse_args(op["argv"])
+                cli._parse(op["argv"])
             except SystemExit:
-                pytest.fail(f"benchmark argv does not parse: {op['argv']}")
+                pytest.fail(f"benchmark argv does not parse: {op['argv']}: {capsys.readouterr().err}")
 
 
 @pytest.mark.parametrize("workload", ["identity-sweep", "small-checks"])

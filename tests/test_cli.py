@@ -1,10 +1,10 @@
 """End-to-end CLI coverage: byte-stable reports, exit codes, usage errors."""
 
-import argparse
 import dataclasses
 import io
 import json
 import pathlib
+import re
 import tempfile
 import threading
 import warnings
@@ -48,9 +48,8 @@ class TestGoldenReports:
         assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
     def test_parser_reused_across_runs(self, capsys):
-        # One parser serves the process; a usage error, and the exact
+        # One table serves the process; a usage error, and the exact
         # Jacobian clearing its namespace's tol, must leave no trace.
-        assert cli.build_parser() is cli.build_parser()
         for round_ in range(2):
             for name, argv in sorted(GOLDEN_CASES.items()):
                 code, out, _ = _run(capsys, argv)
@@ -515,6 +514,9 @@ class TestExitCodes:
          "the exact result has more digits than can be printed"),
         # The smallest n whose n! has more than 4300 digits.
         (["variance", "--n", "1559"], "the exact result has more digits than can be printed"),
+        # A value with a leading minus is a value, not an option.
+        (["nice-identity", "--n", "1", "--beta", "-1/2", "--max-index", "5"],
+         "beta must be a positive rational"),
     ])
     def test_exact_sweep_arguments_exit_two(self, capsys, argv, message):
         code, out, err = _run(capsys, argv)
@@ -550,13 +552,89 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option", sorted(DOUBLE_DASH))
     def test_explicit_double_dash_value_exits_two(self, capsys, option):
-        # argparse drops the "--" of "--opt=--" and stores an empty list
-        # without calling the option's type; before the check in run, every
-        # command took that list (a traceback, or a PASS echoing threads []).
+        # "--" is never a value: taken as one (an argparse parser stored an
+        # empty list), every command crashed or PASSed echoing threads [].
         code, out, err = _run(capsys, self.DOUBLE_DASH[option])
         assert code == 2
         assert out == ""
         assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+    @pytest.mark.parametrize("option", sorted(DOUBLE_DASH))
+    def test_double_dash_token_is_no_value(self, capsys, option):
+        # "--opt --" as two tokens: "--" starts with "--", so it is no value.
+        argv = [part for tok in self.DOUBLE_DASH[option]
+                for part in ([option, "--"] if tok == f"{option}=--" else [tok])]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+
+def _words(text):
+    return set(re.split(r"[\s{},\[\]]+", text))
+
+
+class TestCommandLine:
+    """What the table-driven parser keeps of argparse's command line: help,
+    unique prefixes, the two-line usage errors and their messages, and
+    values with a leading minus, which argparse took for options."""
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+    def test_help_exits_zero_and_names_the_table(self, capsys, command, flag):
+        code, out, err = _run(capsys, [flag] if command is None else [command, flag])
+        assert (code, err) == (0, "")
+        names = [*cli.GLOBAL_OPTIONS, *cli.COMMANDS] if command is None else cli.COMMANDS[command][2]
+        assert set(names) <= _words(out)
+
+    def test_unique_prefix_gives_the_same_bytes(self, capsys):
+        argv = ["alpha-moment", "--p", "1:1", "--q", "1:1", "--beta", "2"]
+        full = _run(capsys, [*argv, "--max-index", "10"])
+        assert full[0] == 0
+        assert _run(capsys, [*argv, "--max", "10"]) == full
+        assert _run(capsys, [*argv, "--max=10"]) == full
+
+    def test_ambiguous_prefix_names_every_candidate(self, capsys):
+        code, out, err = _run(capsys, ["mc", "--s", "alpha"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[1:] == [
+            "verblunsky mc: error: ambiguous option: --s could match --side, --samples, --seed"]
+
+    def test_threads_after_the_command_exits_two(self, capsys):
+        code, out, err = _run(capsys, ["variance", "--n", "3", "--threads", "2"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --threads\n")
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    @pytest.mark.parametrize("alpha", ["-1/4i", "-1/3,1/4", "-0.3+0.1i,0.2"])
+    def test_leading_minus_value_as_two_tokens(self, capsys, alpha, exact):
+        two_tokens = _run(capsys, ["jacobian", *exact, "--alpha", alpha])
+        assert two_tokens[0] == 0
+        assert _run(capsys, ["jacobian", *exact, f"--alpha={alpha}"]) == two_tokens
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "verblunsky: error: the following arguments are required: command"),
+        (["laplace"], "verblunsky: error: argument command: invalid choice: 'laplace' (choose "
+         "from 'gaussian-moment', 'alpha-moment', 'identity', 'nice-identity', 'variance', "
+         "'count', 'jacobian', 'szego-check', 'roundtrip', 'mc', 'pushforward')"),
+        (["--threads", "0", "variance", "--n", "3"],
+         "verblunsky: error: argument --threads: need an integer >= 1, got '0'"),
+        (["variance"], "verblunsky variance: error: the following arguments are required: --n"),
+        (["variance", "--n", "x"], "verblunsky variance: error: argument --n: invalid int value: 'x'"),
+        (["variance", "--n"], "verblunsky variance: error: argument --n: expected one argument"),
+        (["variance", "--n", "3", "x"], "verblunsky variance: error: unrecognized arguments: x"),
+        (["pushforward", "--beta", "1", "--modes", "4", "--radius", "r", "--samples", "2",
+          "--seed", "0"], "verblunsky pushforward: error: argument --radius: invalid float value: 'r'"),
+        (["mc", "--side", "exact"], "verblunsky mc: error: argument --side: invalid choice: "
+         "'exact' (choose from 'gaussian', 'alpha')"),
+        (["gaussian-moment", "--raw=1"],
+         "verblunsky gaussian-moment: error: argument --raw: ignored explicit argument '1'"),
+    ])
+    def test_usage_error_lines(self, capsys, argv, error):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        usage, line = err.splitlines()
+        assert usage.startswith(f"usage: {error.partition(': error: ')[0]} [-h] ")
+        assert line == error
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -710,7 +788,7 @@ PINNED = [argv.split() for argv in [
     "mc --side gaussian --p 1:1 --q 1:1 --beta 1e-200 --samples 3 --seed 0 --n-trunc 8",
     # The same, with a dump: the rows are written before the error, then removed.
     "mc --side gaussian --p 1:1 --q 1:1 --beta 1e-200 --samples 3 --seed 0 --dump-csv {dir}/d.csv",
-    # An explicit "--opt=--" value: argparse stores an empty list, exit 2.
+    # An explicit "--opt=--" value is no value: exit 2.
     "mc --side=alpha --p=1:1 --q=1:1 --beta=1 --samples=-- --seed=0",
     "--threads=-- pushforward --beta=1 --modes=8 --radius=0.5 --samples=3 --seed=0",
     # Within 1e-6 of the circle: the float Jacobian warns and reports.
@@ -784,14 +862,11 @@ class TestExitContract:
 
     def test_grammar_covers_the_parser(self):
         # A new command or option fails here until the grammar fuzzes it.
-        def options(parser):
-            return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
-
-        parser = cli.build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        assert options(parser) == {"--threads"}
-        assert {c: options(p) for c, p in sub.choices.items()} == {
-            c: {*opts, FLAGS[c]} if c in FLAGS else set(opts) for c, opts in GRAMMAR.items()}
+        assert set(cli.GLOBAL_OPTIONS) == {"--threads"}
+        assert {c: set(opts) - {FLAGS.get(c)} for c, (_, _, opts) in cli.COMMANDS.items()} == {
+            c: set(opts) for c, opts in GRAMMAR.items()}
+        assert {c: opt for c, (_, _, opts) in cli.COMMANDS.items()
+                for opt, spec in opts.items() if len(spec) == 3} == FLAGS
 
     def test_peaked_density_exits_two(self):
         code, err, messages = _exit_contract(PEAKED_PUSHFORWARD)

@@ -8,10 +8,17 @@ purpose, such as a name that perfbench looks up on a module, carries
 A second scan requires that every module-level ``_private`` name defined in
 ``src/verblunsky`` is read, as a bare name or an attribute, somewhere in
 ``src/verblunsky`` or ``perfbench``: a helper that only tests read is dead code.
+
+A third check guards the weight of a CLI call: a fresh interpreter that
+imports ``verblunsky.cli`` and runs a command loads none of ``HEAVY``, whose
+import cost each benchmark pass and each CLI user would otherwise pay.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -110,3 +117,25 @@ def test_scan_finds_a_dead_private_name():
 def test_no_dead_private_name():
     defining = {str(path.relative_to(ROOT)): path.read_text() for path in PACKAGE}
     assert _dead_private_names(defining, [path.read_text() for path in READERS]) == []
+
+
+HEAVY = ("argparse", "gettext", "locale")
+
+
+def _heavy_loaded(code: str, path: pathlib.Path) -> list[str]:
+    """The HEAVY modules loaded after a fresh interpreter runs code with path on sys.path."""
+    probe = f"{code}\nimport sys\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(path)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_weight_check_flags_a_module_that_imports_argparse(tmp_path):
+    (tmp_path / "heavy.py").write_text("import argparse\n")
+    assert "argparse" in _heavy_loaded("import heavy", tmp_path)
+
+
+def test_cli_call_loads_no_heavy_module():
+    code = "from verblunsky import cli\ncli.run(['variance', '--n', '3'])"
+    assert _heavy_loaded(code, ROOT / "src") == []

@@ -166,6 +166,13 @@ class TestMeasureRoundTrip:
         with pytest.raises(ValueError):
             trig_moments(np.ones(64), 40)
 
+    @pytest.mark.parametrize("alpha", [[0.99999999], [-0.99999999, 0.3]])
+    def test_density_lost_to_rounding_is_an_error(self, alpha):
+        # |r_N|^2 = (1 - |alpha|)^2 = 1e-16 at the nearest point rounds to 0
+        # or below; dividing by it warned and gave an infinite density.
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="not positive"):
+            measure_density(alpha, 64)
+
     def test_not_positive_definite_reports_order(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
             verblunsky_from_moments([1.0, 2.0])
