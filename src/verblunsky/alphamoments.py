@@ -11,13 +11,17 @@ transfer sweep sums them instead: one state per assignment of (open/closed,
 remaining gap budget) to the slots, up to permuting one side's slots.  The
 moves out of a state do not depend on the level t, so :func:`_transfer`
 numbers the states and tabulates their moves once for all levels, betas and
-calls.  Each level of :func:`_level_sweep` is one sparse matrix-vector product
-on integer numerators, and the all-closed entry after level t is the partial
-sum S(t).  :func:`_certificate` sweeps only the first levels and proves from
-them, by finite differences in :func:`_prove`, a closed form S(N) = num(N) /
-den(N) for all later N: two integer polynomials, whose top differences' ratio
-is the limit (``tests/certificate_oracle.py`` proves it by the recurrence
-identity instead).  The certificate is numbers only, the two polynomials'
+calls.  A state's moves are its two sides' moves joined on the balance of
+opening and closing moves; :func:`_side_moves` enumerates one side's by groups
+of equal slot codes and is cached, shared by every table (the transfer-matrix
+method with states up to symmetry, Stanley, EC1 section 4.7).  Each level of
+:func:`_level_sweep` is one sparse matrix-vector product on integer
+numerators, and the all-closed entry after level t is the partial sum S(t).
+:func:`_certificate` sweeps only the first levels and proves from them, by
+finite differences in :func:`_prove`, a closed form S(N) = num(N) / den(N) for
+all later N: two integer polynomials, whose top differences' ratio is the
+limit (``tests/certificate_oracle.py`` proves it by the recurrence identity
+instead).  The certificate is numbers only, the two polynomials'
 forward differences and the swept partial sums, and :func:`alpha_x_moment`
 reads S(N) and the exact tail S(infinity) - S(N) from it.
 
@@ -41,11 +45,10 @@ values cross the API as ``fractions.Fraction``.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -73,24 +76,51 @@ def _canonical(slots, n_p: int) -> tuple[int, ...]:
     return (*sorted(slots[:n_p]), *sorted(slots[n_p:]))
 
 
+@lru_cache(maxsize=None)
+def _side_moves(codes: tuple[int, ...], p_side: bool) -> dict[int, tuple]:
+    """One side's moves for one level, by balance: {balance: ((mt, next, multiplicity), ...)}.
+
+    ``codes`` is one side's sorted slot codes, and equal codes are interchangeable: of a group of
+    n slots with code c, j flip, in C(n, j) ways.  A flipped slot goes to c - 1 (a closed one
+    opens and burns one unit of budget, an open one closes); an idle open slot burns one unit,
+    c - 2, and an idle closed one stays.  Choices that go negative are dropped.  An mt-flip
+    closes a p-side slot or opens a q-side one; mt counts them, and balance is #mt-flips minus
+    the other flips.  ``next`` is sorted.  Cached: every table reaches the same few sides.
+    """
+    moves = {(0, 0, ()): 1}  # (balance, mt, next codes unsorted) -> multiplicity
+    for c, group in itertools.groupby(codes):
+        n, is_mt, idle = len(list(group)), (c & 1) == p_side, c - 2 if c & 1 else c
+        grown = {}
+        for (bal, mt, nxt), mult in moves.items():
+            for j in range(n + 1 if c else 1):
+                if idle >= 0 or j == n:
+                    key = (bal + j if is_mt else bal - j, mt + j if is_mt else mt,
+                           nxt + (c - 1,) * j + (idle,) * (n - j))
+                    grown[key] = grown.get(key, 0) + mult * comb(n, j)
+        moves = grown
+    table: dict[int, dict] = {}
+    for (bal, mt, nxt), mult in moves.items():
+        row, key = table.setdefault(bal, {}), (mt, tuple(sorted(nxt)))
+        row[key] = row.get(key, 0) + mult
+    return {bal: tuple((mt, nxt, mult) for (mt, nxt), mult in row.items())
+            for bal, row in table.items()}
+
+
 def _transitions(state: tuple[int, ...], n_p: int) -> tuple:
     """One level's moves out of a state: ((mt, ((next, multiplicity), ...)), ...).
 
-    Each slot opens (if closed with budget left), closes (if open) or idles;
-    the balance  #(p-closes) + #(q-opens) = #(p-opens) + #(q-closes)  gates
-    each combination, and mt is that common count.  Every slot open after the
-    level burns one unit of budget.  multiplicity counts the combinations
-    that reach the same canonical next state.
+    The :func:`_side_moves` of the p side and the q side joined on opposite balances, that is
+    #(p-closes) + #(q-opens) = #(p-opens) + #(q-closes), with mt that common count.
+    multiplicity counts the flip combinations that reach the same canonical next state
+    (``tests/transfer_oracle.py`` counts them one flip vector at a time).
     """
-    m_side = [(idx < n_p) == bool(enc & 1) for idx, enc in enumerate(state)]
-    groups: dict[int, Counter] = {}
-    for flips in itertools.product(*[(0, 1) if enc else (0,) for enc in state]):
-        mt = sum(f for f, m in zip(flips, m_side) if m)
-        if 2 * mt != sum(flips):
-            continue
-        ns = [e - 2 if e & 1 else e for e in (enc ^ f for enc, f in zip(state, flips))]
-        if min(ns) >= 0:
-            groups.setdefault(mt, Counter())[_canonical(ns, n_p)] += 1
+    q_moves = _side_moves(state[n_p:], False)
+    groups: dict[int, dict] = {}
+    for bal, p_row in _side_moves(state[:n_p], True).items():
+        for mt_q, nq, mult_q in q_moves.get(-bal, ()):
+            for mt_p, np_, mult_p in p_row:
+                group = groups.setdefault(mt_p + mt_q, {})
+                group[np_ + nq] = group.get(np_ + nq, 0) + mult_p * mult_q
     return tuple((mt, tuple(g.items())) for mt, g in sorted(groups.items()))
 
 
@@ -104,11 +134,13 @@ class _Transfer(dict):
 
     A state is a tuple of slot codes, remaining budget * 2 + open flag, the
     first ``n_p`` on the p side; there are 3 to 40 for the x-moment pairs of
-    degree <= 4.  States are numbered as first reached: ``init`` is 0, and the
-    all-closed state, which deg p = deg q >= 1 reaches, is :data:`_DONE`.
-    ``table[s]`` is state s's row of moves ``(mt, dst, mult)`` from
-    :func:`_transitions`, tabulated on first use, so a walk that keeps only
-    some moves (:func:`count_tuples`) tabulates only the states it reaches.
+    degree <= 4, and up to 889 at degree 8.  States are numbered as first
+    reached: ``init`` is 0, and the all-closed state, which deg p = deg q >= 1
+    reaches, is :data:`_DONE`.  ``table[s]`` is state s's row of moves
+    ``(mt, dst, mult)`` from :func:`_transitions`, which joins side tables
+    shared by every table; a row is tabulated on first use, so a walk that
+    keeps only some moves (:func:`count_tuples`) tabulates only the states it
+    reaches.
     """
 
     def __init__(self, init: tuple[int, ...], n_p: int):
@@ -246,20 +278,20 @@ def _prove(window: list, dens: list[int], k: int) -> tuple | None:
     """(num, den): the closed form of the partial sums, proved from the sweep, or None.
 
     ``window`` is the sweep's (den, amps) at levels 0 .. k + top_mt + 1, ``dens`` is D(N) =
-    prod_{j<d} P_{N-j} there, of degree k = d top_mt.  Each u_s(N) = scale D(N) a_s(N) and
-    scale D(N) must have vanishing (k+1)-th differences there: integer polynomials of degree
-    <= k.  As D(N) P_{N-d} = P_N D(N-1), zero factors included, each sweep level a(N) = M(N)
-    a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <= k + top_mt in N; U obeys it at the
-    k + top_mt + 1 levels N >= 1 of the window, so at every N.  Past the window N > d, so
-    P_{N-d} > 0 and induction gives U = u, and D, whose roots N = j - s / beta lie below d - 1,
-    is nonzero: S(N) = U_DONE(N) / (scale D(N)), and (num, den) are their differences at 0.
+    prod_{j<d} P_{N-j} there, of degree k = d top_mt.  Each level's den must divide D(N), and
+    each u_s(N) = D(N) a_s(N) and D(N) must have vanishing (k+1)-th differences there: integer
+    polynomials of degree <= k.  As D(N) P_{N-d} = P_N D(N-1), zero factors included, each sweep
+    level a(N) = M(N) a(N-1) / P_N is P_{N-d} u(N) = M(N) u(N-1), of degree <= k + top_mt in N;
+    U obeys it at the k + top_mt + 1 levels N >= 1 of the window, so at every N.  Past the window
+    N > d, so P_{N-d} > 0 and induction gives U = u, and D, whose roots N = j - s / beta lie
+    below d - 1, is nonzero: S(N) = U_DONE(N) / D(N), and (num, den) are their differences at 0.
     ``tests/certificate_oracle.py`` proves the same closed form a second way, by checking the
     recurrence identity on k + 1 levels extended by differences.
     """
-    ratios = [Fraction(dn, den) for dn, (den, _) in zip(dens, window)]
-    scale = lcm(*(r.denominator for r in ratios))
-    u = [[scale // r.denominator * r.numerator * a for a in (*amps, den)]  # last: scale D(N)
-         for r, (den, amps) in zip(ratios, window)]
+    if any(dn % den for dn, (den, _) in zip(dens, window)):
+        return None
+    u = [[dn // den * a for a in (*amps, den)]  # last: D(N)
+         for dn, (den, amps) in zip(dens, window)]
     heads = []
     for _ in range(k + 1):
         heads.append(u[0])

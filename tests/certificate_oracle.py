@@ -1,8 +1,11 @@
 """The certificate's closed form proved a second way: by the recurrence identity.
 
-``alphamoments._prove`` proves S(N) = u(N) / (scale D(N)) from the sweep's
-own levels by finite differences, and returns both polynomials' forward
-differences at 0.  :func:`recurrence_proof` proves it by the recurrence
+``alphamoments._prove`` proves S(N) = u(N) / D(N) from the sweep's own
+levels by finite differences, and returns both polynomials' forward
+differences at 0; it requires each level's reduced denominator to divide
+D(N).  :func:`recurrence_proof` keeps the general form u(N) / (scale D(N)),
+scale the lcm of the denominators of D(N) / den, which is 1 on the reduced
+sweep, and proves it by the recurrence
 identity instead: it reads u on k + 1 levels only, extends each state's
 polynomial top_mt + 1 levels by its vanishing (k+1)-th differences, and checks
 the one-level recurrence P_{N-d} u(N) = M(N) u(N-1) on the extension with the

@@ -9,6 +9,7 @@ from math import comb, factorial, prod
 import certificate_oracle
 import pytest
 import szego_moment_oracle
+import transfer_oracle
 from tuple_oracle import alpha_joint_moment, literal_count, term_value
 
 from verblunsky import alphamoments
@@ -338,6 +339,23 @@ class TestLevelSweepOracle:
         assert row[0][1] == (((2, 2, 4), 1),)
         assert row[1][1] == (((1, 2, 3), 2),)
 
+    def test_rows_equal_the_flip_vector_oracle(self):
+        # Every reachable row of every equal-degree table through degree 5, as a
+        # multiset of (mt, next, multiplicity), against all 2**slots flip vectors.
+        def moves(row):
+            return Counter((mt, nxt, mult) for mt, targets in row for nxt, mult in targets)
+
+        rows = 0
+        for d in range(1, 6):
+            for p, q in itertools.product(partitions(d), repeat=2):
+                init = _initial_state(p, q)
+                _rows(init, p.size)  # tabulates every reachable state
+                for state in _transfer(init, p.size).states:
+                    want = transfer_oracle.transitions(state, p.size)
+                    assert moves(_transitions(state, p.size)) == moves(want), (p, q, state)
+                    rows += 1
+        assert rows == 2649
+
 
 # 355/113 has a large numerator and denominator, so the sweep's common
 # denominator mixes many distinct level factors.
@@ -610,22 +628,16 @@ def _at(diffs, n):
     return sum(comb(n, i) * x for i, x in enumerate(diffs))
 
 
-def _scale(den, dens):
-    """den(N) / D(N) at the first level N where D(N) != 0."""
-    n = next(n for n, dn in enumerate(dens) if dn)
-    return Fraction(_at(den, n), dens[n])
-
-
-def _limit(proof, dens, beta):
-    """S(infinity) from _prove's (num, den): Delta^k u_DONE(0) / (k! scale bu**k), the
-    leading coefficients of u_DONE and of scale D, D's being bu**k."""
-    num, den = proof
+def _limit(proof, beta):
+    """S(infinity) from _prove's (num, den): Delta^k u_DONE(0) / (k! bu**k), the leading
+    coefficients of u_DONE and of D, D's being bu**k."""
+    num, _ = proof
     k = len(num) - 1
-    return num[k] / (factorial(k) * _scale(den, dens) * beta.numerator**k)
+    return Fraction(num[k], factorial(k) * beta.numerator**k)
 
 
-def _rejected(proof, dens, beta, value):
-    return proof is None or _limit(proof, dens, beta) != value
+def _rejected(proof, beta, value):
+    return proof is None or _limit(proof, beta) != value
 
 
 def _old_gate(p, q, law, gauss, n):
@@ -659,16 +671,15 @@ class TestCertificate:
             assert len(cert.swept) == len(window) == k + top_mt + 2
             proof = _prove(window, dens, k)
             assert proof == (cert.num, cert.den)
-            # den is scale D at every level, zeros included.
-            scale = _scale(cert.den, dens)
-            assert [_at(cert.den, n) for n in range(len(dens))] == [scale * dn for dn in dens]
-            limit = _limit(proof, dens, beta)
+            # den is D at every level, zeros included.
+            assert [_at(cert.den, n) for n in range(len(dens))] == dens
+            limit = _limit(proof, beta)
             assert cert.limit == limit == gaussian_x_moment(p, q).evaluate(beta)
 
-    def test_unreduced_sweep_gives_the_same_closed_form(self):
+    def test_unreduced_sweep_is_rejected(self):
         # The sweep's levels without its per-level gcd, den = P_0 ... P_N: the same
-        # fractions, but D(N) / den is no longer an integer, so scale > 1 (it is 1
-        # on the reduced sweep).  The proof reads fractions and must not change.
+        # fractions, but den no longer divides D(N) at every level, as it does on the
+        # reduced sweep, so u(N) = D(N) a(N) is not read as integers: no proof.
         for p, q, beta in CERT_CASES:
             window, dens, k = _ingredients(p, q, beta)
             rows, top_mt = _rows(_initial_state(p, q), p.size)
@@ -677,13 +688,10 @@ class TestCertificate:
                 p_t, w = _level_factors(t, beta, top_mt)
                 amps, den = _step(rows, amps, w), den * p_t
                 raw.append((den, amps))
-            proof = _prove(raw, dens, k)
-            assert proof is not None and _scale(proof[1], dens) > 1, (p, q, beta)
-            (num, den), cert = proof, _certificate(p, q, beta)
-            assert _limit(proof, dens, beta) == Fraction(num[-1], den[-1]) == cert.limit
-            past = range(len(window), len(window) + 3)
-            assert [Fraction(_at(num, n), _at(den, n)) for n in past] == [
-                cert.partial_sum(n) for n in past]
+            assert [[Fraction(a, den) for a in amps] for den, amps in raw] == [
+                [Fraction(a, den) for a in amps] for den, amps in window]
+            assert any(dn % den for dn, (den, _) in zip(dens, raw)), (p, q, beta)
+            assert _prove(raw, dens, k) is None, (p, q, beta)
 
     def test_agrees_with_the_recurrence_identity_proof(self):
         # Two independent proofs of one closed form: vanishing differences over
@@ -747,7 +755,7 @@ class TestCertificate:
                     return p_t, w
 
                 window, dens, k = _ingredients(p, q, beta, level_factors=mutant)
-                assert _rejected(_prove(window, dens, k), dens, beta, gauss), (p, q, beta, mt)
+                assert _rejected(_prove(window, dens, k), beta, gauss), (p, q, beta, mt)
                 cases += 1
         assert cases == 330
 
@@ -764,7 +772,7 @@ class TestCertificate:
             for s in range(len(window[0][1])):
                 bad = [(den, list(amps)) for den, amps in window]
                 bad[rng.choice(levels)][1][s] += 1
-                assert _rejected(_prove(bad, dens, k), dens, beta, gauss), (p, q, beta, s)
+                assert _rejected(_prove(bad, dens, k), beta, gauss), (p, q, beta, s)
                 cases += 1
         assert cases == 3090
 
