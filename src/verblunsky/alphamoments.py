@@ -9,14 +9,14 @@ Materializing those tuples is hopeless at the max_index scales the identity
 checks need (~1e14 tuples at degree 4, max_index 1e4).  An exact level-by-level
 transfer sweep sums them instead: one state per assignment of (open/closed,
 remaining gap budget) to the slots, up to permuting one side's slots.  The
-moves out of a state do not depend on the level t, so :func:`_transfer`
-numbers the states and tabulates their moves once for all levels, betas and
-calls.  A state's moves are its two sides' moves joined on the balance of
-opening and closing moves; :func:`_side_moves` enumerates one side's by groups
-of equal slot codes and is cached, shared by every table (the transfer-matrix
-method with states up to symmetry, Stanley, EC1 section 4.7).  Each level of
-:func:`_level_sweep` is one sparse matrix-vector product on integer
-numerators, and the all-closed entry after level t is the partial sum S(t).
+moves out of a state do not depend on the level t, so :func:`_rows` numbers
+the states and tabulates their moves once for all levels, betas and calls.
+A state's moves, from :func:`_transitions`, are its two sides' moves joined on
+the balance of opening and closing moves; :func:`_side_moves` enumerates one
+side's by groups of equal slot codes and is cached, shared by every table (the
+transfer-matrix method with states up to symmetry, Stanley, EC1 section 4.7).
+Each level of :func:`_level_sweep` is one sparse matrix-vector product on
+integer numerators, and the all-closed entry after level t is the partial sum S(t).
 :func:`_certificate` sweeps only the first levels and proves from them, by
 finite differences in :func:`_prove`, a closed form S(N) = num(N) / den(N) for
 all later N: two integer polynomials, whose top differences' ratio is the
@@ -27,11 +27,11 @@ reads S(N) and the exact tail S(infinity) - S(N) from it.
 
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
-:func:`_transfer` table: integer amplitudes, keyed by state number and the
+:func:`_transitions`: integer amplitudes, keyed by state and the
 multiplicities read so far.  In ``tests/tuple_oracle.py``, ``term_value``
 weights those counts to cross-check the sweep, and ``literal_count`` and the
 graph-coloring counts are the counts' independent references; neither
-reads the table.
+reads the moves.
 
 Each comparison of the CN identity's two sides is one :class:`CnCheck` from
 :func:`_cn_check`, and ``CnCheck.passed`` is the one place its PASS/FAIL rule
@@ -60,7 +60,7 @@ from .gaussian import gaussian_x_moment, variance_pmf
 
 #: The type of the exact values the sweep returns (``perfbench`` reports it).
 _mpq = Fraction
-_DONE = 1  # the all-closed state's number in every _Transfer table
+_DONE = 1  # the all-closed state's number in every table from _rows
 
 
 @dataclass(frozen=True)
@@ -129,68 +129,42 @@ def _initial_state(p: MultiIndex, q: MultiIndex) -> tuple[int, ...]:
     return _canonical([2 * d for d in (*p.slots(), *q.slots())], p.size)
 
 
-class _Transfer(dict):
-    """The level transfer matrix on the slot states reachable from ``init``.
-
-    A state is a tuple of slot codes, remaining budget * 2 + open flag, the
-    first ``n_p`` on the p side; there are 3 to 40 for the x-moment pairs of
-    degree <= 4, and up to 889 at degree 8.  States are numbered as first
-    reached: ``init`` is 0, and the all-closed state, which deg p = deg q >= 1
-    reaches, is :data:`_DONE`.  ``table[s]`` is state s's row of moves
-    ``(mt, dst, mult)`` from :func:`_transitions`, which joins side tables
-    shared by every table; a row is tabulated on first use, so a walk that
-    keeps only some moves (:func:`count_tuples`) tabulates only the states it
-    reaches.
-    """
-
-    def __init__(self, init: tuple[int, ...], n_p: int):
-        self.n_p, self.states = n_p, [init, (0,) * len(init)]
-        self.number = {state: s for s, state in enumerate(self.states)}
-
-    def __missing__(self, s: int) -> tuple:
-        row = []
-        for mt, targets in _transitions(self.states[s], self.n_p):
-            for nxt, mult in targets:
-                dst = self.number.setdefault(nxt, len(self.states))
-                if dst == len(self.states):
-                    self.states.append(nxt)
-                row.append((mt, dst, mult))
-        self[s] = row = tuple(row)
-        return row
-
-
-#: The one table per start, shared by all levels, betas and calls.
-_transfer = lru_cache(maxsize=None)(_Transfer)
-
-
 def _tuple_counts(
     p: MultiIndex, q: MultiIndex, max_index: int, m: MultiplicityVector | None = None
 ) -> dict[MultiplicityVector, int]:
     """Nonzero balanced-tuple counts with indices <= max_index, keyed by m.
 
-    Walks the :func:`_transfer` table over levels 0..max_index with integer
-    amplitudes keyed by (state number, ((t, mt), ...) read so far): level t
-    is index t, and a move's mt (p-side tops + q-side bottoms at t) is m(t).
-    With ``m`` given, only the moves with mt = m(t) are kept.  The families
-    are the walks that end all closed.
+    Walks :func:`_transitions` over levels 0..max_index with integer amplitudes
+    keyed by (state, ((t, mt), ...) read so far): level t is index t, and a
+    move's mt (p-side tops + q-side bottoms at t) is m(t).  Only the states
+    the walk reaches are tabulated.  With ``m`` given, only the moves with
+    mt = m(t) are kept, and while no state has an open slot the walk jumps to
+    m's next index: m(t) = 0 forbids opening, so each state stays put.  The
+    families are the walks that end all closed.
     """
     if p.deg != q.deg:
         return {}
     if p.deg == 0:
         return {MultiplicityVector(): 1}
-    table = _transfer(_initial_state(p, q), p.size)
-    amps = {(0, ()): 1}
-    for t in range(max_index + 1):
+    moves: dict[tuple, tuple] = {}
+    amps, t = {(_initial_state(p, q), ()): 1}, 0
+    while t <= max_index:
+        if m is not None and not any(c & 1 for state, _ in amps for c in state):
+            t = next((i for i in m.support() if i >= t), max_index)
         want = None if m is None else m[t]
         new_amps: dict[tuple, int] = {}
-        for (src, read), amp in amps.items():
-            for mt, dst, mult in table[src]:
+        for (state, read), amp in amps.items():
+            if state not in moves:
+                moves[state] = _transitions(state, p.size)
+            for mt, targets in moves[state]:
                 if want is not None and mt != want:
                     continue
                 now = read + ((t, mt),) if mt else read
-                new_amps[dst, now] = new_amps.get((dst, now), 0) + amp * mult
-        amps = new_amps
-    return {MultiplicityVector(dict(read)): c for (s, read), c in amps.items() if s == _DONE}
+                for nxt, mult in targets:
+                    new_amps[nxt, now] = new_amps.get((nxt, now), 0) + amp * mult
+        amps, t = new_amps, t + 1
+    return {MultiplicityVector(dict(read)): c for (state, read), c in amps.items()
+            if not any(state)}
 
 
 def count_tuples(p: MultiIndex, q: MultiIndex, m: MultiplicityVector) -> int:
@@ -212,11 +186,30 @@ def tuple_counts_all_m(
     return _tuple_counts(p, q, max_index)
 
 
-def _rows(init: tuple[int, ...], n_p: int) -> tuple[list, int]:
-    """Every row of the :func:`_transfer` table from ``init``, and the top mt."""
-    table = _transfer(init, n_p)
-    rows = [table[s] for s, _ in enumerate(table.states)]  # states grows meanwhile
-    return rows, max(mt for row in rows for mt, _, _ in row)
+@lru_cache(maxsize=None)
+def _rows(init: tuple[int, ...], n_p: int) -> tuple[tuple, int]:
+    """The level transfer matrix on the slot states reachable from ``init``, and the top mt.
+
+    A state is a tuple of slot codes, remaining budget * 2 + open flag, the first ``n_p`` on
+    the p side; there are 3 to 40 for the x-moment pairs of degree <= 4, and up to 889 at
+    degree 8.  States are numbered as first reached, breadth first: ``init`` is 0, and the
+    all-closed state, which deg p = deg q >= 1 reaches, is :data:`_DONE`.  Row s is state s's
+    moves ``(mt, dst, mult)`` from :func:`_transitions`.  Cached: one table per start, shared
+    by all levels, betas and calls.
+    """
+    states = [init, (0,) * len(init)]
+    number = {state: s for s, state in enumerate(states)}
+    rows = []
+    for state in states:  # states grows meanwhile
+        row = []
+        for mt, targets in _transitions(state, n_p):
+            for nxt, mult in targets:
+                if nxt not in number:
+                    number[nxt] = len(states)
+                    states.append(nxt)
+                row.append((mt, number[nxt], mult))
+        rows.append(tuple(row))
+    return tuple(rows), max(mt for row in rows for mt, _, _ in row)
 
 
 def _level_factors(t: int, beta: Fraction, top_mt: int) -> tuple[int, list[int]]:
@@ -239,9 +232,9 @@ def _step(rows, amps: list[int], w: list[int]) -> list[int]:
     return new
 
 
-def _level_sweep(rows: list, factors):
+def _level_sweep(rows: tuple, factors):
     """Exact transfer sweep on :func:`_rows`: for each level's (P_t, w) in ``factors``, t = 0,
-    1, ..., yield (den, amps), ``amps[s] / den`` the amplitude of :func:`_transfer` state s.
+    1, ..., yield (den, amps), ``amps[s] / den`` the amplitude of state s.
 
     Each level is a fresh list from :func:`_step`; then den *= P_t, and den and every numerator
     are divided by their gcd, which keeps them from growing by P_t per level.

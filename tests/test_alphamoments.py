@@ -24,7 +24,6 @@ from verblunsky.alphamoments import (
     _prove,
     _rows,
     _step,
-    _transfer,
     _transitions,
     alpha_x_moment,
     count_tuples,
@@ -291,9 +290,9 @@ class TestLevelSweepOracle:
     def test_memoised_table_reused_across_betas(self):
         p_deg, q_deg = [1, 2], [1, 2]
         _sweep(p_deg, q_deg, Fraction(1, 3), 9)
-        hits = _transfer.cache_info().hits
+        hits = _rows.cache_info().hits
         got = _sweep(p_deg, q_deg, Fraction(5, 7), 9)
-        assert _transfer.cache_info().hits > hits
+        assert _rows.cache_info().hits > hits
         assert got == _reference_level_sweep(p_deg, q_deg, Fraction(5, 7), 9)
 
     @pytest.mark.parametrize("pq", [("1:1", "1:1"), ("1:2", "2:1"), ("1:1,2:1", "3:1"),
@@ -309,25 +308,22 @@ class TestLevelSweepOracle:
             for t, s in enumerate(sums):
                 assert s == alpha_x_moment(p, q, beta, t).value, (beta, t)
 
-    def test_count_tabulates_only_the_states_it_reaches(self):
-        # All 886 states of 2:6|2:6 take seconds to tabulate; m = 0:6,2:6
-        # pins every level's move and needs three rows.
-        _transfer.cache_clear()
-        p = MultiIndex.from_string("2:6")
-        assert count_tuples(p, p, MultiplicityVector.from_string("0:6,2:6")) == 1
-        assert len(_transfer(_initial_state(p, p), p.size)) == 3
+    def test_count_tabulates_only_the_states_it_reaches(self, monkeypatch):
+        # All 886 states of 2:6|2:6 take tens of milliseconds to tabulate, and
+        # 100:6|100:6 has far too many to build; m pins every level's move,
+        # and the walk tabulates only the one state it reaches at each level.
+        seen = []
 
-    def test_sweep_completes_a_partial_table(self):
-        # A count walk numbers 2:2|2:2's states in its own order and leaves
-        # some untabulated; a later sweep tabulates the rest.
-        _transfer.cache_clear()
-        p = MultiIndex.from_string("2:2")
-        assert count_tuples(p, p, MultiplicityVector.from_string("0:2,2:2")) == 1
-        table = _transfer(_initial_state(p, p), p.size)
-        assert len(table) < len(table.states)
-        for beta in (Fraction(1, 3), Fraction(3, 2)):
-            assert _sweep([2, 2], [2, 2], beta, 17) == _reference_level_sweep([2, 2], [2, 2], beta, 17)
-        assert len(table) == len(table.states) == 21
+        def spy(state, n_p):
+            seen.append(state)
+            return _transitions(state, n_p)
+
+        monkeypatch.setattr(alphamoments, "_transitions", spy)
+        for p, m, calls in (("2:6", "0:6,2:6", 3), ("100:6", "0:6,100:6", 101)):
+            seen.clear()
+            p = MultiIndex.from_string(p)
+            assert count_tuples(p, p, MultiplicityVector.from_string(m)) == 1
+            assert len(seen) == len(set(seen)) == calls, p
 
     def test_transitions_grouped_by_mt(self):
         # 1:2|2:1 from the start: both p-slots closed with budget 1, the
@@ -348,12 +344,15 @@ class TestLevelSweepOracle:
         rows = 0
         for d in range(1, 6):
             for p, q in itertools.product(partitions(d), repeat=2):
-                init = _initial_state(p, q)
-                _rows(init, p.size)  # tabulates every reachable state
-                for state in _transfer(init, p.size).states:
+                states = [_initial_state(p, q)]
+                for state in states:  # breadth first; states grows meanwhile
+                    row = _transitions(state, p.size)
                     want = transfer_oracle.transitions(state, p.size)
-                    assert moves(_transitions(state, p.size)) == moves(want), (p, q, state)
-                    rows += 1
+                    assert moves(row) == moves(want), (p, q, state)
+                    states += {nxt: None for _, targets in row for nxt, _ in targets
+                               if nxt not in states}
+                assert len(states) == len(_rows(states[0], p.size)[0]), (p, q)
+                rows += len(states)
         assert rows == 2649
 
 

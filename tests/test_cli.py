@@ -265,6 +265,19 @@ class TestExitCodes:
         assert rep["results"] == {"tuples": 0, "graphs": 0}
         assert rep["status"] == "PASS"
 
+    @pytest.mark.parametrize("pq, m, tuples", [
+        ("1:1", "0:1,100:1", 0), ("1:1", "0:1,100000000:1", 0),
+        ("1:1", "0:1,1000000000000:1", 0),
+        ("1:2", "5:2,6:2", 1), ("1:2", "100000000:2,100000001:2", 1),
+        ("1:2", "2:1,3:1,40:1,41:1", 4), ("1:2", "2:1,3:1,1000000000000:1,1000000000001:1", 4),
+    ])
+    def test_count_at_far_indices(self, capsys, pq, m, tuples):
+        # Levels where m is 0 and no slot is open leave every state as it is,
+        # so a far index costs no more than a near one.
+        code, out, _ = _run(capsys, ["count", "--p", pq, "--q", pq, "--m", m])
+        assert code == 0
+        assert json.loads(out)["results"] == {"tuples": tuples, "graphs": tuples}
+
     @pytest.mark.parametrize("argv", [
         ["szego-check", "--alpha", "0.1", "--order", "5", "--tol", "nan"],
         ["jacobian", "--alpha", "0.5", "--tol", "-1"],
@@ -371,10 +384,10 @@ class TestExitCodes:
         assert "guarded to |m| <= 12" in err
 
     def _no_table(self, monkeypatch):
-        def no_table(init, n_p):
+        def no_table(state, n_p):
             raise AssertionError("count walked the transfer table")
 
-        monkeypatch.setattr(alphamoments, "_transfer", no_table)
+        monkeypatch.setattr(alphamoments, "_transitions", no_table)
 
     def test_count_more_slots_than_indices_is_zero_without_walk(self, capsys, monkeypatch):
         # 26 slots cannot fill 12 indices; the walk would start with 2**26 flips.
@@ -641,8 +654,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 # The exit-contract grammar: per command, per option, (valid, edge) tokens.
 # Sizes keep every call in milliseconds: degrees at most 5, --max-index at
-# most 60, --n at most 8 and |m| at or next to count's guard of 12.  "{dir}"
-# stands for the run's own directory; every --dump-csv value lies in it.
+# most 60, --n at most 8 and |m| at or next to count's guard of 12; count
+# skips the levels m leaves empty, so its far indices cost no more than near
+# ones.  "{dir}" stands for the run's own directory; every --dump-csv value
+# lies in it.
 JUNK = st.one_of(
     st.sampled_from(["", "x", "--", "-", "1/0", "1:1", "0x10", "--bogus", "1,2"]),
     st.text(alphabet="abz-_:/., ", max_size=5),
@@ -692,7 +707,8 @@ GRAMMAR = {
     "variance": {"--n": DEGREE},
     "count": {"--p": MULTI_INDEX, "--q": MULTI_INDEX,
               "--m": (["0:1,1:1", "0:2,1:1,2:1", "1:1,2:1", "0:1,4:1", "0:4,1:4", "0:6,1:6",
-                       "0:3,1:3,2:3,3:3", "0:2,1:2,2:2,3:2,4:2,5:2"],
+                       "0:3,1:3,2:3,3:3", "0:2,1:2,2:2,3:2,4:2,5:2", "0:1,1000000000000:1",
+                       "2:1,3:1,1000000000000:1,1000000000001:1"],
                       ["0", "0:12", "0:13", "0:7,1:6", "0:6,1:6,2:1", "1:0", "-1:1",
                        "0:1,0:1", "2:1,1:1"])},
     "jacobian": {"--alpha": ALPHA, "--tol": TOL},
