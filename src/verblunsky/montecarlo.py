@@ -52,12 +52,13 @@ loop.  The block stays the unit of the streams and of the block-wide work,
 done after its last step: the Szego recursion carries its (2, K + 1, block)
 state across the block's level steps, and the alpha side's monomial and CSV
 rows and the pushforward's Levinson call (whose last bits depend on the row
-count) take a whole block.  An f step holds whole samples, so the Gaussian
-side finishes ``exp(-f)``, the monomial and the CSV rows step by step; with
-K <= 4 a step is the whole block.  The per-sample results still grow with
-the sample count.  ``workers`` only picks the substreams: every call uses
-one helper thread, a single-thread ``ThreadPoolExecutor`` joined before the
-call returns, whatever ``workers`` is.
+count) take a whole block.  An f step holds whole samples, so the
+pushforward takes each step's moments (:func:`_field_moments`) and the
+Gaussian side finishes ``exp(-f)``, the monomial and the CSV rows step by
+step; with K <= 4 a step is the whole block.  The per-sample results still
+grow with the sample count.  ``workers`` only picks the substreams: every
+call uses one helper thread, a single-thread ``ThreadPoolExecutor`` joined
+before the call returns, whatever ``workers`` is.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def _pipeline(samples: int, seed: int, workers: int, N: int, *,
     # Imported here, so commands that never sample do not load it (and logging).
     from concurrent.futures import ThreadPoolExecutor
 
-    # A step holds at most _STEP_VALUES values, or one row if that is wider.
-    size = 2 * min(samples * N, max(_STEP_VALUES, N))
+    # A step holds at most _STEP_VALUES values, or one row if that is wider:
+    # an f row is N wide, an alpha level one block of at most BLOCK_SIZE.
+    width = min(samples, BLOCK_SIZE) if level_major else N
+    size = 2 * min(samples * N, max(_STEP_VALUES, width))
     buffers = cycle([np.empty(size), np.empty(size)])
 
     def submitted(pool):
@@ -359,6 +362,23 @@ def pushforward_grid(modes: int) -> int:
     return max(1024, 4 * modes)
 
 
+def _field_moments(half: np.ndarray, grid: int, max_alpha: int) -> np.ndarray:
+    """Moments c_0..c_max_alpha, (rows, max_alpha + 1), of each row's density ∝ e^F.
+
+    ``half`` holds the half spectrum of F on a ``grid``-point theta grid, so
+    ``irfft`` with ``norm="forward"`` (no 1/grid) gives F itself.  Only the
+    moments are divided by c_0: e^F is never normalized on the grid.  A row
+    whose e^F or moment sum overflows gets c_0 = inf, so NaN after the
+    division, which Levinson flags as too peaked.
+    """
+    dens = np.fft.irfft(half, grid, axis=1, norm="forward")
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(dens, out=dens)
+        c = trig_moments(dens, max_alpha)
+        c /= c[:, :1]
+    return c
+
+
 def pushforward_experiment(
     beta: float,
     modes: int,
@@ -372,12 +392,13 @@ def pushforward_experiment(
     """Empirical E|alpha_n|^2 of the measure with density ∝ e^{2 Re f_+(r e^{i theta})}.
 
     Each sample draws f_1..f_modes, evaluates the field on a uniform theta
-    grid of :func:`pushforward_grid` points at radius ``r``, normalizes the
-    density, and recovers alpha_1..alpha_max_alpha from its trigonometric
-    moments.  The means are meant to approach 1/(n beta + 1) as (modes,
-    radius) grow; the approximation is deliberate and the quality must be
-    judged by refining both, not assumed.  ``modes=0`` is the degenerate
-    f = 0 path (uniform density, all alpha exactly zero).
+    grid of :func:`pushforward_grid` points at radius ``r``, takes the
+    trigonometric moments of its exponential, divided by their c_0, and
+    recovers alpha_1..alpha_max_alpha from them.  The means are meant to
+    approach 1/(n beta + 1) as (modes, radius) grow; the approximation is
+    deliberate and the quality must be judged by refining both, not assumed.
+    ``modes=0`` is the degenerate f = 0 path (uniform density, all alpha
+    exactly zero).
 
     Any beta > 0 is accepted: the field 2 Re f_+ has covariance
     (2/beta) log(1/|2 sin((s - t)/2)|), so gamma**2 = 2/beta in chaos terms
@@ -386,12 +407,14 @@ def pushforward_experiment(
     11.2, 9.1, 7.7, 6.7 and 5.3 % at beta = 0.5, 1, 1.5, 2 and 3.  Densities
     too peaked to invert fail the Levinson positive-definiteness check.
 
-    Both transforms are real FFTs.  With c_k = f_k r**k on the half spectrum
-    k = 0..grid//2, ``irfft(c, grid) * grid`` is 2 Re sum_{0<k<grid/2}
-    c_k e^{i k theta_j} plus the real parts of c_0 and of the Nyquist term
-    c_{grid/2}; both vanish because f_0 = 0 and modes <= grid/4 < grid/2, so
-    it is exactly 2 Re f_+(r e^{i theta_j}), and ``opuc.trig_moments`` of the
-    density's rows gives its moments c_0..c_max_alpha (max_alpha < grid//2).
+    Both transforms are real FFTs (:func:`_field_moments`).  With h_k =
+    f_k r**k on the half spectrum k = 0..grid//2, ``irfft(h, grid,
+    norm="forward")`` is 2 Re sum_{0<k<grid/2} h_k e^{i k theta_j} plus the
+    real parts of h_0 and of the Nyquist term h_{grid/2}; both vanish because
+    f_0 = 0 and modes <= grid/4 < grid/2, so it is exactly 2 Re f_+(r e^{i
+    theta_j}).  ``opuc.trig_moments`` of its exponential gives the moments
+    c_0..c_max_alpha (max_alpha < grid//2), and dividing them by c_0 gives
+    the normalized density's moments, since the FFT is linear.
     """
     _check_beta(beta)
     if modes < 0:
@@ -416,13 +439,7 @@ def pushforward_experiment(
             for lo, z in steps:
                 half = _f_modes(z, beta, buf[: len(z)])
                 half[:, : modes + 1] *= decay
-                dens = np.fft.irfft(half, grid, axis=1)
-                dens *= grid
-                # A field too large for exp gives NaN rows, which Levinson flags as too peaked.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.exp(dens, out=dens)
-                    dens /= dens.mean(axis=1, keepdims=True)
-                c[lo : lo + len(z)] = trig_moments(dens, max_alpha)
+                c[lo : lo + len(z)] = _field_moments(half, grid, max_alpha)
             # One Levinson call per block: its last bits depend on the batch's row count.
             al, ok = levinson_batch(c, max_alpha)
             if not ok.all():

@@ -6,8 +6,8 @@ arithmetic in place.
 This module is the loop it replaced: every block is drawn and then transformed
 in full on one thread, and alpha blocks go to the Szego kernel samples-first.
 The pipelined samplers must return exactly these values, CSV bytes and errors.
-The kernels (Szego, ``exp(-f)``, Levinson and the trigonometric moments) are
-the package's own; only the block loop is frozen here.
+The kernels (Szego, ``exp(-f)``, Levinson and the pushforward's per-row
+field moments) are the package's own; only the block loop is frozen here.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from verblunsky.kernels import exp_neg_series, levinson_batch, szego_low_coefficients
-from verblunsky.montecarlo import BLOCK_SIZE, pushforward_grid
-from verblunsky.opuc import trig_moments
+from verblunsky.montecarlo import BLOCK_SIZE, _field_moments, pushforward_grid
 
 
 def _draw_blocks(samples, seed, workers):
@@ -113,11 +112,7 @@ def pushforward_absq(beta, modes, radius, samples, max_alpha, seed, workers):
         b = rows.stop - rows.start
         half = np.zeros((b, grid // 2 + 1), np.complex128)
         half[:, : modes + 1] = _f_block(rng, beta, modes, b) * decay
-        dens = np.fft.irfft(half, grid, axis=1)
-        dens *= grid
-        np.exp(dens, out=dens)
-        dens /= dens.mean(axis=1, keepdims=True)
-        al, ok = levinson_batch(trig_moments(dens, max_alpha), max_alpha)
+        al, ok = levinson_batch(_field_moments(half, grid, max_alpha), max_alpha)
         if not ok.all():
             bad = int((~ok).sum())
             raise ValueError(

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 from f_expansion_oracle import add, gaussian_f_moment, gaussian_x_moment_via_f_expansion, scale
+from transport_oracle import transport_moment
 from variance_oracle import a_coefficients, moment_product, multiplicity_free_moment
 
 from verblunsky.combinatorics import MultiIndex, f_weight, partitions
@@ -111,6 +112,15 @@ class TestGaussianXMoment:
         for d, idxs in by_deg.items():
             for p, q in itertools.product(idxs, idxs):
                 assert gaussian_x_moment(p, q) == gaussian_x_moment(q, p)
+
+
+class TestTransportationSum:
+    def test_equals_partition_engine_through_degree_six(self):
+        # G_{p,q} = sum over tables M with row sums p's slots and column sums
+        # q's slots of prod C(1/beta + M_ij - 1, M_ij): every equal-degree pair.
+        for d, idxs in _small_multi_indices(6).items():
+            for p, q in itertools.product(idxs, idxs):
+                assert transport_moment(p, q) == gaussian_x_moment(p, q), (p, q)
 
 
 class TestVariancePmf:

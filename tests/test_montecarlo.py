@@ -516,6 +516,29 @@ class TestPushforward:
         b = pushforward_experiment(1.0, 16, 0.9, 40, 2, seed=23)
         assert a == b
 
+    def test_overflowing_rows_stay_flagged(self):
+        # Rows of F on a 1024-point grid, given to the density step as half
+        # spectra: (a) e^709 at three points, each finite but with a sum past
+        # the largest float; (b) e^711, itself infinite; (c) an ordinary row.
+        # Row (a)'s points are about a third of the circle apart, so c_1 and
+        # c_2 stay finite and only the c_0 division flags it: Levinson is
+        # scale-free, and the raw moments give alpha = 0.
+        grid, max_alpha = 1024, 2
+        F = np.zeros((3, grid))
+        F[0, [0, 341, 683]] = 709.0
+        F[1, 7] = 711.0
+        F[2] = np.cos(2 * np.pi * np.arange(grid) / grid)
+        half = np.fft.rfft(F, axis=1, norm="forward")
+        with np.errstate(over="ignore"):
+            e = np.exp(np.fft.irfft(half, grid, axis=1, norm="forward"))
+            assert np.isfinite(e[0]).all() and np.isinf(e[0].sum())
+        assert np.isinf(e[1]).any()
+        c = montecarlo._field_moments(half, grid, max_alpha)
+        assert c.shape == (3, max_alpha + 1)
+        _, ok = levinson_batch(c, max_alpha)
+        assert ok.tolist() == [False, False, True]
+        assert c[2, 0] == 1.0
+
     @staticmethod
     def _complex_fft_absq(beta, modes, radius, samples, max_alpha, seed, workers):
         """Frozen complex-FFT pushforward: per-sample |alpha_n|^2, (samples, max_alpha)."""
@@ -585,7 +608,7 @@ class TestPipeline:
     # pushforward_experiment(beta, modes, radius, samples, max_alpha, seed):
     # at this beta and radius the moments stay positive definite.
     PUSH = (1.0, 8, 0.7)
-    # The first 8192-sample block inverts; the second has one sample whose
+    # The first 8192-sample block inverts; the second has two samples whose
     # moments are not positive definite (found with the serial loop).
     PEAKED = ["pushforward", "--beta", "1/10", "--modes", "32", "--radius", "0.9",
               "--samples", str(2 * BLOCK_SIZE), "--seed", "3", "--max-alpha", "30"]
@@ -670,7 +693,7 @@ class TestPipeline:
         args = (0.1, 32, 0.9, 2 * BLOCK_SIZE, 30, 3, 1)
         with pytest.raises(ValueError) as want:
             serial_blocks.pushforward_absq(*args)
-        assert str(want.value).startswith("1 sample(s) gave non-positive-definite moments")
+        assert str(want.value).startswith("2 sample(s) gave non-positive-definite moments")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "levinson_batch", self._on(finishers, montecarlo.levinson_batch))
             mp.setattr(montecarlo, "_draw", self._on(drawers, montecarlo._draw))
@@ -890,6 +913,16 @@ class TestPipeline:
         assert all(lead * width <= montecarlo._STEP_VALUES or lead == 1
                    for lead, width in shapes)
         assert max(lead * width for lead, width in shapes) > montecarlo._STEP_VALUES // 2
+
+    def test_alpha_buffers_sized_by_level_width(self):
+        # An alpha level is one block of samples wide, not N: two samples of
+        # 10**7 levels step 2**14 levels at a time, so a buffer holds one
+        # step of _STEP_VALUES complex values, not a 10**7-value row.
+        with montecarlo._pipeline(2, 0, 1, 10**7, level_major=True) as blocks:
+            _, steps = next(blocks)
+            _, z = next(steps)
+            assert z.shape == (montecarlo._STEP_VALUES // 2, 2, 2)
+            assert z.base.size <= 2 * montecarlo._STEP_VALUES
 
     def test_uneven_last_steps_match_serial_loop(self, tmp_path, monkeypatch):
         # At b = 8192 an alpha step is 4 levels, so N = 13 steps 4, 4, 4 and 1
