@@ -28,9 +28,8 @@ reads S(N) and the exact tail S(infinity) - S(N) from it.
 At small max_index the tuples can be counted outright, and
 :func:`count_tuples` and :func:`tuple_counts_all_m` do it on the same
 :func:`_transitions`: integer amplitudes, keyed by state and the
-multiplicities read so far.  In ``tests/tuple_oracle.py``, ``term_value``
-weights those counts to cross-check the sweep, and ``literal_count`` and the
-graph-coloring counts are the counts' independent references; neither
+multiplicities read so far.  ``literal_count`` in ``tests/tuple_oracle.py``
+and the graph-coloring counts are the counts' independent references; neither
 reads the moves.
 
 Each comparison of the CN identity's two sides is one :class:`CnCheck` from
@@ -285,13 +284,13 @@ def _prove(window: list, dens: list[int], k: int) -> tuple | None:
         return None
     u = [[dn // den * a for a in (*amps, den)]  # last: D(N)
          for dn, (den, amps) in zip(dens, window)]
-    heads = []
-    for _ in range(k + 1):
-        heads.append(u[0])
-        u = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(u, u[1:])]
-    if any(map(any, u)):
+    signed = [(-1) ** (k + 1 - i) * comb(k + 1, i) for i in range(k + 2)]
+    if any(sum(map(mul, signed, col[n:])) for col in zip(*u) for n in range(len(u) - k - 1)):
         return None
-    return tuple(h[_DONE] for h in heads), tuple(h[-1] for h in heads)
+    heads = [[row[_DONE] for row in u[:k + 1]], [row[-1] for row in u[:k + 1]]]
+    for f, j in itertools.product(heads, range(1, k + 1)):
+        f[j:] = [b - a for a, b in zip(f[j - 1:], f[j:])]  # f[i] becomes the i-th difference
+    return tuple(heads[0]), tuple(heads[1])
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 import re
+import sys
 import tempfile
 import threading
 import warnings
@@ -81,6 +82,16 @@ class TestGoldenReports:
         rep = json.loads(out)
         assert rep["results"] == {"tuples": 1, "graphs": 1}
         assert rep["status"] == "PASS"
+
+    def test_gaussian_moment_pinned_off_diagonal(self, capsys):
+        out = _run(capsys, ["gaussian-moment", "--p", "1:2", "--q", "2:1"])[1]
+        assert json.loads(out)["results"]["moment"] == {"2": "1/1"}
+
+    def test_pushforward_pinned_targets(self, capsys):
+        argv = ["pushforward", "--beta", "1", "--modes", "0", "--radius", "0.5", "--samples", "2",
+                "--seed", "0", "--max-alpha", "2"]
+        rows = json.loads(_run(capsys, argv)[1])["results"]["moments"]
+        assert [row["target"] for row in rows] == [1 / 2, 1 / 3]
 
 
 class TestReportShape:
@@ -191,6 +202,29 @@ class TestExitCodes:
         code, out, _ = _run(capsys, FAIL_JACOBIAN)
         assert code == 1
         assert json.loads(out)["status"] == "FAIL"
+
+    def test_every_comparing_check_can_fail(self, capsys, monkeypatch):
+        # Each status that compares two sides says FAIL, exit 1, when one side is
+        # patched apart; the float Jacobian's gap is relative: 2, not 2e-9.
+        monkeypatch.setattr(cli, "count_tuples", lambda p, q, m: 0)
+        monkeypatch.setattr(opuc, "jacobian_determinant_exact", lambda a: (1, Fraction(1, 2)))
+        monkeypatch.setattr(opuc, "jacobian_determinant", lambda a: (3e-9, 1e-9))
+        monkeypatch.setattr(opuc, "verblunsky_from_moments", lambda c: [0.5, 0.101])
+        for argv in (["count", "--p", "1:1", "--q", "1:1", "--m", "1:1,2:1"],
+                     ["jacobian", "--exact", "--alpha", "1/2"], ["jacobian", "--alpha", "0.5"],
+                     ["szego-check", "--alpha", "0.5", "--order", "1", "--tol", "0"],
+                     ["roundtrip", "--alpha", "0.5,0.1", "--grid", "16"]):
+            code, out, _ = _run(capsys, argv)
+            assert (code, json.loads(out)["status"]) == (1, "FAIL"), argv
+
+    def test_mc_fails_ten_standard_errors_off(self, capsys, monkeypatch):
+        argv = ["mc", "--side", "gaussian", "--p", "1:1", "--q", "1:1", "--beta", "1",
+                "--samples", "200", "--seed", "1"]
+        res = json.loads(_run(capsys, argv)[1])["results"]
+        off = res["mean"][0] + 10 * res["stderr"]
+        monkeypatch.setattr(montecarlo, "mc_reference", lambda *args: off)
+        code, out, _ = _run(capsys, argv)
+        assert (code, json.loads(out)["status"]) == (1, "FAIL")
 
     def test_nice_identity_partial_sum_above_limit_fails(self, capsys, monkeypatch):
         # lhs one tail above rhs: the proved limit, lhs + tail, is not rhs.
@@ -598,6 +632,33 @@ class TestCommandLine:
         assert (code, err) == (0, "")
         names = [*cli.GLOBAL_OPTIONS, *cli.COMMANDS] if command is None else cli.COMMANDS[command][2]
         assert set(names) <= _words(out)
+
+    def test_main_runs_sys_argv_and_exits_with_its_status(self, capsys, monkeypatch):
+        want = _run(capsys, ["variance", "--n", "2"])
+        monkeypatch.setattr(sys, "argv", ["verblunsky", "variance", "--n", "2"])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert (done.value.code, *capsys.readouterr()) == want
+
+    def test_edge_values_parse_as_documented(self, capsys):
+        pq = ["--p", "1:1", "--q", "1:1"]
+        for argv, code, err in [
+            (["alpha-moment", *pq, "--beta", "1/0", "--max-index", "5"], 2,
+             "argument --beta: not a rational: '1/0'"),
+            (["pushforward", "--beta", "0", "--modes", "0", "--radius", "0.5", "--samples", "2",
+              "--seed", "0"], 2, "error: beta must be positive"),
+            (["mc", "--side", "", *pq, "--beta", "1", "--samples", "2", "--seed", "0"], 2,
+             "argument --side: invalid choice: ''"),
+            (["roundtrip", "--alpha", "0", "--grid", "16", "--tol", "0"], 0, ""),
+        ]:
+            got = _run(capsys, argv)
+            assert got[0] == code and err in got[2], argv
+
+    def test_alpha_lists_keep_the_imaginary_sign(self, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text("[[0.25, -0.5]]")
+        assert cli._alpha_exact(str(path)) == [(Fraction(1, 4), Fraction(-1, 2))]
+        assert cli._alpha_floats("0.25-0.5i").tolist() == [0.25 - 0.5j]
 
     def test_unique_prefix_gives_the_same_bytes(self, capsys):
         argv = ["alpha-moment", "--p", "1:1", "--q", "1:1", "--beta", "2"]

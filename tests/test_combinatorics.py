@@ -39,6 +39,10 @@ class TestMultiIndex:
     def test_delta(self):
         assert MultiIndex.delta(4) == MultiIndex({4: 1})
 
+    def test_repr(self):
+        assert repr(MultiIndex({2: 1, 1: 3})) == "MultiIndex({1: 3, 2: 1})"
+        assert repr(MultiplicityVector({0: 2})) == "MultiplicityVector({0: 2})"
+
     def test_zero_counts_dropped(self):
         assert MultiIndex({1: 2, 3: 0}) == MultiIndex({1: 2})
         assert not MultiIndex({})

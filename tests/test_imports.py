@@ -12,6 +12,10 @@ A second scan requires that every module-level ``_private`` name defined in
 A third check guards the weight of a CLI call: a fresh interpreter that
 imports ``verblunsky.cli`` and runs a command loads none of ``HEAVY``, whose
 import cost each benchmark pass and each CLI user would otherwise pay.
+
+A fourth requires that some ``tests/test_*.py`` module imports each oracle
+module, ``tests/*_oracle.py``, and ``tests/serial_blocks.py``: a second way
+that no test reads checks nothing.
 """
 
 import ast
@@ -139,3 +143,29 @@ def test_weight_check_flags_a_module_that_imports_argparse(tmp_path):
 def test_cli_call_loads_no_heavy_module():
     code = "from verblunsky import cli\ncli.run(['variance', '--n', '3'])"
     assert _heavy_loaded(code, ROOT / "src") == []
+
+
+def _orphan_helpers(tests: pathlib.Path) -> list[str]:
+    """The oracle modules and ``serial_blocks`` in ``tests`` that no ``test_*.py`` there imports."""
+    paths = [*sorted(tests.glob("*_oracle.py")), *tests.glob("serial_blocks.py")]
+    helpers = [path.stem for path in paths]
+    imported = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.partition(".")[0])
+    return [name for name in helpers if name not in imported]
+
+
+def test_scan_finds_an_orphan_oracle(tmp_path):
+    for name in ("read_oracle", "orphan_oracle", "serial_blocks"):
+        (tmp_path / f"{name}.py").write_text("def f():\n    return 1\n")
+    (tmp_path / "test_x.py").write_text("import read_oracle\nfrom serial_blocks import f\n")
+    (tmp_path / "helper.py").write_text("import orphan_oracle\n")  # not a test module
+    assert _orphan_helpers(tmp_path) == ["orphan_oracle"]
+
+
+def test_every_oracle_has_a_test_that_imports_it():
+    assert _orphan_helpers(ROOT / "tests") == []

@@ -163,8 +163,9 @@ class TestMeasureRoundTrip:
             measure_density([0.1], 8)
         with pytest.raises(ValueError, match="grid too coarse"):
             measure_density([0.1] * 17, 16)  # 18 polynomial coefficients on 16 points
-        with pytest.raises(ValueError):
-            trig_moments(np.ones(64), 40)
+        assert trig_moments(np.ones(64), 31).shape == (32,)
+        with pytest.raises(ValueError, match="below grid/2"):
+            trig_moments(np.ones(64), 32)
 
     @pytest.mark.parametrize("alpha", [[0.99999999], [-0.99999999, 0.3]])
     def test_density_lost_to_rounding_is_an_error(self, alpha):

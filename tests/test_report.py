@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from verblunsky.report import _json
+from verblunsky.report import _json, complex_pair
 
 SCALARS = (
     st.none()
@@ -46,3 +46,7 @@ def test_writer_equals_json_dumps(value):
 def test_other_types_raise_type_error(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_complex_pair_is_real_then_imaginary():
+    assert complex_pair(0.5 - 2j) == [0.5, -2.0]

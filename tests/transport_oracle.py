@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from f_expansion_oracle import add
 from variance_oracle import moment_product
 
 from verblunsky.combinatorics import MultiIndex
@@ -64,12 +63,13 @@ def transport_moment(p: MultiIndex, q: MultiIndex) -> MomentPolynomial:
     def rest(i: int, cols: tuple[int, ...]) -> MomentPolynomial:
         if i == len(a):
             return ONE
-        out = MomentPolynomial.zero()
+        out: dict[int, Fraction] = {}
         for row in _rows(a[i], cols):
             term = rest(i + 1, tuple(c - m for c, m in zip(cols, row)))
             for m in row:
                 term = moment_product(term, _entry(m))
-            out = add(out, term)
-        return out
+            for k, c in term.terms:
+                out[k] = out.get(k, Fraction(0)) + c
+        return MomentPolynomial.from_terms(out)
 
     return rest(0, b)
